@@ -38,6 +38,11 @@ EXIT_FALSE = 1
 EXIT_ERROR = 2
 EXIT_DISAGREE = 3
 
+# Largest matrix, in entries, that a subcommand realizes densely: 256 MiB
+# of complex128.  Compact files describe far larger matrices in little
+# space, so a dense step beyond this is refused as an input error.
+MAX_DENSE_ENTRIES = 1 << 24
+
 _GENERATE_FORMS = {
     "form-a": "row_band_a",
     "form-b": "col_band_b",
@@ -69,6 +74,15 @@ def _emit(doc: dict) -> None:
 
 def _tolerance(args) -> Tolerance:
     return Tolerance(atol=args.tol, rtol=args.tol)
+
+
+def _check_dense_size(what: str, *shapes: tuple[int, int]) -> None:
+    """Refuse a dense step on any matrix larger than MAX_DENSE_ENTRIES."""
+    for rows, cols in shapes:
+        if rows * cols > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"{what} needs a dense {rows}x{cols} matrix, more than "
+                f"{MAX_DENSE_ENTRIES} entries")
 
 
 def _as_structured(obj, tol: Tolerance, name: str):
@@ -134,6 +148,7 @@ def _cmd_product(args) -> int:
     structured = cert is not None
     oracle_agrees = None
     if args.oracle:
+        _check_dense_size("--oracle", left.shape, right.shape, (left.n, right.m))
         dense = dense_mul(left.to_dense(), right.to_dense())
         dense_ok = (dense_is_toeplitz(dense, tol) if product_kind == "toeplitz"
                     else dense_is_hankel(dense, tol))
@@ -203,6 +218,7 @@ def _cmd_isometry(args) -> int:
 
 def _cmd_displacement(args) -> int:
     obj = load_matrix(args.file)
+    _check_dense_size("displacement", obj.shape)
     dense = obj if isinstance(obj, np.ndarray) else obj.to_dense()
     sys.stdout.write(matrix_to_text(displacement_dense(dense)))
     return EXIT_TRUE

@@ -279,14 +279,20 @@ class AsymToeplitz:
         out[0] = self.a0
         return out
 
-    def to_dense(self) -> np.ndarray:
-        """Realize all n x m entries."""
-        # one value per diagonal offset i - j in [-(m-1), n-1]
-        vals = np.concatenate([np.conj(self.alpha[:0:-1]),
+    def diagonals(self) -> np.ndarray:
+        """The value on each diagonal, a new array of length n + m - 1.
+
+        Index ``m - 1 + d`` holds the diagonal of offset d = i - j, for d
+        from -(m - 1) to n - 1; the corner ``a0`` sits at index m - 1.
+        """
+        return np.concatenate([np.conj(self.alpha[:0:-1]),
                                np.array([self.a0], dtype=CDTYPE),
                                self.a[1:]])
+
+    def to_dense(self) -> np.ndarray:
+        """Realize all n x m entries."""
         idx = np.arange(self.n)[:, None] - np.arange(self.m)[None, :] + (self.m - 1)
-        return vals[idx]
+        return self.diagonals()[idx]
 
     # -- structure-preserving maps ------------------------------------------
 
@@ -296,10 +302,10 @@ class AsymToeplitz:
 
     def rot180(self) -> "AsymToeplitz":
         """Flip both axes (P_n A P_m); diagonals map to diagonals."""
-        n, m = self.n, self.m
-        col = [self.entry(n - 1 - i, m - 1) for i in range(n)]
-        row = [self.entry(n - 1, m - 1 - j) for j in range(m)]
-        return AsymToeplitz.from_first_row_col(row, col)
+        # the flip reverses the sequence of diagonal values, so its first row
+        # and column start at the old bottom-right corner, index n - 1
+        vals = self.diagonals()
+        return AsymToeplitz.from_first_row_col(vals[self.n - 1:], vals[self.n - 1::-1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AsymToeplitz):

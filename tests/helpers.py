@@ -5,9 +5,13 @@ structured closed forms under test are checked against an independent
 route.
 """
 
+from dataclasses import replace
+
 import numpy as np
+from hypothesis import example, given, strategies as st
 
 import toepcert as tc
+from toepcert.product import sharp
 
 EXACT = tc.Tolerance(0.0, 0.0)
 
@@ -74,3 +78,36 @@ def nonzero_fill(rng: np.random.Generator, count: int) -> np.ndarray:
            + 1j * rng.integers(-5, 6, size=count)).astype(complex)
     out[out == 0] = 1.0
     return out
+
+
+def dense_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
+    """First-row defect vector of A* A - I_m from the dense corner-free part."""
+    A0 = replace(A, a0=0.0).to_dense()
+    r = (A0.conj().T @ A.a
+         + np.conj(A.a0) * sharp(A.a, A.m)
+         + A.a0 * A.alpha)
+    r[0] += (abs(A.a0) ** 2 - float(np.sum(np.abs(A.a) ** 2)) - 1.0) / 2.0
+    return r
+
+
+def gaussian_toeplitz(n: int, m: int, seed: int, scale_exp: int = 0) -> tc.AsymToeplitz:
+    """Complex Gaussian parameters times 2**scale_exp."""
+    re, im = np.ldexp(np.random.default_rng(seed).standard_normal((2, n + m - 1)),
+                      scale_exp)
+    vals = re + 1j * im
+    return tc.AsymToeplitz(n, m, vals[0], np.concatenate([[0], vals[1:n]]),
+                           np.concatenate([[0], vals[n:]]))
+
+
+def with_shapes(test):
+    """Draw (n, m, seed, scale_exp) over 1..96 plus the corner shapes.
+
+    The examples cover 1 x 1, a single row and column, wide and tall, an
+    FFT length n + m - 1 that is a power of two and ones that are not.
+    """
+    shapes = ((1, 1), (1, 7), (7, 1), (1, 2), (2, 1), (3, 14), (14, 3),
+              (33, 32), (50, 30), (2, 96), (96, 95))
+    for n, m in shapes:
+        test = example(n, m, 0, 0)(test)
+    return given(st.integers(1, 96), st.integers(1, 96),
+                 st.integers(0, 2**32 - 1), st.integers(-40, 40))(test)

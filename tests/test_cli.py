@@ -231,6 +231,13 @@ class TestIsometry:
         tc.save_matrix(f, tc.AsymToeplitz(2, 2, 2.0, [0, 0], [0, 0]))
         code, verdict = run(capsys, "isometry", str(f))
         assert code == 1 and verdict["accepted"] is False
+        assert verdict["residual_norm"] == 1.5
+
+    def test_failed_match_reports_no_residual(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, tc.AsymToeplitz(1, 2, 1.0, [0.0], [0.0, 0.0]))
+        code, verdict = run(capsys, "isometry", str(f))
+        assert code == 1 and verdict["residual_norm"] is None
 
     def test_dense_kind_rejected(self, tmp_path):
         f = tmp_path / "m.json"
@@ -241,6 +248,29 @@ class TestIsometry:
         f = tmp_path / "m.json"
         f.write_text("[]", encoding="utf-8")
         assert main(["isometry", str(f)]) == 2
+
+
+@pytest.fixture(scope="module")
+def huge_identity(tmp_path_factory):
+    """A 100000 x 100000 identity: 1.7 MB compact, 149 GiB dense."""
+    f = tmp_path_factory.mktemp("huge") / "eye.json"
+    tc.save_matrix(f, tc.AsymToeplitz.eye(100_000, 100_000))
+    return str(f)
+
+
+class TestDenseSizeGuard:
+    def test_isometry_needs_no_dense_matrix(self, huge_identity, capsys):
+        code, verdict = run(capsys, "isometry", huge_identity)
+        assert code == 0 and verdict["accepted"] is True
+        assert verdict["residual_norm"] == 0.0
+
+    def test_displacement_refused(self, huge_identity, capsys):
+        assert main(["displacement", huge_identity]) == 2
+        assert "100000x100000" in capsys.readouterr().err
+
+    def test_oracle_refused(self, huge_identity, capsys):
+        assert main(["product", huge_identity, huge_identity, "--oracle"]) == 2
+        assert "100000x100000" in capsys.readouterr().err
 
 
 class TestDisplacement:

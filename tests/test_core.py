@@ -9,9 +9,11 @@ from helpers import (
     dense_eye,
     dense_flip,
     dense_shift,
+    gaussian_toeplitz,
     outer,
     product_example_dense,
     unit_isometry_dense,
+    with_shapes,
 )
 
 
@@ -145,6 +147,13 @@ def test_roundtrip_is_exact(A):
 @given(compact_toeplitz())
 def test_adjoint_matches_conjugate_transpose(A):
     assert np.array_equal(A.adjoint().to_dense(), A.to_dense().conj().T)
+
+
+@settings(deadline=None)
+@with_shapes
+def test_rot180_reverses_both_axes(n, m, seed, scale_exp):
+    A = gaussian_toeplitz(n, m, seed, scale_exp)
+    assert np.array_equal(A.rot180().to_dense(), A.to_dense()[::-1, ::-1])
 
 
 class TestAdjoint:

@@ -1,8 +1,20 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import toepcert as tc
-from helpers import basis, corner_free_dense, dense_shift, unit_isometry_dense
+from helpers import (
+    basis,
+    corner_free_dense,
+    dense_isometry_residual,
+    dense_shift,
+    gaussian_toeplitz,
+    unit_isometry_dense,
+    with_shapes,
+)
 
 TOL = tc.Tolerance(1e-9, 1e-9)
 
@@ -49,6 +61,17 @@ class TestResidual:
     def test_scaled_identity(self):
         A = tc.AsymToeplitz(2, 2, 2.0, [0, 0], [0, 0])
         assert np.array_equal(tc.isometry_residual(A), [1.5, 0.0])
+
+
+@settings(deadline=None)
+@with_shapes
+def test_residual_matches_dense_formula(n, m, seed, scale_exp):
+    # FFT and dense sums round differently: allow a few ulps of the
+    # squared parameter norm, which every term of the residual is bounded by
+    A = gaussian_toeplitz(n, m, seed, scale_exp)
+    scale = (np.linalg.norm(A.a) + np.linalg.norm(A.alpha) + abs(A.a0)) ** 2 + 1.0
+    error = np.max(np.abs(tc.isometry_residual(A) - dense_isometry_residual(A)))
+    assert error <= 16 * np.finfo(float).eps * scale
 
 
 class TestUnitColumnCheck:
@@ -120,6 +143,7 @@ class TestIsIsometry:
         assert cert.w[1] == 1.0
         assert cert.match is None  # one side vanishes, the other does not
         assert not cert.accepted
+        assert cert.residual_norm is None  # skipped once the match fails
         assert dense_defect(A) > 1e-9
 
     def test_narrow_branch_with_nonzero_corner(self):
@@ -173,3 +197,17 @@ class TestHankelIsometry:
             dense = np.max(np.abs(H.to_dense().conj().T @ H.to_dense()
                                   - np.eye(m))) <= 1e-9
             assert structured == dense
+
+
+def test_is_isometry_scales_near_linearly():
+    # median time at 4096 over median at 512: 8 for linear cost, 64 for
+    # quadratic; single timings are noisy, so the repeats are interleaved
+    matrices = [tc.AsymToeplitz.eye(n, n) for n in (512, 4096)]
+    times = [[], []]
+    for _ in range(9):
+        for A, spent in zip(matrices, times):
+            start = time.perf_counter()
+            assert tc.is_isometry(A).accepted
+            spent.append(time.perf_counter() - start)
+    small, large = (statistics.median(spent) for spent in times)
+    assert large / small < 24
