@@ -2,11 +2,13 @@
 isometry structure checks.
 
 The structured predicates run in linear time in the dimensions and every
-decision can be cross-validated against a dense brute-force oracle.
+decision can be cross-validated against a dense brute-force oracle.  The
+package root exports the representations, errors, decisions with their
+certificates, dense oracles, generators and file I/O; building blocks such
+as ``product.comparison_vectors`` or ``core.tensor`` live in their modules.
 """
 
 from .core import (
-    CDTYPE,
     DEFAULT_TOL,
     AsymHankel,
     AsymToeplitz,
@@ -16,21 +18,10 @@ from .core import (
     dense_is_hankel,
     dense_is_toeplitz,
     dense_mul,
-    exchange,
     flip_cols,
     flip_rows_of,
-    lower_shift,
-    rect_identity,
-    tensor,
-    unit_vector,
 )
-from .displacement import (
-    DisplacementPair,
-    displacement_dense,
-    displacement_structured,
-    is_toeplitz_by_displacement,
-    reconstruct,
-)
+from .displacement import displacement_dense, is_toeplitz_by_displacement
 from .families import (
     DEGENERATE_FORMS,
     FamilySpec,
@@ -40,38 +31,27 @@ from .families import (
     perturb_to_break,
     random_toeplitz,
 )
-from .hankel import hankel_product_is_toeplitz, hankel_times_toeplitz_is_hankel
-from .io import MatrixFileError, load_matrix, save_matrix
-from .isometry import (
-    IsometryCertificate,
-    a_hat,
-    hankel_is_isometry,
-    is_isometry,
-    isometry_residual,
-    unit_column_check,
+from .hankel import (
+    hankel_product_is_toeplitz,
+    hankel_times_toeplitz_is_hankel,
+    product_structure,
 )
+from .io import MatrixFileError, load_matrix, save_matrix
+from .isometry import IsometryCertificate, hankel_is_isometry, is_isometry
 from .product import (
     ProductCertificate,
     RankOneOutcome,
     Regime,
-    alpha_hat,
-    b_hat,
     classify_regime,
-    comparison_vectors,
-    delta_product_structured,
     product_is_toeplitz,
-    rank_one_equal,
-    sharp,
 )
 
 __all__ = [
-    "CDTYPE",
     "DEFAULT_TOL",
     "DEGENERATE_FORMS",
     "AsymHankel",
     "AsymToeplitz",
     "DimensionMismatch",
-    "DisplacementPair",
     "FamilySpec",
     "IsometryCertificate",
     "MatrixFileError",
@@ -81,18 +61,11 @@ __all__ = [
     "SpecificationError",
     "StructureError",
     "Tolerance",
-    "a_hat",
-    "alpha_hat",
-    "b_hat",
     "classify_regime",
-    "comparison_vectors",
-    "delta_product_structured",
     "dense_is_hankel",
     "dense_is_toeplitz",
     "dense_mul",
     "displacement_dense",
-    "displacement_structured",
-    "exchange",
     "flip_cols",
     "flip_rows_of",
     "gen_degenerate",
@@ -102,20 +75,12 @@ __all__ = [
     "hankel_times_toeplitz_is_hankel",
     "is_isometry",
     "is_toeplitz_by_displacement",
-    "isometry_residual",
     "load_matrix",
-    "lower_shift",
     "perturb_to_break",
     "product_is_toeplitz",
+    "product_structure",
     "random_toeplitz",
-    "rank_one_equal",
-    "reconstruct",
-    "rect_identity",
     "save_matrix",
-    "sharp",
-    "tensor",
-    "unit_column_check",
-    "unit_vector",
 ]
 
 __version__ = "0.1.0"

@@ -26,10 +26,10 @@ from .core import (
 )
 from .displacement import displacement_dense, is_toeplitz_by_displacement
 from .families import FamilySpec, gen_degenerate, gen_pair
-from .hankel import hankel_product_is_toeplitz, hankel_times_toeplitz_is_hankel
+from .hankel import product_structure
 from .io import MatrixFileError, load_matrix, matrix_to_text, save_matrix
 from .isometry import hankel_is_isometry, is_isometry
-from .product import Regime, product_is_toeplitz
+from .product import Regime
 
 __all__ = ["main"]
 
@@ -110,18 +110,12 @@ def _cmd_check(args) -> int:
         verdict = {"structure": "toeplitz", "via": "direct"}
     elif isinstance(obj, AsymHankel):
         verdict = {"structure": "hankel", "via": "direct"}
+    elif is_toeplitz_by_displacement(obj, tol):
+        verdict = {"structure": "toeplitz", "via": "displacement"}
+    elif dense_is_hankel(obj, tol):
+        verdict = {"structure": "hankel", "via": "direct"}
     else:
-        by_displacement = is_toeplitz_by_displacement(obj, tol)
-        direct = dense_is_toeplitz(obj, tol)
-        if by_displacement != direct:
-            print("internal error: detection routes disagree", file=sys.stderr)
-            return EXIT_DISAGREE
-        if by_displacement:
-            verdict = {"structure": "toeplitz", "via": "displacement"}
-        elif dense_is_hankel(obj, tol):
-            verdict = {"structure": "hankel", "via": "direct"}
-        else:
-            verdict = {"structure": "none", "via": "direct"}
+        verdict = {"structure": "none", "via": "direct"}
     _emit(verdict)
     return EXIT_TRUE if verdict["structure"] != "none" else EXIT_FALSE
 
@@ -130,21 +124,7 @@ def _cmd_product(args) -> int:
     tol = _tolerance(args)
     left = _as_structured(load_matrix(args.file_a), tol, args.file_a)
     right = _as_structured(load_matrix(args.file_b), tol, args.file_b)
-
-    if isinstance(left, AsymToeplitz) and isinstance(right, AsymToeplitz):
-        product_kind = "toeplitz"
-        cert = product_is_toeplitz(left, right, tol)
-    elif isinstance(left, AsymHankel) and isinstance(right, AsymHankel):
-        product_kind = "toeplitz"
-        cert = hankel_product_is_toeplitz(left, right, tol)
-    elif isinstance(left, AsymHankel):
-        product_kind = "hankel"
-        cert = hankel_times_toeplitz_is_hankel(left, right, tol)
-    else:
-        # toeplitz times hankel: A (C P_l) = (A C) P_l, Hankel iff A C Toeplitz
-        product_kind = "hankel"
-        cert = product_is_toeplitz(left, right.core, tol)
-
+    product_kind, cert = product_structure(left, right, tol)
     structured = cert is not None
     oracle_agrees = None
     if args.oracle:

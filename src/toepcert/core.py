@@ -5,12 +5,13 @@ therefore determined by its first row and first column; a rectangular
 Hankel matrix is constant along every anti-diagonal and is a column flip
 of a Toeplitz matrix.  This module stores that data compactly, converts
 to and from dense complex matrices, and provides the small dense operator
-algebra (shifts, flips, rectangular identities, outer products) that the
-structured predicates elsewhere in the package are cross-checked against.
+algebra (shifts, flips, outer products) that the structured predicates
+elsewhere in the package are cross-checked against.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +31,8 @@ __all__ = [
     "dense_is_hankel",
     "dense_is_toeplitz",
     "dense_mul",
-    "exchange",
     "flip_cols",
     "flip_rows_of",
-    "lower_shift",
-    "rect_identity",
     "shift_down",
     "shift_up",
     "tensor",
@@ -123,21 +121,6 @@ def as_dense(M, name: str = "matrix") -> np.ndarray:
 # dense operator algebra
 # ---------------------------------------------------------------------------
 
-def rect_identity(n: int, m: int) -> np.ndarray:
-    """The n x m rectangular identity: ones on the main diagonal."""
-    return np.eye(n, m, dtype=CDTYPE)
-
-
-def exchange(k: int) -> np.ndarray:
-    """The k x k flip matrix: ones on the anti-diagonal."""
-    return np.fliplr(np.eye(k, dtype=CDTYPE))
-
-
-def lower_shift(k: int) -> np.ndarray:
-    """The k x k lower shift: ones on the first subdiagonal."""
-    return np.eye(k, k=-1, dtype=CDTYPE)
-
-
 def unit_vector(i: int, dim: int) -> np.ndarray:
     """Standard basis vector with a one at index ``i``."""
     out = np.zeros(dim, dtype=CDTYPE)
@@ -193,8 +176,13 @@ class AsymToeplitz:
     alpha: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"dimensions must be positive, got {self.n}x{self.m}")
+        try:
+            n, m = operator.index(self.n), operator.index(self.m)
+        except TypeError:
+            raise ValueError(
+                f"dimensions must be integers, got {self.n!r}x{self.m!r}") from None
+        if n < 1 or m < 1:
+            raise ValueError(f"dimensions must be positive, got {n}x{m}")
         a0 = complex(self.a0)
         if not (np.isfinite(a0.real) and np.isfinite(a0.imag)):
             raise ValueError("corner value must be finite")
@@ -202,6 +190,8 @@ class AsymToeplitz:
         alpha = as_cvector(self.alpha, self.m, "alpha")
         if a[0] != 0 or alpha[0] != 0:
             raise ValueError("a[0] and alpha[0] are structural zeros and must be 0")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "alpha", alpha)
@@ -229,16 +219,13 @@ class AsymToeplitz:
         at the first violating position (row-major scan).
         """
         M = as_dense(M)
-        n, m = M.shape
-        if n > 1 and m > 1:
-            thr = tol.threshold(float(np.max(np.abs(M))))
-            bad = np.argwhere(np.abs(M[1:, 1:] - M[:-1, :-1]) > thr)
-            if bad.size:
-                i, j = int(bad[0][0]) + 1, int(bad[0][1]) + 1
-                raise StructureError(
-                    f"not Toeplitz: entry ({i}, {j}) = {M[i, j]} differs from "
-                    f"entry ({i - 1}, {j - 1}) = {M[i - 1, j - 1]}",
-                    row=i, col=j)
+        bad = _first_break(M, tol, hankel=False)
+        if bad is not None:
+            i, j = bad
+            raise StructureError(
+                f"not Toeplitz: entry ({i}, {j}) = {M[i, j]} differs from "
+                f"entry ({i - 1}, {j - 1}) = {M[i - 1, j - 1]}",
+                row=i, col=j)
         return cls.from_first_row_col(M[0, :], M[:, 0])
 
     @classmethod
@@ -298,7 +285,11 @@ class AsymToeplitz:
 
     def adjoint(self) -> "AsymToeplitz":
         """Conjugate transpose; swaps the roles of ``a`` and ``alpha``."""
-        return AsymToeplitz(self.m, self.n, np.conj(self.a0), self.alpha, self.a)
+        # validated, read-only fields are shared, not copied and checked again
+        out = object.__new__(AsymToeplitz)
+        out.__dict__.update(n=self.m, m=self.n, a0=self.a0.conjugate(),
+                            a=self.alpha, alpha=self.a)
+        return out
 
     def rot180(self) -> "AsymToeplitz":
         """Flip both axes (P_n A P_m); diagonals map to diagonals."""
@@ -356,17 +347,15 @@ class AsymHankel:
         Raises :class:`StructureError` at the first anti-diagonal violation.
         """
         M = as_dense(M)
-        n, m = M.shape
-        if n > 1 and m > 1:
-            thr = tol.threshold(float(np.max(np.abs(M))))
-            bad = np.argwhere(np.abs(M[1:, :-1] - M[:-1, 1:]) > thr)
-            if bad.size:
-                i, j = int(bad[0][0]) + 1, int(bad[0][1])
-                raise StructureError(
-                    f"not Hankel: entry ({i}, {j}) = {M[i, j]} differs from "
-                    f"entry ({i - 1}, {j + 1}) = {M[i - 1, j + 1]}",
-                    row=i, col=j)
-        return cls(AsymToeplitz.from_dense(M[:, ::-1], tol))
+        bad = _first_break(M, tol, hankel=True)
+        if bad is not None:
+            i, j = bad
+            raise StructureError(
+                f"not Hankel: entry ({i}, {j}) = {M[i, j]} differs from "
+                f"entry ({i - 1}, {j + 1}) = {M[i - 1, j + 1]}",
+                row=i, col=j)
+        # the column flip M P_m is the Toeplitz core: row 0 reversed, last column
+        return cls(AsymToeplitz.from_first_row_col(M[0, ::-1], M[:, -1]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AsymHankel):
@@ -398,19 +387,34 @@ def dense_mul(X, Y) -> np.ndarray:
     return X @ Y
 
 
+def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool) -> tuple[int, int] | None:
+    """First entry, in row-major order, that breaks the structure of M.
+
+    Entry (i, j) breaks it when it differs by more than the threshold of
+    ``tol`` at M's largest modulus from its predecessor on the same
+    diagonal, (i - 1, j - 1), or with ``hankel`` on the same
+    anti-diagonal, (i - 1, j + 1).  None when no entry does.
+    """
+    n, m = M.shape
+    if n == 1 or m == 1:
+        return None
+    thr = tol.threshold(float(np.max(np.abs(M))))
+    if hankel:
+        bad = np.abs(M[1:, :-1] - M[:-1, 1:]) > thr
+    else:
+        bad = np.abs(M[1:, 1:] - M[:-1, :-1]) > thr
+    k = int(np.argmax(bad))
+    if not bad.flat[k]:
+        return None
+    i, j = divmod(k, m - 1)
+    return i + 1, (j if hankel else j + 1)
+
+
 def dense_is_toeplitz(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether every diagonal of M is constant within ``tol``."""
-    M = as_dense(M)
-    if min(M.shape) == 1:
-        return True
-    thr = tol.threshold(float(np.max(np.abs(M))))
-    return bool(np.all(np.abs(M[1:, 1:] - M[:-1, :-1]) <= thr))
+    return _first_break(as_dense(M), tol, hankel=False) is None
 
 
 def dense_is_hankel(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether every anti-diagonal of M is constant within ``tol``."""
-    M = as_dense(M)
-    if min(M.shape) == 1:
-        return True
-    thr = tol.threshold(float(np.max(np.abs(M))))
-    return bool(np.all(np.abs(M[1:, :-1] - M[:-1, 1:]) <= thr))
+    return _first_break(as_dense(M), tol, hankel=True) is None

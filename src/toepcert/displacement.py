@@ -17,6 +17,7 @@ from .core import (
     DEFAULT_TOL,
     AsymToeplitz,
     Tolerance,
+    _first_break,
     as_dense,
     tensor,
     unit_vector,
@@ -92,12 +93,8 @@ def is_toeplitz_by_displacement(M, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Toeplitz test via displacement support.
 
     True exactly when the displacement vanishes (within ``tol``) outside
-    the first row and column; agrees with the direct diagonal-constancy
-    check at the same tolerance.
+    the first row and column.  Interior displacement entry (i, j) is the
+    diagonal difference M[i, j] - M[i-1, j-1], so this is the package's
+    one diagonal-constancy scan and agrees with ``dense_is_toeplitz``.
     """
-    M = as_dense(M)
-    if min(M.shape) == 1:
-        return True
-    D = displacement_dense(M)
-    thr = tol.threshold(float(np.max(np.abs(M))))
-    return bool(np.all(np.abs(D[1:, 1:]) <= thr))
+    return _first_break(as_dense(M), tol, hankel=False) is None

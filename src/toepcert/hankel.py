@@ -2,15 +2,17 @@
 
 Every compact Hankel matrix is a flipped Toeplitz matrix and the flip is
 an involution, so Hankel product questions reduce to the Toeplitz product
-predicate on recovered cores.
+predicate on recovered cores, which also checks the inner dimensions.
+:func:`product_structure` decides any pair of Toeplitz/Hankel factor kinds.
 """
 
 from __future__ import annotations
 
-from .core import DEFAULT_TOL, AsymHankel, AsymToeplitz, DimensionMismatch, Tolerance
+from .core import DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
 from .product import ProductCertificate, product_is_toeplitz
 
-__all__ = ["hankel_product_is_toeplitz", "hankel_times_toeplitz_is_hankel"]
+__all__ = ["hankel_product_is_toeplitz", "hankel_times_toeplitz_is_hankel",
+           "product_structure"]
 
 
 def hankel_product_is_toeplitz(H1: AsymHankel, H2: AsymHankel,
@@ -20,9 +22,6 @@ def hankel_product_is_toeplitz(H1: AsymHankel, H2: AsymHankel,
     With H1 = A P_m (stored core) and H2 = P_m B (row-flip core), the inner
     flips cancel: H1 H2 = A B, so the Toeplitz predicate on (A, B) decides.
     """
-    if H1.m != H2.n:
-        raise DimensionMismatch(
-            f"inner dimensions differ: {H1.shape} times {H2.shape}")
     return product_is_toeplitz(H1.core, H2.row_flip_core(), tol)
 
 
@@ -33,7 +32,23 @@ def hankel_times_toeplitz_is_hankel(H: AsymHankel, B: AsymToeplitz,
     With H = P_n A (row-flip core), H B = P_n (A B) is a row flip of the
     Toeplitz-or-not product, so H B is Hankel exactly when A B is Toeplitz.
     """
-    if H.m != B.n:
-        raise DimensionMismatch(
-            f"inner dimensions differ: {H.shape} times {B.shape}")
     return product_is_toeplitz(H.row_flip_core(), B, tol)
+
+
+def product_structure(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel,
+                      tol: Tolerance = DEFAULT_TOL) -> tuple[str, ProductCertificate | None]:
+    """Decide whether a product of compact Toeplitz/Hankel factors keeps structure.
+
+    Returns ``(kind, certificate)``.  The product of two factors of the
+    same kind is asked to be Toeplitz (``kind == "toeplitz"``), of mixed
+    kinds to be Hankel (``kind == "hankel"``); the certificate is ``None``
+    when it is not.
+    """
+    if isinstance(left, AsymHankel):
+        if isinstance(right, AsymHankel):
+            return "toeplitz", hankel_product_is_toeplitz(left, right, tol)
+        return "hankel", hankel_times_toeplitz_is_hankel(left, right, tol)
+    if isinstance(right, AsymHankel):
+        # A (C P_l) = (A C) P_l is Hankel exactly when A C is Toeplitz
+        return "hankel", product_is_toeplitz(left, right.core, tol)
+    return "toeplitz", product_is_toeplitz(left, right, tol)

@@ -4,7 +4,9 @@ An n x m matrix is an isometry when its conjugate transpose times itself
 is the m x m identity (orthonormal columns).  For a compact Toeplitz
 matrix this reduces to a rank-one self-match of the row parameters
 against a comparison vector (with unimodular scalar) plus one residual
-vector equation.  Neither A* A nor A itself is formed: the residual's one
+vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
+is the product identity of the pair (A*, A), read off the same comparison
+vectors.  Neither A* A nor A itself is formed: the residual's one
 matrix-vector product is a convolution of the adjoint's diagonal values,
 computed by FFT in O((n + m) log(n + m)) time and O(n + m) memory.
 """
@@ -16,27 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, _hat, rank_one_equal, sharp
+from .product import RankOneOutcome, comparison_vectors, rank_one_equal, sharp
 
 __all__ = [
     "IsometryCertificate",
-    "a_hat",
     "hankel_is_isometry",
     "is_isometry",
     "isometry_residual",
     "unit_column_check",
 ]
-
-
-def a_hat(A: AsymToeplitz) -> np.ndarray:
-    """Self-comparison vector in C^m built from A's column tail.
-
-    Reads the column tail backwards, conjugated; when the matrix is wide
-    (n < m) the read-out continues into the row parameters after a
-    structural zero.  Equals the shifted last column of the corner-free
-    adjoint.
-    """
-    return _hat(A.a, A.alpha, A.m)
 
 
 def isometry_residual(A: AsymToeplitz) -> np.ndarray:
@@ -77,11 +67,11 @@ def unit_column_check(A: AsymToeplitz) -> float:
 class IsometryCertificate:
     """Outcome of the structured check A* A == I_m.
 
-    ``wide`` records which comparison branch applied (n < m adds the
-    conjugated corner to ``w`` at index n).  ``match`` is the rank-one
-    self-match of the row parameters against ``w``, or ``None`` when it
-    fails.  Acceptance requires the match to be degenerate or unimodular
-    and the residual to vanish.  ``residual_norm`` is ``None`` when the
+    ``w`` is the comparison vector of the pair (A*, A), ``b_hat(A)`` plus
+    the conjugated corner at index n when the matrix is ``wide`` (n < m).
+    ``match`` is the rank-one self-match of the row parameters against
+    ``w``, or ``None`` when it fails.  Acceptance requires the match to be
+    degenerate or unimodular and the residual to vanish.  ``residual_norm`` is ``None`` when the
     match failed, since the residual can no longer change the verdict.
     """
 
@@ -106,17 +96,16 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     residual is computed only when the match holds.  Agrees with the dense
     oracle on A* A - I_m.
     """
-    n, m = A.n, A.m
-    w = a_hat(A)
-    if n < m:
-        w[n] += np.conj(A.a0)
-    match = rank_one_equal(A.alpha, A.alpha, w, w, tol)
+    # x and y are both A.alpha, u and v both the comparison vector w
+    x, y, w, v, _ = comparison_vectors(A.adjoint(), A)
+    wide = A.n < A.m
+    match = rank_one_equal(x, y, w, v, tol)
     if match is None:
-        return IsometryCertificate(False, n < m, w, None, None, unit_column_check(A))
+        return IsometryCertificate(False, wide, w, None, None, unit_column_check(A))
     residual_norm = float(np.max(np.abs(isometry_residual(A))))
     accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
                 and residual_norm <= tol.atol)
-    return IsometryCertificate(accepted, n < m, w, match,
+    return IsometryCertificate(accepted, wide, w, match,
                                residual_norm, unit_column_check(A))
 
 

@@ -72,6 +72,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             tc.AsymToeplitz(0, 1, 0.0, [], [0.0])
 
+    def test_numpy_integer_dims_stored_as_int(self, rng):
+        A = tc.random_toeplitz(rng, *rng.integers(1, 6, size=2))
+        assert type(A.n) is int and type(A.m) is int
+        assert A.to_dense().shape == A.shape
+
+    def test_rejects_non_integer_dims(self):
+        with pytest.raises(ValueError, match="integers"):
+            tc.AsymToeplitz(2.0, 2, 1.0, [0, 0], [0, 0])
+        with pytest.raises(ValueError, match="integers"):
+            tc.AsymToeplitz(2, "2", 1.0, [0, 0], [0, 0])
+
     def test_arrays_are_read_only(self):
         A = tc.AsymToeplitz.eye(2, 2)
         with pytest.raises(ValueError):
@@ -286,3 +297,8 @@ class TestTolerance:
         assert A.entry(0, 0) == 2
         assert np.array_equal(A.to_dense(), [[2.0]])
         assert tc.AsymToeplitz.from_dense(A.to_dense(), EXACT) == A
+
+
+def test_root_api_is_small_and_resolves():
+    assert len(tc.__all__) <= 35
+    assert all(hasattr(tc, name) for name in tc.__all__)

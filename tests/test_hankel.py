@@ -86,6 +86,45 @@ class TestHankelTimesToeplitz:
             assert structured == dense
 
 
+class TestProductStructure:
+    # one Toeplitz pair (A, B) per regime, recombined into all four factor
+    # kinds: H H = A B, H B = P (A B) and A H = (A B) P all keep structure
+    # exactly when A B is Toeplitz
+    DIMS = {tc.Regime.R1: (4, 5, 3), tc.Regime.R2: (6, 2, 5),
+            tc.Regime.R3: (3, 4, 6), tc.Regime.R4: (6, 4, 3)}
+
+    @staticmethod
+    def factors(kinds, A, B):
+        return {"TT": (A, B),
+                "HH": (tc.flip_cols(A), tc.flip_rows_of(B)),
+                "HT": (tc.flip_rows_of(A), B),
+                "TH": (A, tc.flip_cols(B))}[kinds]
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["yes", "no"])
+    @pytest.mark.parametrize("kinds, expected", [
+        ("TT", "toeplitz"), ("HH", "toeplitz"), ("HT", "hankel"), ("TH", "hankel")])
+    def test_matches_dense_oracle(self, rng, kinds, expected, broken):
+        oracle = {"toeplitz": tc.dense_is_toeplitz, "hankel": tc.dense_is_hankel}[expected]
+        for seed, (regime, dims) in enumerate(self.DIMS.items()):
+            m = dims[1]
+            pair = tc.gen_pair(tc.FamilySpec(regime, *dims, lam=2.0, seed=seed,
+                                             a_free=nonzero_fill(rng, m - 1),
+                                             b_free=nonzero_fill(rng, m - 1),
+                                             a0=1.0, b0=1.0))
+            if broken:
+                pair = tc.perturb_to_break(pair, EXACT)
+            left, right = self.factors(kinds, *pair)
+            kind, cert = tc.product_structure(left, right, EXACT)
+            assert kind == expected
+            dense = tc.dense_mul(left.to_dense(), right.to_dense())
+            assert (cert is not None) == oracle(dense, EXACT) == (not broken)
+
+    def test_toeplitz_times_hankel_dimension_mismatch(self):
+        with pytest.raises(tc.DimensionMismatch):
+            tc.product_structure(tc.AsymToeplitz.eye(3, 5),
+                                 tc.flip_cols(tc.AsymToeplitz.eye(4, 2)))
+
+
 class TestFlipAlgebra:
     def test_double_row_flip(self, rng):
         A = tc.random_toeplitz(rng, 4, 6)

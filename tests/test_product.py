@@ -1,10 +1,21 @@
+import statistics
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepcert as tc
-from toepcert.product import delta_product_parts
+from toepcert.product import (
+    alpha_hat,
+    b_hat,
+    comparison_vectors,
+    delta_product_parts,
+    delta_product_structured,
+    rank_one_equal,
+    sharp,
+)
 from helpers import (
     EXACT,
     basis,
@@ -19,16 +30,16 @@ from helpers import (
 class TestAlphaHat:
     def test_short_read(self):
         A = tc.AsymToeplitz(2, 3, 0.0, [0, 1.0], [0, 2 + 1j, 5 - 2j])
-        assert np.array_equal(tc.alpha_hat(A), [0.0, np.conj(5 - 2j)])
+        assert np.array_equal(alpha_hat(A), [0.0, np.conj(5 - 2j)])
 
     def test_tall_read_continues_into_column(self):
         a = [0, 1.0, 2.0, 3.0, 4.0]
         alpha = [0, 5j, 6j]
         A = tc.AsymToeplitz(5, 3, 7.0, a, alpha)
-        assert np.array_equal(tc.alpha_hat(A), [0.0, np.conj(6j), np.conj(5j), 0.0, 1.0])
+        assert np.array_equal(alpha_hat(A), [0.0, np.conj(6j), np.conj(5j), 0.0, 1.0])
 
     def test_zero(self):
-        assert not np.any(tc.alpha_hat(tc.AsymToeplitz.zero(4, 2)))
+        assert not np.any(alpha_hat(tc.AsymToeplitz.zero(4, 2)))
 
     def test_dense_oracle(self, rng):
         # the hat vector is the shifted last column of the corner-free part
@@ -36,21 +47,21 @@ class TestAlphaHat:
             n, m = rng.integers(1, 8, size=2)
             A = tc.random_toeplitz(rng, n, m)
             oracle = dense_shift(n) @ corner_free_dense(A) @ basis(m - 1, m)
-            assert np.array_equal(tc.alpha_hat(A), oracle)
+            assert np.array_equal(alpha_hat(A), oracle)
 
 
 class TestBHat:
     def test_narrow_read(self):
         b = [0, 1.0, 2.0, 3.0, 4 + 1j]
         B = tc.AsymToeplitz(5, 3, 0.0, b, [0, 0, 0])
-        assert np.array_equal(tc.b_hat(B), [0.0, np.conj(4 + 1j), 3.0])
+        assert np.array_equal(b_hat(B), [0.0, np.conj(4 + 1j), 3.0])
 
     def test_wide_read_continues_into_row(self):
         B = tc.AsymToeplitz(2, 4, 0.0, [0, 1 - 1j], [0, 2.0, 3.0, 4.0])
-        assert np.array_equal(tc.b_hat(B), [0.0, np.conj(1 - 1j), 0.0, 2.0])
+        assert np.array_equal(b_hat(B), [0.0, np.conj(1 - 1j), 0.0, 2.0])
 
     def test_zero(self):
-        assert not np.any(tc.b_hat(tc.AsymToeplitz.zero(3, 5)))
+        assert not np.any(b_hat(tc.AsymToeplitz.zero(3, 5)))
 
     def test_dense_oracle(self, rng):
         for _ in range(50):
@@ -58,19 +69,19 @@ class TestBHat:
             B = tc.random_toeplitz(rng, m, l)
             oracle = (dense_shift(l) @ corner_free_dense(B).conj().T
                       @ basis(m - 1, m))
-            assert np.array_equal(tc.b_hat(B), oracle)
+            assert np.array_equal(b_hat(B), oracle)
 
 
 class TestSharp:
     def test_truncates(self):
-        assert np.array_equal(tc.sharp([0, 1, 2, 3], 3), [0, 1, 2])
+        assert np.array_equal(sharp([0, 1, 2, 3], 3), [0, 1, 2])
 
     def test_pads(self):
-        assert np.array_equal(tc.sharp([0, 1], 4), [0, 1, 0, 0])
+        assert np.array_equal(sharp([0, 1], 4), [0, 1, 0, 0])
 
     def test_rejects_nonzero_head(self):
         with pytest.raises(ValueError):
-            tc.sharp([1, 2], 3)
+            sharp([1, 2], 3)
 
     def test_dense_identity_oracle(self, rng):
         for _ in range(30):
@@ -78,31 +89,31 @@ class TestSharp:
             x = np.zeros(n, dtype=complex)
             x[1:] = rng.integers(-5, 6, size=n - 1)
             for to_dim in range(1, 9):
-                assert np.array_equal(tc.sharp(x, to_dim), dense_eye(to_dim, n) @ x)
+                assert np.array_equal(sharp(x, to_dim), dense_eye(to_dim, n) @ x)
 
 
 class TestRankOneEqual:
     def test_proportional(self):
-        out = tc.rank_one_equal([0, 2], [0, 3], [0, 1], [0, 6], EXACT)
+        out = rank_one_equal([0, 2], [0, 3], [0, 1], [0, 6], EXACT)
         assert out is not None and out.lam == 2
         assert np.array_equal(outer([0, 2], [0, 3]), outer([0, 1], [0, 6]))
 
     def test_mismatch(self):
-        assert tc.rank_one_equal([0, 1, 2], [0, 3], [0, 2, 4], [0, 6], EXACT) is None
+        assert rank_one_equal([0, 1, 2], [0, 3], [0, 2, 4], [0, 6], EXACT) is None
         # the dense outer products really differ at (1, 1): 3 vs 12
         assert outer([0, 1, 2], [0, 3])[1, 1] != outer([0, 2, 4], [0, 6])[1, 1]
 
     def test_both_zero(self):
-        out = tc.rank_one_equal([0, 0], [0, 5], [0, 7], [0, 0], EXACT)
+        out = rank_one_equal([0, 0], [0, 5], [0, 7], [0, 0], EXACT)
         assert out is not None and out.is_both_zero
         assert out.vanished == ("x", "yp")
 
     def test_one_sided_zero_is_mismatch(self):
-        assert tc.rank_one_equal([0, 0], [0, 1], [0, 1], [0, 1], EXACT) is None
+        assert rank_one_equal([0, 0], [0, 1], [0, 1], [0, 1], EXACT) is None
 
     def test_dimension_error(self):
         with pytest.raises(tc.DimensionMismatch):
-            tc.rank_one_equal([0, 1], [0, 1], [0, 1, 2], [0, 1], EXACT)
+            rank_one_equal([0, 1], [0, 1], [0, 1, 2], [0, 1], EXACT)
 
     def test_complex_scalar_with_conjugation(self):
         lam = 1 + 2j
@@ -110,7 +121,7 @@ class TestRankOneEqual:
         y = np.array([0, 4j, 1 + 1j, 2])
         x = lam * xp
         yp = np.conj(lam) * y
-        out = tc.rank_one_equal(x, y, xp, yp, EXACT)
+        out = rank_one_equal(x, y, xp, yp, EXACT)
         assert out is not None and out.lam == lam
         assert np.array_equal(outer(x, y), outer(xp, yp))
 
@@ -121,7 +132,7 @@ class TestRankOneEqual:
             y = (rng.integers(-3, 4, size=m) + 1j * rng.integers(-3, 4, size=m)).astype(complex)
             xp = (rng.integers(-3, 4, size=n) + 1j * rng.integers(-3, 4, size=n)).astype(complex)
             yp = (rng.integers(-3, 4, size=m) + 1j * rng.integers(-3, 4, size=m)).astype(complex)
-            structured = tc.rank_one_equal(x, y, xp, yp, EXACT) is not None
+            structured = rank_one_equal(x, y, xp, yp, EXACT) is not None
             dense = np.array_equal(outer(x, y), outer(xp, yp))
             assert structured == dense
 
@@ -157,28 +168,28 @@ class TestComparisonVectors:
     def test_r1_uses_plain_hats(self, rng):
         A = tc.random_toeplitz(rng, 3, 5)
         B = tc.random_toeplitz(rng, 5, 4)
-        x, y, u, v, regime = tc.comparison_vectors(A, B)
+        x, y, u, v, regime = comparison_vectors(A, B)
         assert regime is tc.Regime.R1
-        assert np.array_equal(u, tc.alpha_hat(A))
-        assert np.array_equal(v, tc.b_hat(B))
+        assert np.array_equal(u, alpha_hat(A))
+        assert np.array_equal(v, b_hat(B))
         assert np.array_equal(x, A.a) and np.array_equal(y, B.alpha)
 
     def test_r2_corners_enter_at_index_m(self, rng):
         A = tc.random_toeplitz(rng, 5, 2)
         B = tc.random_toeplitz(rng, 2, 7)
-        x, y, u, v, regime = tc.comparison_vectors(A, B)
+        x, y, u, v, regime = comparison_vectors(A, B)
         assert regime is tc.Regime.R2
-        assert u[2] == tc.alpha_hat(A)[2] + A.a0
-        assert v[2] == tc.b_hat(B)[2] + np.conj(B.a0)
+        assert u[2] == alpha_hat(A)[2] + A.a0
+        assert v[2] == b_hat(B)[2] + np.conj(B.a0)
 
     def test_zero_pair(self):
-        x, y, u, v, _ = tc.comparison_vectors(tc.AsymToeplitz.zero(3, 4),
+        x, y, u, v, _ = comparison_vectors(tc.AsymToeplitz.zero(3, 4),
                                               tc.AsymToeplitz.zero(4, 2))
         assert not (np.any(x) or np.any(y) or np.any(u) or np.any(v))
 
     def test_inner_dimension_mismatch(self):
         with pytest.raises(tc.DimensionMismatch):
-            tc.comparison_vectors(tc.AsymToeplitz.eye(2, 3), tc.AsymToeplitz.eye(4, 2))
+            comparison_vectors(tc.AsymToeplitz.eye(2, 3), tc.AsymToeplitz.eye(4, 2))
 
 
 class TestProductIsToeplitz:
@@ -259,7 +270,7 @@ def test_scale_covariance(n, m, l, seed, c):
 class TestDeltaProduct:
     def test_identity_factors(self):
         for n, m, l in [(3, 5, 4), (4, 4, 4), (2, 6, 3)]:
-            D = tc.delta_product_structured(tc.AsymToeplitz.eye(n, m),
+            D = delta_product_structured(tc.AsymToeplitz.eye(n, m),
                                             tc.AsymToeplitz.eye(m, l))
             assert np.array_equal(D, outer(basis(0, n), basis(0, l)))
 
@@ -271,7 +282,7 @@ class TestDeltaProduct:
             A = tc.AsymToeplitz(n, m, 0.0, *_tails(rng, n, m))
             B = tc.AsymToeplitz(m, l, 0.0, *_tails(rng, m, l))
             dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            assert np.array_equal(tc.delta_product_structured(A, B), dense)
+            assert np.array_equal(delta_product_structured(A, B), dense)
 
     def test_all_regimes_integer_exact(self, rng):
         for _ in range(100):
@@ -279,7 +290,7 @@ class TestDeltaProduct:
             A = tc.random_toeplitz(rng, n, m)
             B = tc.random_toeplitz(rng, m, l)
             dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            assert np.array_equal(tc.delta_product_structured(A, B), dense)
+            assert np.array_equal(delta_product_structured(A, B), dense)
 
     def test_all_regimes_float(self, rng):
         for _ in range(50):
@@ -289,7 +300,7 @@ class TestDeltaProduct:
             B = tc.AsymToeplitz(m, l, complex(*rng.standard_normal(2)),
                                 *_float_tails(rng, m, l))
             dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            err = np.max(np.abs(tc.delta_product_structured(A, B) - dense))
+            err = np.max(np.abs(delta_product_structured(A, B) - dense))
             assert err <= 1e-10
 
     def test_gamma_aggregates_match_dense_border(self, rng):
@@ -310,7 +321,7 @@ class TestDeltaProduct:
 
     def test_dimension_mismatch(self):
         with pytest.raises(tc.DimensionMismatch):
-            tc.delta_product_structured(tc.AsymToeplitz.eye(2, 3),
+            delta_product_structured(tc.AsymToeplitz.eye(2, 3),
                                         tc.AsymToeplitz.eye(4, 2))
 
 
@@ -328,3 +339,22 @@ def _float_tails(rng, n, m):
     alpha = np.zeros(m, dtype=complex)
     alpha[1:] = rng.standard_normal(m - 1) + 1j * rng.standard_normal(m - 1)
     return a, alpha
+
+
+@pytest.mark.parametrize("decide, flip", [
+    (tc.product_is_toeplitz, lambda A, B: (A, B)),
+    (tc.hankel_product_is_toeplitz, lambda A, B: (tc.flip_cols(A), tc.flip_rows_of(B))),
+], ids=["toeplitz", "hankel"])
+def test_product_predicates_scale_near_linearly(decide, flip):
+    # median time at 4096 over median at 512: 8 for linear cost, 64 for
+    # quadratic; single timings are noisy, so the repeats are interleaved
+    pairs = [flip(*tc.gen_pair(tc.FamilySpec(tc.Regime.R2, n, n // 2, n, seed=n)))
+             for n in (512, 4096)]
+    times = [[], []]
+    for _ in range(9):
+        for (left, right), spent in zip(pairs, times):
+            start = time.perf_counter()
+            assert decide(left, right) is not None
+            spent.append(time.perf_counter() - start)
+    small, large = (statistics.median(spent) for spent in times)
+    assert large / small < 24
