@@ -11,6 +11,7 @@ elsewhere in the package are cross-checked against.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -63,11 +64,20 @@ class Tolerance:
 
     ``scale`` is the largest absolute entry among the operands compared.
     Tests against zero use ``atol`` alone.  ``Tolerance(0, 0)`` demands
-    exact equality.
+    exact equality.  Both values must be finite and non-negative: a NaN or
+    negative threshold rejects every comparison, an infinite one accepts
+    every comparison.
     """
 
     atol: float = 1e-9
     rtol: float = 1e-9
+
+    def __post_init__(self):
+        for name in ("atol", "rtol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerance {name} must be finite and non-negative, got {value!r}")
 
     def threshold(self, scale: float) -> float:
         return self.atol + self.rtol * scale
@@ -283,20 +293,40 @@ class AsymToeplitz:
 
     # -- structure-preserving maps ------------------------------------------
 
+    @classmethod
+    def _trusted(cls, n: int, m: int, a0: complex, a: np.ndarray,
+                 alpha: np.ndarray) -> "AsymToeplitz":
+        """Wrap fields the package derived from a validated instance.
+
+        Skips the copies and checks of ``__post_init__``: ``n`` and ``m``
+        must be positive ints, ``a0`` a finite complex, and ``a`` and
+        ``alpha`` finite 1-D complex arrays of lengths n and m, zero at
+        index 0, that nothing else writes to.  The arrays are made read-only.
+        """
+        a.setflags(write=False)
+        alpha.setflags(write=False)
+        out = object.__new__(cls)
+        out.__dict__.update(n=n, m=m, a0=a0, a=a, alpha=alpha)
+        return out
+
     def adjoint(self) -> "AsymToeplitz":
         """Conjugate transpose; swaps the roles of ``a`` and ``alpha``."""
-        # validated, read-only fields are shared, not copied and checked again
-        out = object.__new__(AsymToeplitz)
-        out.__dict__.update(n=self.m, m=self.n, a0=self.a0.conjugate(),
-                            a=self.alpha, alpha=self.a)
-        return out
+        return AsymToeplitz._trusted(self.m, self.n, self.a0.conjugate(),
+                                     self.alpha, self.a)
 
     def rot180(self) -> "AsymToeplitz":
         """Flip both axes (P_n A P_m); diagonals map to diagonals."""
-        # the flip reverses the sequence of diagonal values, so its first row
-        # and column start at the old bottom-right corner, index n - 1
+        # the flip reverses the sequence of diagonal values, so its corner is
+        # the old bottom-right one, index n - 1, its column reads the values
+        # down to index 0 and its row (conjugated) up to the end
+        n = self.n
         vals = self.diagonals()
-        return AsymToeplitz.from_first_row_col(vals[self.n - 1:], vals[self.n - 1::-1])
+        a0 = complex(vals[n - 1])
+        alpha = np.conj(vals[n - 1:])
+        alpha[0] = 0
+        a = vals[n - 1::-1].copy()
+        a[0] = 0
+        return AsymToeplitz._trusted(n, self.m, a0, a, alpha)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AsymToeplitz):

@@ -144,8 +144,28 @@ def rank_one_equal(x, y, xp, yp, tol: Tolerance = DEFAULT_TOL) -> RankOneOutcome
     """Decide whether x (x) y == xp (x) yp without forming either matrix.
 
     Returns a :class:`RankOneOutcome` when the products coincide, ``None``
-    on mismatch.  When neither side vanishes the scalar is extracted at the
-    largest entry of ``xp`` and verified entrywise.  O(len x + len y).
+    on mismatch.  A vector is zero when no entry exceeds ``tol.atol`` in
+    modulus; an empty vector is zero.  When neither side vanishes the scalar
+    is extracted at the largest entry of ``xp`` and verified entrywise, with
+    the scale of :meth:`Tolerance.allclose`.  O(len x + len y).
+    """
+    return _rank_one(x, y, xp, yp, tol)
+
+
+_NAMES = ("x", "y", "xp", "yp")
+
+
+def _rank_one(x, y, xp, yp, tol: Tolerance,
+              lam: complex | None = None) -> RankOneOutcome | None:
+    """The rank-one match as one fused pass over the four vectors.
+
+    Without ``lam`` this is :func:`rank_one_equal`.  Given the scalar of a
+    proportional outcome it re-checks only x = lam * xp and
+    yp = conj(lam) * y.  One modulus and one segmented maximum over the
+    concatenated vectors give the zero tests, the pivot and the operand
+    scales; a second pair gives the defects and the scaled sides.  The
+    thresholds are exactly those of :meth:`Tolerance.is_zero` and
+    :meth:`Tolerance.allclose` on the same vectors.
     """
     x = np.asarray(x, dtype=CDTYPE)
     xp = np.asarray(xp, dtype=CDTYPE)
@@ -155,18 +175,40 @@ def rank_one_equal(x, y, xp, yp, tol: Tolerance = DEFAULT_TOL) -> RankOneOutcome
         raise DimensionMismatch(f"x and xp lengths differ: {x.shape} vs {xp.shape}")
     if y.shape != yp.shape:
         raise DimensionMismatch(f"y and yp lengths differ: {y.shape} vs {yp.shape}")
-    lhs_zero = tol.is_zero(x) or tol.is_zero(y)
-    rhs_zero = tol.is_zero(xp) or tol.is_zero(yp)
-    if lhs_zero and rhs_zero:
-        vanished = tuple(name for name, vec in
-                         (("x", x), ("y", y), ("xp", xp), ("yp", yp))
-                         if tol.is_zero(vec))
-        return RankOneOutcome(None, vanished)
-    if lhs_zero != rhs_zero:
-        return None
-    pivot = int(np.argmax(np.abs(xp)))
-    lam = complex(x[pivot] / xp[pivot])
-    if tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y):
+    p, q = len(x), len(y)
+    if p == 0 or q == 0:
+        # reduceat takes no empty segment; with an empty vector both sides vanish
+        if lam is None:
+            return RankOneOutcome(None, tuple(
+                name for name, vec in zip(_NAMES, (x, y, xp, yp)) if tol.is_zero(vec)))
+        ok = tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y)
+        return RankOneOutcome(lam) if ok else None
+    s = p + q
+    segments = (0, p, s, s + p)
+    # x and yp lead, so that the defects below subtract from one slice
+    cat = np.concatenate((x, yp, xp, y))
+    mags = np.abs(cat)
+    max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, segments).tolist()
+    if lam is None:
+        zero = (max_x <= tol.atol, max_y <= tol.atol, max_xp <= tol.atol, max_yp <= tol.atol)
+        lhs_zero = zero[0] or zero[1]
+        rhs_zero = zero[2] or zero[3]
+        if lhs_zero and rhs_zero:
+            return RankOneOutcome(None, tuple(name for name, z in zip(_NAMES, zero) if z))
+        if lhs_zero != rhs_zero:
+            return None
+        pivot = int(mags[s:s + p].argmax())
+        lam = complex(x[pivot] / xp[pivot])
+    # buf holds the defects (x - lam xp, yp - conj(lam) y), then the scaled sides
+    buf = np.empty(2 * s, dtype=CDTYPE)
+    scaled = buf[s:]
+    np.multiply(lam, xp, out=scaled[:p])
+    np.multiply(np.conj(lam), y, out=scaled[p:])
+    np.subtract(cat[:s], scaled, out=buf[:s])
+    defect_x, defect_y, max_lam_xp, max_lam_y = np.maximum.reduceat(
+        np.abs(buf), segments).tolist()
+    if (defect_x <= tol.threshold(max(max_x, max_lam_xp))
+            and defect_y <= tol.threshold(max(max_yp, max_lam_y))):
         return RankOneOutcome(lam)
     return None
 
@@ -223,12 +265,8 @@ class ProductCertificate:
 
     def verify(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Re-check the certified equations from the stored vectors alone."""
-        if self.outcome.is_proportional:
-            lam = self.outcome.lam
-            return (tol.allclose(self.x, lam * self.u)
-                    and tol.allclose(self.v, np.conj(lam) * self.y))
-        return ((tol.is_zero(self.x) or tol.is_zero(self.y))
-                and (tol.is_zero(self.u) or tol.is_zero(self.v)))
+        check = _rank_one(self.x, self.y, self.u, self.v, tol, self.lam)
+        return check is not None and check.is_proportional == self.outcome.is_proportional
 
 
 def product_is_toeplitz(A: AsymToeplitz, B: AsymToeplitz,

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 import toepcert as tc
-from toepcert.product import sharp
+from toepcert.product import RankOneOutcome, sharp
 
 EXACT = tc.Tolerance(0.0, 0.0)
 
@@ -111,3 +111,37 @@ def with_shapes(test):
         test = example(n, m, 0, 0)(test)
     return given(st.integers(1, 96), st.integers(1, 96),
                  st.integers(0, 2**32 - 1), st.integers(-40, 40))(test)
+
+
+def reference_rank_one_equal(x, y, xp, yp, tol=tc.DEFAULT_TOL):
+    """The rank-one match as separate reductions, one per tolerance test.
+
+    The multi-reduction form of ``product.rank_one_equal``; the fused pass
+    must give the same outcome, the same ``lam`` bit for bit and the same
+    ``vanished`` names.
+    """
+    x, y, xp, yp = (np.asarray(v, dtype=complex) for v in (x, y, xp, yp))
+    lhs_zero = tol.is_zero(x) or tol.is_zero(y)
+    rhs_zero = tol.is_zero(xp) or tol.is_zero(yp)
+    if lhs_zero and rhs_zero:
+        vanished = tuple(name for name, vec in
+                         (("x", x), ("y", y), ("xp", xp), ("yp", yp))
+                         if tol.is_zero(vec))
+        return RankOneOutcome(None, vanished)
+    if lhs_zero != rhs_zero:
+        return None
+    pivot = int(np.argmax(np.abs(xp)))
+    lam = complex(x[pivot] / xp[pivot])
+    if tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y):
+        return RankOneOutcome(lam)
+    return None
+
+
+def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:
+    """``ProductCertificate.verify`` as separate ``allclose``/``is_zero`` tests."""
+    if cert.outcome.is_proportional:
+        lam = cert.outcome.lam
+        return (tol.allclose(cert.x, lam * cert.u)
+                and tol.allclose(cert.v, np.conj(lam) * cert.y))
+    return ((tol.is_zero(cert.x) or tol.is_zero(cert.y))
+            and (tol.is_zero(cert.u) or tol.is_zero(cert.v)))

@@ -80,6 +80,14 @@ class TestProduct:
         code, verdict = run(capsys, "product", fa, fb, "--json")
         assert code == 0 and verdict["case"] == "both_zero"
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):
+        # a NaN or negative tolerance answered "no" on this certified pair
+        fa, fb = self._write_pair(tmp_path, *tc.gen_pair(
+            tc.FamilySpec(tc.Regime.R1, 3, 5, 4, lam=2.0, seed=1)))
+        assert main(["product", fa, fb, "--oracle", "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
+
     def test_perturbed_pair_exits_one_never_three(self, tmp_path, capsys, rng):
         spec = tc.FamilySpec(tc.Regime.R1, 3, 5, 4, lam=2.0, seed=2,
                              a_free=nonzero_fill(rng, 4),
@@ -232,6 +240,14 @@ class TestIsometry:
         code, verdict = run(capsys, "isometry", str(f))
         assert code == 1 and verdict["accepted"] is False
         assert verdict["residual_norm"] == 1.5
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):
+        # 2 I is no isometry (residual 1.5), and an infinite tolerance accepted it
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, tc.AsymToeplitz(2, 2, 2.0, [0, 0], [0, 0]))
+        assert main(["isometry", str(f), "--tol", tol]) == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_failed_match_reports_no_residual(self, tmp_path, capsys):
         f = tmp_path / "m.json"

@@ -164,7 +164,12 @@ def test_adjoint_matches_conjugate_transpose(A):
 @with_shapes
 def test_rot180_reverses_both_axes(n, m, seed, scale_exp):
     A = gaussian_toeplitz(n, m, seed, scale_exp)
-    assert np.array_equal(A.rot180().to_dense(), A.to_dense()[::-1, ::-1])
+    R = A.rot180()
+    assert np.array_equal(R.to_dense(), A.to_dense()[::-1, ::-1])
+    assert R.rot180() == A
+    assert not R.a.flags.writeable and not R.alpha.flags.writeable
+    # the fields built without validation pass it
+    assert tc.AsymToeplitz(R.n, R.m, R.a0, R.a, R.alpha) == R
 
 
 class TestAdjoint:
@@ -286,6 +291,13 @@ class TestTolerance:
     def test_threshold_scales(self):
         tol = tc.Tolerance(1e-9, 1e-9)
         assert tol.threshold(100.0) == pytest.approx(1e-9 + 1e-7)
+
+    @pytest.mark.parametrize("atol, rtol", [
+        (float("nan"), 1e-9), (1e-9, float("nan")), (-1.0, 1e-9), (1e-9, -1e-12),
+        (float("inf"), 1e-9), (1e-9, float("inf"))])
+    def test_rejects_nonfinite_or_negative(self, atol, rtol):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            tc.Tolerance(atol, rtol)
 
     def test_allclose_uses_operand_scale(self):
         tol = tc.Tolerance(0.0, 1e-9)

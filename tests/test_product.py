@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 import toepcert as tc
 from toepcert.product import (
+    ProductCertificate,
+    RankOneOutcome,
     alpha_hat,
     b_hat,
     comparison_vectors,
@@ -24,6 +26,8 @@ from helpers import (
     dense_shift,
     outer,
     product_example_dense,
+    reference_rank_one_equal,
+    reference_verify,
 )
 
 
@@ -135,6 +139,82 @@ class TestRankOneEqual:
             structured = rank_one_equal(x, y, xp, yp, EXACT) is not None
             dense = np.array_equal(outer(x, y), outer(xp, yp))
             assert structured == dense
+
+
+def _lam_bits(lam):
+    return None if lam is None else np.complex128(lam).tobytes()
+
+
+KINDS = ["gaussian", "integer", "sparse", "zero"]
+TOLS = (EXACT, tc.DEFAULT_TOL, tc.Tolerance(0.0, 2.0**-30), tc.Tolerance(2.0**-20, 2.0**-40))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 96), st.integers(0, 96), st.integers(0, 2**32 - 1),
+       st.integers(-40, 40), st.sampled_from(KINDS), st.sampled_from(KINDS),
+       st.sampled_from(["free", "proportional", "dyadic", "perturbed"]))
+def test_fused_rank_one_matches_reference(p, q, seed, scale_exp, x_kind, y_kind, pairing):
+    """The fused pass decides as the multi-reduction reference, bit for bit.
+
+    Pairs are drawn unrelated, proportional (also by a dyadic scalar, so
+    that exact tolerances accept), or proportional and then perturbed
+    around each tolerance's threshold, so that both verdicts occur.
+    Integer entries tie in modulus, so the pivot choice shows in ``lam``.
+    ``ProductCertificate.verify`` is checked against the reference formula
+    for the decided outcome and for claimed ones.
+    """
+    rng = np.random.default_rng(seed)
+
+    def draw(k, kind):
+        if kind == "zero":
+            return np.zeros(k, dtype=complex)
+        if kind == "integer":
+            re, im = rng.integers(-3, 4, size=(2, k))
+        else:
+            re, im = rng.standard_normal((2, k))
+        v = np.ldexp(re, scale_exp) + 1j * np.ldexp(im, scale_exp)
+        if kind == "sparse":
+            v[rng.random(k) < 0.5] = 0
+        return v
+
+    x, y = draw(p, x_kind), draw(q, y_kind)
+    free = draw(p, "gaussian"), draw(q, "gaussian")
+    e = int(rng.integers(-8, 9))
+    if pairing == "dyadic":
+        lam = complex(np.ldexp(1.0, e)) * (1, -1, 1j, -1j)[int(rng.integers(4))]
+    else:
+        lam = complex(np.ldexp(rng.standard_normal(), e), np.ldexp(rng.standard_normal(), e))
+
+    def pairs(tol):
+        if pairing == "free":
+            return [free]
+        xp, yp = x / lam, np.conj(lam) * y
+        if pairing != "perturbed" or not (p and q):
+            return [(xp, yp)]
+        # defects of about a quarter or twice the threshold on each side
+        dx = rng.standard_normal(p) * tol.threshold(np.max(np.abs(x))) / abs(lam)
+        dy = rng.standard_normal(q) * tol.threshold(np.max(np.abs(yp)))
+        return [(xp + np.ldexp(dx, kx), yp + np.ldexp(dy, ky))
+                for kx, ky in ((-2, -2), (-2, 1), (1, -2))]
+
+    for tol in TOLS:
+        for xp, yp in pairs(tol):
+            _check_against_reference(x, y, xp, yp, tol, lam)
+
+
+def _check_against_reference(x, y, xp, yp, tol, lam):
+    fused = rank_one_equal(x, y, xp, yp, tol)
+    reference = reference_rank_one_equal(x, y, xp, yp, tol)
+    assert (fused is None) == (reference is None)
+    if reference is not None:
+        assert _lam_bits(fused.lam) == _lam_bits(reference.lam)
+        assert fused.vanished == reference.vanished
+    for claimed in (reference, RankOneOutcome(None), RankOneOutcome(lam * (1 + 2**-20))):
+        if claimed is None:
+            continue
+        cert = ProductCertificate(tc.Regime.R1, x, y, xp, yp, claimed, 0, 0)
+        for check_tol in (tol, tc.Tolerance(4 * tol.atol, tol.rtol / 4)):
+            assert cert.verify(check_tol) == reference_verify(cert, check_tol)
 
 
 class TestClassifyRegime:
