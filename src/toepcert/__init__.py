@@ -5,7 +5,8 @@ The structured predicates run in linear time in the dimensions and every
 decision can be cross-validated against a dense brute-force oracle.  The
 package root exports the representations, errors, decisions with their
 certificates, dense oracles, generators and file I/O; building blocks such
-as ``product.comparison_vectors`` or ``core.tensor`` live in their modules.
+as ``product.comparison_vectors`` or ``displacement.reconstruct`` live in
+their modules.
 """
 
 from .core import (

@@ -40,7 +40,8 @@ EXIT_DISAGREE = 3
 
 # Largest matrix, in entries, that a subcommand realizes densely: 256 MiB
 # of complex128.  Compact files describe far larger matrices in little
-# space, so a dense step beyond this is refused as an input error.
+# space, so a dense step beyond this is refused as an input error, and so
+# is a generated pair whose dimensions n + m + l exceed it.
 MAX_DENSE_ENTRIES = 1 << 24
 
 _GENERATE_FORMS = {
@@ -159,6 +160,10 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    total = args.n + args.m + args.l
+    if total > MAX_DENSE_ENTRIES:
+        raise ValueError(
+            f"generate: n + m + l = {total} exceeds {MAX_DENSE_ENTRIES}")
     lam = _parse_complex(args.lam)
     a0 = _parse_complex(args.a0) if args.a0 is not None else None
     b0 = _parse_complex(args.b0) if args.b0 is not None else None

@@ -4,9 +4,10 @@ A rectangular Toeplitz matrix is constant along every diagonal and is
 therefore determined by its first row and first column; a rectangular
 Hankel matrix is constant along every anti-diagonal and is a column flip
 of a Toeplitz matrix.  This module stores that data compactly, converts
-to and from dense complex matrices, and provides the small dense operator
-algebra (shifts, flips, outer products) that the structured predicates
-elsewhere in the package are cross-checked against.
+to and from dense complex matrices, maps Toeplitz to Hankel matrices by
+flips, and provides the dense product and diagonal-constancy oracles that
+the structured predicates elsewhere in the package are cross-checked
+against.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ __all__ = [
     "dense_mul",
     "flip_cols",
     "flip_rows_of",
-    "shift_down",
-    "shift_up",
-    "tensor",
-    "unit_vector",
 ]
 
 
@@ -125,38 +122,6 @@ def as_dense(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries")
     return A
-
-
-# ---------------------------------------------------------------------------
-# dense operator algebra
-# ---------------------------------------------------------------------------
-
-def unit_vector(i: int, dim: int) -> np.ndarray:
-    """Standard basis vector with a one at index ``i``."""
-    out = np.zeros(dim, dtype=CDTYPE)
-    out[i] = 1.0
-    return out
-
-
-def tensor(x, y) -> np.ndarray:
-    """Outer product with the second slot conjugated: (x (x) y)[i, j] = x[i] * conj(y[j])."""
-    return np.outer(np.asarray(x, dtype=CDTYPE), np.conj(np.asarray(y, dtype=CDTYPE)))
-
-
-def shift_down(x) -> np.ndarray:
-    """Apply the lower shift to a vector: drop the last entry, prepend zero."""
-    x = np.asarray(x, dtype=CDTYPE)
-    out = np.zeros_like(x)
-    out[1:] = x[:-1]
-    return out
-
-
-def shift_up(x) -> np.ndarray:
-    """Apply the adjoint shift to a vector: drop the first entry, append zero."""
-    x = np.asarray(x, dtype=CDTYPE)
-    out = np.zeros_like(x)
-    out[:-1] = x[1:]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,49 +8,15 @@ matrix can be rebuilt from it by accumulating diagonal shifts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    CDTYPE,
-    DEFAULT_TOL,
-    AsymToeplitz,
-    Tolerance,
-    _first_break,
-    as_dense,
-    tensor,
-    unit_vector,
-)
+from .core import DEFAULT_TOL, Tolerance, _first_break, as_dense
 
 __all__ = [
-    "DisplacementPair",
     "displacement_dense",
-    "displacement_structured",
     "is_toeplitz_by_displacement",
     "reconstruct",
 ]
-
-
-@dataclass(frozen=True)
-class DisplacementPair:
-    """Displacement of a compact Toeplitz matrix as u (x) e0 + e0 (x) v.
-
-    The corner contribution is carried entirely by ``u`` (``v[0] = 0``),
-    which makes the split unique.
-    """
-
-    u: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        if len(self.v) and self.v[0] != 0:
-            raise ValueError("the corner belongs to u: v[0] must be 0")
-
-    def assemble(self) -> np.ndarray:
-        """Realize the displacement densely."""
-        return (tensor(self.u, unit_vector(0, len(self.v)))
-                + tensor(unit_vector(0, len(self.u)), self.v))
 
 
 def displacement_dense(M) -> np.ndarray:
@@ -66,26 +32,17 @@ def displacement_dense(M) -> np.ndarray:
     return out
 
 
-def displacement_structured(A: AsymToeplitz) -> DisplacementPair:
-    """Displacement of a compact Toeplitz matrix, read off its parameters."""
-    u = A.a.copy()
-    u[0] = A.a0
-    u.setflags(write=False)
-    return DisplacementPair(u, A.alpha)
-
-
 def reconstruct(D) -> np.ndarray:
     """Accumulate diagonal shifts of D: the inverse of ``displacement_dense``.
 
-    Sums D shifted down-and-right by 0, 1, ..., min(n, m) - 1 steps
-    (entries shifted past the edge are dropped).  For every matrix M,
+    Entry (i, j) of the result is the sum of D along its diagonal up to
+    (i, j), built row by row: each row adds the previous result row
+    shifted one step right.  O(n m).  For every matrix M,
     ``reconstruct(displacement_dense(M))`` returns M.
     """
-    D = as_dense(D)
-    n, m = D.shape
-    out = np.zeros((n, m), dtype=CDTYPE)
-    for i in range(min(n, m)):
-        out[i:, i:] += D[:n - i, :m - i]
+    out = as_dense(D).copy()
+    for i in range(1, out.shape[0]):
+        out[i, 1:] += out[i - 1, :-1]
     return out
 
 

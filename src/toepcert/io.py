@@ -46,7 +46,11 @@ def _parse_entries(items, count: int, where: str) -> np.ndarray:
                 or any(isinstance(part, bool) or not isinstance(part, (int, float))
                        for part in item)):
             raise MatrixFileError(f"'{where}[{pos}]' must be a [re, im] number pair")
-        re, im = float(item[0]), float(item[1])
+        try:
+            re, im = float(item[0]), float(item[1])
+        except OverflowError:
+            raise MatrixFileError(
+                f"'{where}[{pos}]' contains an integer too large for a float") from None
         if not (math.isfinite(re) and math.isfinite(im)):
             raise MatrixFileError(f"'{where}[{pos}]' contains a non-finite number")
         out[pos] = complex(re, im)
@@ -111,6 +115,8 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise MatrixFileError(f"{path}: JSON nested too deeply") from None
     try:
         return parse_matrix(doc)
     except MatrixFileError as exc:

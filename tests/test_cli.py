@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import toepcert as tc
+from toepcert import cli
 from toepcert.cli import main
 from helpers import EXACT, nonzero_fill, unit_isometry_dense
 
@@ -14,6 +15,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out.strip()
     return code, (json.loads(out) if out.startswith("{") else out)
+
+
+def assert_input_error(capsys, *argv):
+    """The command exits 2 with a single 'error:' line and no traceback."""
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestCheck:
@@ -181,6 +189,29 @@ class TestGenerate:
                      "--out-b", str(tmp_path / "b.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("regime", ["r1", "form-a"])
+    def test_oversized_refused_before_generating(self, tmp_path, capsys,
+                                                 monkeypatch, regime):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        # the generators are stubbed, so no size here allocates anything
+        monkeypatch.setattr(cli, "gen_pair", reached)
+        monkeypatch.setattr(cli, "gen_degenerate", reached)
+        outs = ["--out-a", str(tmp_path / "a.json"), "--out-b", str(tmp_path / "b.json")]
+        assert_input_error(capsys, "generate", "--regime", regime, "-n", "4",
+                           "-m", "300000000", "-l", "4", *outs)
+        m = cli.MAX_DENSE_ENTRIES - 8
+        assert_input_error(capsys, "generate", "--regime", regime, "-n", "4",
+                           "-m", str(m + 1), "-l", "4", *outs)
+        with pytest.raises(Reached):
+            main(["generate", "--regime", regime, "-n", "4", "-m", str(m),
+                  "-l", "4", *outs])
+        assert not (tmp_path / "a.json").exists()
+
 
 class TestClosure:
     def test_generate_product_closure_all_sizes(self, tmp_path, capsys):
@@ -264,6 +295,29 @@ class TestIsometry:
         f = tmp_path / "m.json"
         f.write_text("[]", encoding="utf-8")
         assert main(["isometry", str(f)]) == 2
+
+
+class TestHostileFiles:
+    @pytest.mark.parametrize("command", ["check", "isometry", "displacement"])
+    def test_deep_nesting(self, tmp_path, capsys, command):
+        f = tmp_path / "m.json"
+        f.write_text("[" * 200_000, encoding="utf-8")
+        assert_input_error(capsys, command, str(f))
+
+    @pytest.mark.parametrize("command", ["check", "isometry", "displacement"])
+    def test_integer_beyond_float_range(self, tmp_path, capsys, command):
+        f = tmp_path / "m.json"
+        huge = "-" + "9" * 401
+        f.write_text('{"kind": "toeplitz", "rows": 1, "cols": 2, '
+                     f'"first_row": [[1, 0], [{huge}, 0]], "first_col": [[1, 0]]}}',
+                     encoding="utf-8")
+        assert_input_error(capsys, command, str(f))
+
+    def test_product_operand(self, tmp_path, capsys):
+        good, bad = tmp_path / "a.json", tmp_path / "b.json"
+        tc.save_matrix(good, tc.AsymToeplitz.eye(2, 2))
+        bad.write_text("[" * 200_000, encoding="utf-8")
+        assert_input_error(capsys, "product", str(good), str(bad))
 
 
 @pytest.fixture(scope="module")

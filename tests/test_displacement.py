@@ -1,7 +1,7 @@
 import numpy as np
 
 import toepcert as tc
-from toepcert.displacement import displacement_structured, reconstruct
+from toepcert.displacement import reconstruct
 from helpers import EXACT, basis, outer, unit_isometry_dense
 
 
@@ -19,31 +19,6 @@ class TestDisplacementDense:
     def test_small_counterexample(self):
         D = tc.displacement_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(D, np.array([[1.0, 2.0], [3.0, 3.0]]))
-
-
-class TestDisplacementStructured:
-    def test_zero_corner_gives_raw_parameters(self, rng):
-        A = tc.random_toeplitz(rng, 4, 6)
-        A = tc.AsymToeplitz(4, 6, 0.0, A.a, A.alpha)
-        pair = displacement_structured(A)
-        assert np.array_equal(pair.u, A.a)
-        assert np.array_equal(pair.v, A.alpha)
-
-    def test_identity(self):
-        pair = displacement_structured(tc.AsymToeplitz.eye(3, 4))
-        assert np.array_equal(pair.u, basis(0, 3))
-        assert not np.any(pair.v)
-
-    def test_corner_lands_in_u(self):
-        assert displacement_structured(tc.AsymToeplitz.eye(3, 4)).v[0] == 0
-
-    def test_assembly_matches_dense(self, rng):
-        for _ in range(20):
-            n, m = rng.integers(1, 8, size=2)
-            A = tc.random_toeplitz(rng, n, m)
-            pair = displacement_structured(A)
-            assert np.array_equal(pair.assemble(),
-                                  tc.displacement_dense(A.to_dense()))
 
 
 class TestReconstruct:

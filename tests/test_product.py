@@ -13,7 +13,6 @@ from toepcert.product import (
     alpha_hat,
     b_hat,
     comparison_vectors,
-    delta_product_parts,
     delta_product_structured,
     rank_one_equal,
     sharp,
@@ -383,21 +382,37 @@ class TestDeltaProduct:
             err = np.max(np.abs(delta_product_structured(A, B) - dense))
             assert err <= 1e-10
 
-    def test_gamma_aggregates_match_dense_border(self, rng):
-        # the first column of the product displacement is gamma1 plus the
-        # corner share of gamma2, and the first row is conj(gamma2) plus
-        # the corner share of gamma1
+    def test_border_is_first_row_and_column_of_product(self, rng):
+        # the displacement passes row 0 and column 0 of the product through
         for _ in range(30):
             n, m, l = rng.integers(1, 8, size=3)
             A = tc.random_toeplitz(rng, n, m)
             B = tc.random_toeplitz(rng, m, l)
-            matrix, gamma1, gamma2 = delta_product_parts(A, B)
-            dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            assert np.array_equal(matrix, dense)
-            col0 = gamma1 + np.conj(gamma2[0]) * basis(0, n)
-            row0 = np.conj(gamma2) + gamma1[0] * basis(0, l)
-            assert np.array_equal(dense[:, 0], col0)
-            assert np.array_equal(dense[0, :], row0)
+            product = A.to_dense() @ B.to_dense()
+            D = delta_product_structured(A, B)
+            assert np.array_equal(D[:, 0], product[:, 0])
+            assert np.array_equal(D[0, :], product[0, :])
+
+    def test_realizes_no_factor(self, rng, monkeypatch):
+        # a 4 x 65536 factor would take 4 MiB dense; the border is checked
+        # against sums written out entry by entry, the interior against the
+        # diagonal differences of those sums
+        n, m, l = 4, 1 << 16, 4
+        A = tc.random_toeplitz(rng, n, m)
+        B = tc.random_toeplitz(rng, m, l)
+        entry_a = [[A.entry(i, k) for k in range(m)] for i in range(n)]
+        entry_b = [[B.entry(k, j) for j in range(l)] for k in range(m)]
+        product = np.array([[sum(entry_a[i][k] * entry_b[k][j] for k in range(m))
+                             for j in range(l)] for i in range(n)])
+
+        def refuse(self):
+            raise AssertionError("to_dense called")
+
+        monkeypatch.setattr(tc.AsymToeplitz, "to_dense", refuse)
+        D = delta_product_structured(A, B)
+        assert np.array_equal(D[:, 0], product[:, 0])
+        assert np.array_equal(D[0, :], product[0, :])
+        assert np.array_equal(D[1:, 1:], product[1:, 1:] - product[:-1, :-1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(tc.DimensionMismatch):
