@@ -10,6 +10,7 @@ and ``displacement``.  Exit codes: 0 predicate true, 1 predicate false,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -213,7 +214,9 @@ def _cmd_displacement(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, metavar="T",
                         help="comparison tolerance, used as both atol and rtol "

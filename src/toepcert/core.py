@@ -183,7 +183,9 @@ class AsymToeplitz:
                 f"first_row[0] = {row[0]} and first_col[0] = {col[0]} must agree")
         a = np.concatenate([np.zeros(1, dtype=CDTYPE), col[1:]])
         alpha = np.concatenate([np.zeros(1, dtype=CDTYPE), np.conj(row[1:])])
-        return cls(len(col), len(row), complex(col[0]), a, alpha)
+        # both vectors passed as_cvector and are nonempty (row[0] above), so
+        # the derived fields already meet every check of __post_init__
+        return cls._trusted(len(col), len(row), complex(col[0]), a, alpha)
 
     @classmethod
     def from_dense(cls, M, tol: Tolerance = DEFAULT_TOL) -> "AsymToeplitz":
@@ -261,7 +263,7 @@ class AsymToeplitz:
     @classmethod
     def _trusted(cls, n: int, m: int, a0: complex, a: np.ndarray,
                  alpha: np.ndarray) -> "AsymToeplitz":
-        """Wrap fields the package derived from a validated instance.
+        """Wrap fields the package derived from validated data.
 
         Skips the copies and checks of ``__post_init__``: ``n`` and ``m``
         must be positive ints, ``a0`` a finite complex, and ``a`` and

@@ -5,12 +5,22 @@ literal first row and first column, Hankel files the first row and last
 column, dense files the row-major entries.  Writing is canonical (sorted
 keys, floats with 17 significant digits), so rewriting a canonical file
 reproduces it byte for byte.
+
+Reading accepts as a number part only an exact JSON integer or float;
+``true``, strings, ``null``, ``NaN``, ``Infinity`` and integers beyond
+the float range are rejected.  Each part becomes the double that
+``float()`` gives, bit for bit.  The well-formed lists convert in one
+NumPy pass; any other list is checked entry by entry, and the error
+names the first bad position, as in ``'first_row[3]'``.  On a file it
+cannot read or a malformed one, :func:`load_matrix` raises a
+:class:`MatrixFileError` whose message names the file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +50,19 @@ def _require_dim(doc: dict, key: str) -> int:
 def _parse_entries(items, count: int, where: str) -> np.ndarray:
     if not isinstance(items, list) or len(items) != count:
         raise MatrixFileError(f"'{where}' must be a list of {count} [re, im] pairs")
+    # one pass in C when every item is an exact [int | float, int | float]
+    # list; NumPy alone would also convert bools and numeric strings
+    if (set(map(type, items)) == {list} and set(map(len, items)) == {2}
+            and set(map(type, chain.from_iterable(items))) <= {int, float}):
+        try:
+            parts = np.fromiter(chain.from_iterable(items), np.float64, count=2 * count)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(parts).all():
+                return parts.view(CDTYPE)
+    # entry by entry: names the first bad position, and converts the list
+    # and number subclasses (such as numpy.float64) the pass above leaves out
     out = np.zeros(count, dtype=CDTYPE)
     for pos, item in enumerate(items):
         if (not isinstance(item, list) or len(item) != 2
@@ -111,9 +134,12 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal beyond Python's digit limit
         raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError:
         raise MatrixFileError(f"{path}: JSON nested too deeply") from None

@@ -5,12 +5,14 @@ structured closed forms under test are checked against an independent
 route.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, strategies as st
 
 import toepcert as tc
+from toepcert.io import MatrixFileError
 from toepcert.product import RankOneOutcome, sharp
 
 EXACT = tc.Tolerance(0.0, 0.0)
@@ -145,3 +147,28 @@ def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:
                 and tol.allclose(cert.v, np.conj(lam) * cert.y))
     return ((tol.is_zero(cert.x) or tol.is_zero(cert.y))
             and (tol.is_zero(cert.u) or tol.is_zero(cert.v)))
+
+
+def reference_parse_entries(items, count: int, where: str) -> np.ndarray:
+    """``io._parse_entries`` as a per-entry loop, checking each pair in turn.
+
+    The bulk parse must return the same values bit for bit and raise the
+    same ``MatrixFileError`` text, which names the first bad position.
+    """
+    if not isinstance(items, list) or len(items) != count:
+        raise MatrixFileError(f"'{where}' must be a list of {count} [re, im] pairs")
+    out = np.zeros(count, dtype=complex)
+    for pos, item in enumerate(items):
+        if (not isinstance(item, list) or len(item) != 2
+                or any(isinstance(part, bool) or not isinstance(part, (int, float))
+                       for part in item)):
+            raise MatrixFileError(f"'{where}[{pos}]' must be a [re, im] number pair")
+        try:
+            re, im = float(item[0]), float(item[1])
+        except OverflowError:
+            raise MatrixFileError(
+                f"'{where}[{pos}]' contains an integer too large for a float") from None
+        if not (math.isfinite(re) and math.isfinite(im)):
+            raise MatrixFileError(f"'{where}[{pos}]' contains a non-finite number")
+        out[pos] = complex(re, im)
+    return out

@@ -18,10 +18,14 @@ def run(capsys, *argv):
 
 
 def assert_input_error(capsys, *argv):
-    """The command exits 2 with a single 'error:' line and no traceback."""
+    """The command exits 2 with a single 'error:' line and no traceback.
+
+    Returns that line.
+    """
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
 
 
 class TestCheck:
@@ -319,6 +323,23 @@ class TestHostileFiles:
         bad.write_text("[" * 200_000, encoding="utf-8")
         assert_input_error(capsys, "product", str(good), str(bad))
 
+    @pytest.mark.parametrize("command", ["check", "isometry", "displacement"])
+    def test_integer_beyond_digit_limit_names_file(self, tmp_path, capsys, command):
+        # json.loads refuses an integer literal beyond Python's digit limit
+        # (4300 by default) with a plain ValueError
+        f = tmp_path / "m.json"
+        f.write_text('{"kind": "toeplitz", "rows": 1, "cols": 1, '
+                     f'"first_row": [[{"7" * 5000}, 0]], "first_col": [[1, 0]]}}',
+                     encoding="utf-8")
+        assert str(f) in assert_input_error(capsys, command, str(f))
+
+    @pytest.mark.parametrize("command", ["check", "isometry", "displacement"])
+    def test_not_utf8_names_file(self, tmp_path, capsys, command):
+        f = tmp_path / "m.json"
+        f.write_bytes(b'{"kind": "toeplitz", "rows": 1, "cols": 1, '
+                      b'"first_row": [[1, 0]], "first_col": [[1, 0]]}\xff')
+        assert str(f) in assert_input_error(capsys, command, str(f))
+
 
 @pytest.fixture(scope="module")
 def huge_identity(tmp_path_factory):
@@ -360,6 +381,52 @@ class TestDisplacement:
         assert main(["displacement", str(f)]) == 0
         D = parse_matrix(json.loads(capsys.readouterr().out))
         assert np.array_equal(D, tc.displacement_dense(A.to_dense()))
+
+
+class TestParserReuse:
+    """The parser is built once per process; a call must not see the last one.
+
+    Each sequence runs in this process, one call after the other, and every
+    call must print and exit as it does in a fresh process.
+    """
+
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch):
+        # argparse wraps help to $COLUMNS, here and in the child process
+        monkeypatch.setenv("COLUMNS", "80")
+        spec = tc.FamilySpec(tc.Regime.R1, 3, 5, 4, lam=2.0, seed=1)
+        paths = {}
+        for name, obj in (("a", tc.gen_pair(spec)[0]), ("b", tc.gen_pair(spec)[1]),
+                          # (1 + 2^-20) I: an isometry within 1e-3, not within 1e-9
+                          ("near", tc.AsymToeplitz(2, 2, 1 + 2**-20, [0, 0], [0, 0]))):
+            paths[name] = str(tmp_path / f"{name}.json")
+            tc.save_matrix(paths[name], obj)
+        return paths
+
+    @pytest.mark.parametrize("sequence", [
+        [["product", "{a}", "{b}", "--oracle", "--json"], ["product", "{a}", "{b}"]],
+        [["isometry", "{near}", "--tol", "1e-3"], ["isometry", "{near}"]],
+        [["isometry", "--tol", "abc", "{near}"], ["isometry", "{near}"]],
+        [["--help"], ["product", "{a}", "{b}", "--json"]],
+    ], ids=["oracle-json-then-text", "tol-then-default", "usage-error-then-valid",
+            "help-then-valid"])
+    def test_consecutive_calls_match_fresh_process(self, paths, capsys, sequence):
+        argvs = [[arg.format(**paths) for arg in argv] for argv in sequence]
+        parser = cli._build_parser()
+        in_process = []
+        for argv in argvs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert cli._build_parser() is parser
+        fresh = []
+        for argv in argvs:
+            proc = subprocess.run([sys.executable, "-m", "toepcert", *argv],
+                                  capture_output=True, text=True)
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == fresh
+        # the two calls of each sequence differ, so a leak would show
+        assert in_process[0] != in_process[1]
 
 
 class TestHarness:

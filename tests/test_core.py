@@ -172,6 +172,42 @@ def test_rot180_reverses_both_axes(n, m, seed, scale_exp):
     assert tc.AsymToeplitz(R.n, R.m, R.a0, R.a, R.alpha) == R
 
 
+class TestFromFirstRowCol:
+    @pytest.mark.parametrize("row, col, error, message", [
+        ([], [1], IndexError, "index 0 is out of bounds for axis 0 with size 0"),
+        ([1], [], IndexError, "index 0 is out of bounds for axis 0 with size 0"),
+        ([[1, 2], [3, 4]], [1, 2], ValueError,
+         "first_row must be one-dimensional, got shape (2, 2)"),
+        ([1, 2], [[1], [3]], ValueError,
+         "first_col must be one-dimensional, got shape (2, 1)"),
+        ([1, np.nan], [1, 2], ValueError, "first_row contains non-finite entries"),
+        ([1, 2], [1, np.inf], ValueError, "first_col contains non-finite entries"),
+        ([1, 2], [2, 3], ValueError,
+         "first_row[0] = (1+0j) and first_col[0] = (2+0j) must agree"),
+    ])
+    def test_rejects_with_same_error(self, row, col, error, message):
+        with pytest.raises(error) as info:
+            tc.AsymToeplitz.from_first_row_col(row, col)
+        assert type(info.value) is error and str(info.value) == message
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (4, 6)])
+    def test_fields_read_only_and_valid(self, rng, n, m):
+        row = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        col = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        col[0] = row[0]
+        A = tc.AsymToeplitz.from_first_row_col(row, col)
+        assert not A.a.flags.writeable and not A.alpha.flags.writeable
+        assert type(A.n) is int and type(A.m) is int and type(A.a0) is complex
+        # the fields built without a second validation pass it
+        assert tc.AsymToeplitz(A.n, A.m, A.a0, A.a, A.alpha) == A
+        assert np.array_equal(A.first_row(), row) and np.array_equal(A.first_col(), col)
+        # the caller's arrays stay independent of the result
+        row[-1] += 1
+        col[-1] += 1
+        assert not np.array_equal(A.first_row(), row)
+        assert not np.array_equal(A.first_col(), col)
+
+
 class TestAdjoint:
     def test_involution(self, rng):
         A = tc.random_toeplitz(rng, 5, 3)

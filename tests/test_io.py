@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import toepcert as tc
-from toepcert.io import matrix_to_text, parse_matrix
+from toepcert.io import _parse_entries, matrix_to_text, parse_matrix
+from helpers import reference_parse_entries
+
+# the largest integer that float() still rounds to a finite double
+MAX_FLOAT_INT = 2**1024 - 2**970 - 1
 
 
 def roundtrip(obj):
@@ -143,3 +148,66 @@ class TestValidation:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(tc.MatrixFileError, match="JSON"):
             tc.load_matrix(path)
+
+
+# number parts json.loads produces: ints across the float range and its
+# edges, where float() rounds to nearest even, and every finite float
+INT_EDGES = [0, 1, -1, 2**53 - 1, 2**53 + 1, 2**53 + 3, -(2**53 + 1), 2**63,
+             2**64 + 1, -(2**64 + 1), 2**1000 + 1, MAX_FLOAT_INT, -MAX_FLOAT_INT]
+PART = st.one_of(st.sampled_from(INT_EDGES),
+                 st.integers(-MAX_FLOAT_INT, MAX_FLOAT_INT),
+                 st.integers(-(2**64), 2**64),
+                 st.floats(allow_nan=False, allow_infinity=False),
+                 st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]))
+PAIRS = st.lists(st.lists(PART, min_size=2, max_size=2), min_size=1, max_size=96)
+
+# one malformed item each; the NaN, Infinity and 1e400 tokens come from the
+# JSON text, as in a file
+BAD_ITEMS = [
+    [True, 0], [0, False], [0, "1.5"], ["1", "0"], [None, 0], [1], [1, 2, 3], [],
+    {"re": 1, "im": 2}, "1", 1.5,
+    json.loads("[NaN, 0]"), json.loads("[0, -Infinity]"), json.loads("[1e400, 0]"),
+    [2**1024, 0], [0, -(10**400)],
+]
+
+
+def assert_same_error(items, count):
+    with pytest.raises(tc.MatrixFileError) as want:
+        reference_parse_entries(items, count, "data")
+    with pytest.raises(tc.MatrixFileError) as got:
+        _parse_entries(items, count, "data")
+    assert str(got.value) == str(want.value)
+
+
+class TestBulkParse:
+    @given(PAIRS)
+    @example([[0, 0]])
+    @example([[-0.0, 0.0], [2**53 + 1, -(2**63)]])
+    def test_valid_lists_bit_identical(self, items):
+        got = _parse_entries(items, len(items), "data")
+        want = reference_parse_entries(items, len(items), "data")
+        assert got.dtype == np.complex128 and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(PAIRS, st.lists(st.tuples(st.integers(0, 95), st.sampled_from(BAD_ITEMS)),
+                           min_size=1, max_size=3))
+    def test_invalid_lists_same_error(self, items, bad):
+        items = list(items)
+        for pos, item in bad:
+            items[pos % len(items)] = item
+        assert_same_error(items, len(items))
+
+    @pytest.mark.parametrize("items, count", [
+        ({"0": [1, 0]}, 1), ([[1, 0]], 2), ([[1, 0], [2, 0]], 1), (None, 1)])
+    def test_list_shape_same_error(self, items, count):
+        assert_same_error(items, count)
+
+    def test_subclasses_take_the_loop(self):
+        # exact types only go to NumPy; a list subclass or NumPy scalar
+        # gives the loop's value
+        class Pair(list):
+            pass
+        items = [Pair([1, 2]), [np.float64(0.1), -0.0], [3, np.float64(-2.5)]]
+        got = _parse_entries(items, 3, "data")
+        want = reference_parse_entries(items, 3, "data")
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
