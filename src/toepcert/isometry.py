@@ -5,10 +5,11 @@ is the m x m identity (orthonormal columns).  For a compact Toeplitz
 matrix this reduces to a rank-one self-match of the row parameters
 against a comparison vector (with unimodular scalar) plus one residual
 vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
-is the product identity of the pair (A*, A), read off the same comparison
-vectors.  Neither A* A nor A itself is formed: the residual's one
-matrix-vector product is a convolution of the adjoint's diagonal values,
-computed by FFT in O((n + m) log(n + m)) time and O(n + m) memory.
+is the product identity of the pair (A*, A), whose two comparison vectors
+coincide and are built once.  Neither A* A nor A itself is formed: the
+residual's one matrix-vector product is a convolution of the adjoint's
+diagonal values, computed by FFT at the smallest 2**i * 3**j * 5**k
+length that holds it, in O((n + m) log(n + m)) time and O(n + m) memory.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, comparison_vectors, rank_one_equal, sharp
+from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
+from .product import RankOneOutcome, b_hat, rank_one_equal, sharp
 
 __all__ = [
     "IsometryCertificate",
@@ -29,7 +30,29 @@ __all__ = [
 ]
 
 
-def isometry_residual(A: AsymToeplitz) -> np.ndarray:
+def _fft_length(target: int) -> int:
+    """The smallest 2**i * 3**j * 5**k at or above ``target`` (>= 1).
+
+    numpy.fft handles radices 2, 3 and 5 natively, so such a length is
+    fast, and it pads far less than the next power of two can.  Each
+    3**j * 5**k below the power-of-two bound is lifted by the smallest
+    power of two that reaches ``target``.
+    """
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times ceil(target / p35) rounded up to a power of two
+            length = p35 << ((target - 1) // p35).bit_length()
+            if length < best:
+                best = length
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def isometry_residual(A: AsymToeplitz, _tail_norm_sq: float | None = None) -> np.ndarray:
     """First-row defect vector of A* A - I_m.
 
     Zero (along with the rank-one self-match) exactly when A is an
@@ -39,20 +62,28 @@ def isometry_residual(A: AsymToeplitz) -> np.ndarray:
     """
     n, m = A.n, A.m
     # (A0* a)[j] = sum_i h[j - i + n - 1] a[i] = (h conv a)[j + n - 1], with h
-    # the diagonal values of the m x n adjoint, corner zeroed.  The linear
-    # convolution has length 2n + m - 2, so an FFT length of at least
-    # n + m - 1 wraps only onto indices below n - 1, which are dropped; a
-    # power of two keeps the FFT fast.
-    h = A.adjoint().diagonals()
-    h[n - 1] = 0.0
-    size = 1 << int(n + m - 2).bit_length()
-    conv = np.fft.ifft(np.fft.fft(h, size) * np.fft.fft(A.a, size))
-    tail_norm_sq = float(np.sum(np.abs(A.a) ** 2))
+    # the diagonal values of the m x n adjoint, corner zeroed:
+    # conj(a[n-1]), ..., conj(a[1]), 0, alpha[1], ..., alpha[m-1].  The
+    # linear convolution has length 2n + m - 2, so an FFT length of at least
+    # n + m - 1 wraps only onto indices below n - 1, which are dropped; the
+    # smallest 5-smooth one keeps the FFT fast without padding far beyond.
+    size = _fft_length(n + m - 1)
+    h = np.zeros(size, dtype=CDTYPE)
+    np.conj(A.a[:0:-1], out=h[:n - 1])
+    h[n:n + m - 1] = A.alpha[1:]
+    conv = np.fft.ifft(np.fft.fft(h) * np.fft.fft(A.a, size))
+    if _tail_norm_sq is None:
+        _tail_norm_sq = _tail_norm(A)
     r = (conv[n - 1:n + m - 1]
          + np.conj(A.a0) * sharp(A.a, m)
          + A.a0 * A.alpha)
-    r[0] += (abs(A.a0) ** 2 - tail_norm_sq - 1.0) / 2.0
+    r[0] += (abs(A.a0) ** 2 - _tail_norm_sq - 1.0) / 2.0
     return r
+
+
+def _tail_norm(A: AsymToeplitz) -> float:
+    """sum |a|**2, the squared norm of the first column below the corner."""
+    return float(np.sum(np.abs(A.a) ** 2))
 
 
 def unit_column_check(A: AsymToeplitz) -> float:
@@ -60,7 +91,7 @@ def unit_column_check(A: AsymToeplitz) -> float:
 
     Every accepted isometry has value 1: a necessary condition.
     """
-    return float(abs(A.a0) ** 2 + np.sum(np.abs(A.a) ** 2))
+    return abs(A.a0) ** 2 + _tail_norm(A)
 
 
 @dataclass(frozen=True)
@@ -96,17 +127,22 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     residual is computed only when the match holds.  Agrees with the dense
     oracle on A* A - I_m.
     """
-    # x and y are both A.alpha, u and v both the comparison vector w
-    x, y, w, v, _ = comparison_vectors(A.adjoint(), A)
+    # both comparison vectors of the pair (A*, A) are b_hat(A), with the
+    # adjoint's corner conj(a0) at index n when A is wide
+    w = b_hat(A)
     wide = A.n < A.m
-    match = rank_one_equal(x, y, w, v, tol)
+    if wide:
+        w[A.n] += np.conj(A.a0)
+    match = rank_one_equal(A.alpha, A.alpha, w, w, tol)
+    tail_norm_sq = _tail_norm(A)
+    column_norm_sq = abs(A.a0) ** 2 + tail_norm_sq
     if match is None:
-        return IsometryCertificate(False, wide, w, None, None, unit_column_check(A))
-    residual_norm = float(np.max(np.abs(isometry_residual(A))))
+        return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
+    residual_norm = float(np.max(np.abs(isometry_residual(A, tail_norm_sq))))
     accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
                 and residual_norm <= tol.atol)
     return IsometryCertificate(accepted, wide, w, match,
-                               residual_norm, unit_column_check(A))
+                               residual_norm, column_norm_sq)
 
 
 def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:

@@ -13,7 +13,8 @@ from hypothesis import example, given, strategies as st
 
 import toepcert as tc
 from toepcert.io import MatrixFileError
-from toepcert.product import RankOneOutcome, sharp
+from toepcert.isometry import IsometryCertificate
+from toepcert.product import RankOneOutcome, comparison_vectors, rank_one_equal, sharp
 
 EXACT = tc.Tolerance(0.0, 0.0)
 
@@ -101,15 +102,15 @@ def gaussian_toeplitz(n: int, m: int, seed: int, scale_exp: int = 0) -> tc.AsymT
                            np.concatenate([[0], vals[n:]]))
 
 
-def with_shapes(test):
-    """Draw (n, m, seed, scale_exp) over 1..96 plus the corner shapes.
+# 1 x 1, a single row and column, wide and tall, an FFT length n + m - 1
+# that is 5-smooth (64) and ones that are not (79, 97 and 190)
+CORNER_SHAPES = ((1, 1), (1, 7), (7, 1), (1, 2), (2, 1), (3, 14), (14, 3),
+                 (33, 32), (50, 30), (2, 96), (96, 95))
 
-    The examples cover 1 x 1, a single row and column, wide and tall, an
-    FFT length n + m - 1 that is a power of two and ones that are not.
-    """
-    shapes = ((1, 1), (1, 7), (7, 1), (1, 2), (2, 1), (3, 14), (14, 3),
-              (33, 32), (50, 30), (2, 96), (96, 95))
-    for n, m in shapes:
+
+def with_shapes(test):
+    """Draw (n, m, seed, scale_exp) over 1..96, with each corner shape as an example."""
+    for n, m in CORNER_SHAPES:
         test = example(n, m, 0, 0)(test)
     return given(st.integers(1, 96), st.integers(1, 96),
                  st.integers(0, 2**32 - 1), st.integers(-40, 40))(test)
@@ -137,6 +138,47 @@ def reference_rank_one_equal(x, y, xp, yp, tol=tc.DEFAULT_TOL):
     if tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y):
         return RankOneOutcome(lam)
     return None
+
+
+def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
+    """``isometry.isometry_residual`` padded to the next power of two.
+
+    The adjoint's diagonal values come from ``A.adjoint().diagonals()``
+    with the corner zeroed, and ``np.fft.fft`` pads them, so both the
+    FFT input and its length differ from the library's.
+    """
+    n, m = A.n, A.m
+    h = A.adjoint().diagonals()
+    h[n - 1] = 0.0
+    size = 1 << int(n + m - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(h, size) * np.fft.fft(A.a, size))
+    tail_norm_sq = float(np.sum(np.abs(A.a) ** 2))
+    r = (conv[n - 1:n + m - 1]
+         + np.conj(A.a0) * sharp(A.a, m)
+         + A.a0 * A.alpha)
+    r[0] += (abs(A.a0) ** 2 - tail_norm_sq - 1.0) / 2.0
+    return r
+
+
+def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCertificate:
+    """``isometry.is_isometry`` through the product layer's comparison vectors.
+
+    Reads both comparison vectors off ``comparison_vectors(A*, A)`` and
+    takes the residual at the next power of two.  The decision must give
+    the same ``w``, match and column norm bit for bit, the residual norm
+    within rounding, and the same verdict wherever that rounding cannot
+    tip it.
+    """
+    x, y, w, v, _ = comparison_vectors(A.adjoint(), A)
+    wide = A.n < A.m
+    column_norm_sq = float(abs(A.a0) ** 2 + np.sum(np.abs(A.a) ** 2))
+    match = rank_one_equal(x, y, w, v, tol)
+    if match is None:
+        return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
+    residual_norm = float(np.max(np.abs(reference_isometry_residual(A))))
+    accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
+                and residual_norm <= tol.atol)
+    return IsometryCertificate(accepted, wide, w, match, residual_norm, column_norm_sq)
 
 
 def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:

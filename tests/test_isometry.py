@@ -1,24 +1,30 @@
+import bisect
 import statistics
 import time
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings, strategies as st
 
 import toepcert as tc
-from toepcert.isometry import isometry_residual, unit_column_check
+from toepcert import isometry
+from toepcert.isometry import _fft_length, isometry_residual, unit_column_check
 from toepcert.product import b_hat
 from helpers import (
+    CORNER_SHAPES,
+    EXACT,
     basis,
     corner_free_dense,
     dense_isometry_residual,
     dense_shift,
     gaussian_toeplitz,
+    reference_is_isometry,
     unit_isometry_dense,
     with_shapes,
 )
 
 TOL = tc.Tolerance(1e-9, 1e-9)
+EPS = np.finfo(float).eps
 
 
 def dense_defect(A):
@@ -76,15 +82,117 @@ class TestResidual:
         assert np.array_equal(isometry_residual(A), [1.5, 0.0])
 
 
+def rounding_bound(A) -> float:
+    # FFT and dense sums round differently: a few ulps of the squared
+    # parameter norm, which every term of the residual is bounded by
+    scale = (np.linalg.norm(A.a) + np.linalg.norm(A.alpha) + abs(A.a0)) ** 2 + 1.0
+    return 16 * EPS * scale
+
+
 @settings(deadline=None)
 @with_shapes
 def test_residual_matches_dense_formula(n, m, seed, scale_exp):
-    # FFT and dense sums round differently: allow a few ulps of the
-    # squared parameter norm, which every term of the residual is bounded by
     A = gaussian_toeplitz(n, m, seed, scale_exp)
-    scale = (np.linalg.norm(A.a) + np.linalg.norm(A.alpha) + abs(A.a0)) ** 2 + 1.0
     error = np.max(np.abs(isometry_residual(A) - dense_isometry_residual(A)))
-    assert error <= 16 * np.finfo(float).eps * scale
+    assert error <= rounding_bound(A)
+
+
+# n + m - 1 = 1125 is 5-smooth, 1126 one above it, 1129 a prime just above
+# it (both padded to 1152); then the isometry benchmark's three shapes
+@pytest.mark.parametrize("n, m", [(563, 563), (400, 727), (900, 230),
+                                  (576, 512), (1152, 1024), (2304, 2048)])
+def test_residual_at_padding_boundaries(n, m):
+    A = gaussian_toeplitz(n, m, seed=n * m)
+    error = np.max(np.abs(isometry_residual(A) - dense_isometry_residual(A)))
+    assert error <= rounding_bound(A)
+
+
+def smooth_numbers(limit: int) -> list[int]:
+    """Every 2**i * 3**j * 5**k up to ``limit``, sorted."""
+    out = []
+    p5 = 1
+    while p5 <= limit:
+        p35 = p5
+        while p35 <= limit:
+            p = p35
+            while p <= limit:
+                out.append(p)
+                p *= 2
+            p35 *= 3
+        p5 *= 5
+    return sorted(out)
+
+
+class TestFftLength:
+    def test_smallest_smooth_at_or_above(self):
+        smooth = smooth_numbers(2**26)
+        targets = [*range(1, 5001), 4351, 8191, 65537, 2**24 + 1]
+        for target in targets:
+            assert _fft_length(target) == smooth[bisect.bisect_left(smooth, target)], target
+
+    def test_no_table_or_cache(self):
+        # computed per call: the module holds no precomputed lengths and the
+        # helper remembers none
+        tables = [name for name, value in vars(isometry).items()
+                  if not name.startswith("__")
+                  and isinstance(value, (list, tuple, set, frozenset, dict, np.ndarray))]
+        assert tables == []
+        assert not hasattr(_fft_length, "cache_info")
+
+
+def shift_toeplitz(n: int, m: int, k: int, c: complex) -> tc.AsymToeplitz:
+    """c times the n x m rectangular shift with ones at (j + k, j)."""
+    a = np.zeros(n, dtype=complex)
+    if k:
+        a[k] = c
+    return tc.AsymToeplitz(n, m, c if k == 0 else 0.0, a, np.zeros(m))
+
+
+def bits(value) -> bytes | None:
+    return None if value is None else np.asarray(value, dtype=complex).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.sampled_from(CORNER_SHAPES),
+                 st.tuples(st.integers(1, 96), st.integers(1, 96))),
+       st.sampled_from(("random", "shift", "scaled-shift")),
+       st.integers(0, 2**32 - 1), st.integers(-40, 40),
+       st.sampled_from((tc.DEFAULT_TOL, EXACT, tc.Tolerance(1e-12, 1e-12),
+                        tc.Tolerance(1e-3, 1e-3))))
+def test_matches_reference(shape, kind, seed, scale_exp, tol):
+    n, m = shape
+    if kind == "random":
+        A = gaussian_toeplitz(n, m, seed, scale_exp)
+    else:
+        rng = np.random.default_rng(seed)
+        c = np.exp(2j * np.pi * rng.random())
+        if kind == "scaled-shift":
+            c *= 2.0 ** scale_exp
+        A = shift_toeplitz(n, m, int(rng.integers(0, n)), c)
+    H = tc.flip_cols(A)
+    flipped = H.row_flip_core()
+    for cert, ref, core in ((tc.is_isometry(A, tol), reference_is_isometry(A, tol), A),
+                            (tc.hankel_is_isometry(H, tol), reference_is_isometry(flipped, tol),
+                             flipped)):
+        assert cert.wide == ref.wide
+        assert bits(cert.w) == bits(ref.w)
+        assert (cert.match is None) == (ref.match is None)
+        assert bits(cert.lam) == bits(ref.lam)
+        if cert.match is not None:
+            assert cert.match.vanished == ref.match.vanished
+        assert bits(cert.column_norm_sq) == bits(ref.column_norm_sq)
+        assert (cert.residual_norm is None) == (ref.residual_norm is None)
+        if ref.residual_norm is None:
+            assert cert.accepted == ref.accepted
+            continue
+        bound = rounding_bound(core)
+        assert abs(cert.residual_norm - ref.residual_norm) <= bound
+        # the residual is defined up to rounding, so only a reference residual
+        # that close to the threshold may tip the verdict (an exact shift
+        # under EXACT: the power-of-two FFT can land on 0 where another
+        # length leaves an ulp)
+        if abs(ref.residual_norm - tol.atol) > bound:
+            assert cert.accepted == ref.accepted
 
 
 class TestUnitColumnCheck:
