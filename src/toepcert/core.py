@@ -61,9 +61,13 @@ class Tolerance:
 
     ``scale`` is the largest absolute entry among the operands compared.
     Tests against zero use ``atol`` alone.  ``Tolerance(0, 0)`` demands
-    exact equality.  Both values must be finite and non-negative: a NaN or
-    negative threshold rejects every comparison, an infinite one accepts
-    every comparison.
+    exact equality, which only exact arithmetic can meet: the product
+    decisions on Gaussian-integer input meet it, but ``is_isometry``
+    rejects most exact isometries under it, because its FFT residual is
+    rounded (about 1e-17 where the exact value is 0).  A tolerance band for
+    rounded quantities is open item 1 of ROADMAP.md.  Both values must be
+    finite and non-negative: a NaN or negative threshold rejects every
+    comparison, an infinite one accepts every comparison.
     """
 
     atol: float = 1e-9

@@ -2,14 +2,19 @@
 
 Every compact Hankel matrix is a flipped Toeplitz matrix and the flip is
 an involution, so Hankel product questions reduce to the Toeplitz product
-predicate on recovered cores, which also checks the inner dimensions.
+identity, which also checks the inner dimensions.  A Hankel factor stored
+as H = C P_m has the row-flip decomposition H = P_n A with A = P_n C P_m,
+whose diagonal values are C's in reverse order.  So the decisions read
+the stored core C through reversed slices: A's column tail and comparison
+vector are C's comparison vector and column tail, reversed behind their
+structural zeros, and no flipped core is built.
 :func:`product_structure` decides any pair of Toeplitz/Hankel factor kinds.
 """
 
 from __future__ import annotations
 
 from .core import DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import ProductCertificate, product_is_toeplitz
+from .product import ProductCertificate, _certify, product_is_toeplitz
 
 __all__ = ["hankel_product_is_toeplitz", "hankel_times_toeplitz_is_hankel",
            "product_structure"]
@@ -20,9 +25,9 @@ def hankel_product_is_toeplitz(H1: AsymHankel, H2: AsymHankel,
     """Decide whether the product of two Hankel matrices is Toeplitz.
 
     With H1 = A P_m (stored core) and H2 = P_m B (row-flip core), the inner
-    flips cancel: H1 H2 = A B, so the Toeplitz predicate on (A, B) decides.
+    flips cancel: H1 H2 = A B, so the Toeplitz identity of (A, B) decides.
     """
-    return product_is_toeplitz(H1.core, H2.row_flip_core(), tol)
+    return _certify(H1.core, H2.core, tol, flip_right=True)
 
 
 def hankel_times_toeplitz_is_hankel(H: AsymHankel, B: AsymToeplitz,
@@ -32,7 +37,7 @@ def hankel_times_toeplitz_is_hankel(H: AsymHankel, B: AsymToeplitz,
     With H = P_n A (row-flip core), H B = P_n (A B) is a row flip of the
     Toeplitz-or-not product, so H B is Hankel exactly when A B is Toeplitz.
     """
-    return product_is_toeplitz(H.row_flip_core(), B, tol)
+    return _certify(H.core, B, tol, flip_left=True)
 
 
 def product_structure(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel,

@@ -125,7 +125,10 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     comparison vector holds with |lam| = 1 (or degenerates to zero on both
     sides) and the residual vector vanishes, all within ``tol``; the
     residual is computed only when the match holds.  Agrees with the dense
-    oracle on A* A - I_m.
+    oracle on A* A - I_m.  The residual is an FFT result and carries
+    rounding, so under ``Tolerance(0, 0)`` most exact isometries are
+    rejected; give it an ``atol`` above the rounding (the default 1e-9
+    is), until ROADMAP.md item 1 settles a tolerance band.
     """
     # both comparison vectors of the pair (A*, A) are b_hat(A), with the
     # adjoint's corner conj(a0) at index n when A is wide

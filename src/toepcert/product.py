@@ -3,7 +3,9 @@
 Whether the product of an n x m and an m x l Toeplitz matrix is again
 Toeplitz reduces to one rank-one identity between four vectors read
 directly off the factors' parameters: the left column tail, the right row
-parameters, and two size-regime comparison vectors.  The decision runs in
+parameters, and two size-regime comparison vectors.  All four are windows
+of the factors' diagonal-value sequences, written straight into the one
+buffer that the rank-one match reduces.  The decision runs in
 O(n + m + l) and returns a certificate that can be re-verified on its own
 and cross-checked against the dense product.
 """
@@ -60,40 +62,91 @@ def classify_regime(n: int, m: int, l: int) -> Regime:
 # comparison vectors
 # ---------------------------------------------------------------------------
 
-def _hat(primary: np.ndarray, continuation: np.ndarray, out_dim: int) -> np.ndarray:
-    """Reversed-conjugate read-out of trailing parameters, shifted by one.
+def _write_hat(n: int, m: int, a0: complex, a: np.ndarray, alpha: np.ndarray,
+               out: np.ndarray) -> None:
+    """Write an n x m factor's comparison values, without index 0, into ``out``.
 
-    With p = len(primary): out[i] = conj(primary[p - i]) for
-    1 <= i <= min(out_dim, p) - 1; when out_dim > p a structural zero sits
-    at index p and continuation[1:] fills the rest.
+    With d the factor's diagonal-value sequence (``AsymToeplitz.diagonals``),
+    out[k] = d[k] for 0 <= k < n - 1: ``alpha`` read backwards and
+    conjugated, then, when m < n, the corner ``a0`` (at k = m - 1) and the
+    column tail ``a``.  Passing the adjoint's fields gives the comparison
+    values of a right factor.
     """
-    p = len(primary)
-    out = np.zeros(out_dim, dtype=CDTYPE)
-    head = min(out_dim, p)
-    if head > 1:
-        out[1:head] = np.conj(primary[p - 1:p - head:-1])
-    if out_dim > p + 1:
-        out[p + 1:] = continuation[1:out_dim - p]
-    return out
+    h = min(n, m) - 1
+    np.conjugate(alpha[m - 1:m - 1 - h:-1], out=out[:h])
+    if m < n:
+        out[m - 1] = a0
+        out[m:] = a[1:n - m]
 
 
 def alpha_hat(A: AsymToeplitz) -> np.ndarray:
-    """Left-factor comparison vector in C^n.
+    """Left-factor comparison vector in C^n, without the corner.
 
     Reads A's row parameters backwards; when the factor is tall (m < n) the
     read-out continues into the column tail after a structural zero.
     Equals the shifted last column of A's corner-free part.
     """
-    return _hat(A.alpha, A.a, A.n)
+    out = np.zeros(A.n, dtype=CDTYPE)
+    _write_hat(A.n, A.m, 0j, A.a, A.alpha, out[1:])
+    return out
 
 
 def b_hat(B: AsymToeplitz) -> np.ndarray:
-    """Right-factor comparison vector in C^l (B is m x l, so l = ``B.m``).
+    """Right-factor comparison vector in C^l, without the corner.
 
-    Reads B's column tail backwards; when the factor is wide (m < l) the
-    read-out continues into the row parameters after a structural zero.
+    B is m x l, so l = ``B.m``.  Reads B's column tail backwards; when the
+    factor is wide (m < l) the read-out continues into the row parameters
+    after a structural zero.
     """
-    return _hat(B.a, B.alpha, B.m)
+    out = np.zeros(B.m, dtype=CDTYPE)
+    _write_hat(B.m, B.n, 0j, B.alpha, B.a, out[1:])
+    return out
+
+
+def _split(cat: np.ndarray, n: int, l: int):
+    """The views (x, v, u, y) of a comparison buffer of an n x m by m x l product."""
+    return cat[:n], cat[n:n + l], cat[n + l:2 * n + l], cat[2 * n + l:]
+
+
+def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False,
+                       flip_right: bool = False) -> np.ndarray:
+    """The read-only buffer ``(x, v, u, y)`` of the product identity of A B.
+
+    x is A's column tail, y is B's row parameter vector, u and v the
+    comparison vectors; each is a window of its factor's diagonal values
+    behind a structural zero.  The corner values enter u (at index m) when
+    m < n and v (conjugated, at index m) when m < l, added to the zero
+    there.  A flag flips a factor to P A P (``AsymToeplitz.rot180``),
+    whose diagonal values are A's reversed: its column tail and comparison
+    vector trade places, each reversed behind its structural zero, so no
+    flipped factor is built.
+    """
+    n, m, l = A.n, A.m, B.m
+    if B.n != m:
+        raise DimensionMismatch(
+            f"inner dimensions differ: {A.shape} times {B.shape}")
+    cat = np.zeros(2 * (n + l), dtype=CDTYPE)
+    x, v, u, y = _split(cat, n, l)
+    if flip_left:
+        u[:0:-1] = A.a[1:]
+        _write_hat(n, m, A.a0, A.a, A.alpha, x[:0:-1])
+    else:
+        x[:] = A.a
+        _write_hat(n, m, A.a0, A.a, A.alpha, u[1:])
+    # a right factor's vectors are the left ones of its adjoint
+    if flip_right:
+        v[:0:-1] = B.alpha[1:]
+        _write_hat(l, m, B.a0.conjugate(), B.alpha, B.a, y[:0:-1])
+    else:
+        y[:] = B.alpha
+        _write_hat(l, m, B.a0.conjugate(), B.alpha, B.a, v[1:])
+    # a corner enters u or v as 0 + a0, which turns a negative zero into +0
+    if m < n:
+        u[m] += 0
+    if m < l:
+        v[m] += 0
+    cat.setflags(write=False)
+    return cat
 
 
 def sharp(x, to_dim: int) -> np.ndarray:
@@ -178,10 +231,18 @@ def _rank_one(x, y, xp, yp, tol: Tolerance,
                 name for name, vec in zip(_NAMES, (x, y, xp, yp)) if tol.is_zero(vec)))
         ok = tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y)
         return RankOneOutcome(lam) if ok else None
+    # x and yp lead, so that the defects subtract from one slice
+    return _match(np.concatenate((x, yp, xp, y)), p, q, tol, lam)
+
+
+def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
+           lam: complex | None = None) -> RankOneOutcome | None:
+    """The fused pass of :func:`_rank_one` on ``cat = (x, yp, xp, y)``.
+
+    x and xp have length p >= 1, y and yp length q >= 1.
+    """
     s = p + q
     segments = (0, p, s, s + p)
-    # x and yp lead, so that the defects below subtract from one slice
-    cat = np.concatenate((x, yp, xp, y))
     mags = np.abs(cat)
     max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, segments).tolist()
     if lam is None:
@@ -193,12 +254,12 @@ def _rank_one(x, y, xp, yp, tol: Tolerance,
         if lhs_zero != rhs_zero:
             return None
         pivot = int(mags[s:s + p].argmax())
-        lam = complex(x[pivot] / xp[pivot])
+        lam = complex(cat[pivot] / cat[s + pivot])
     # buf holds the defects (x - lam xp, yp - conj(lam) y), then the scaled sides
     buf = np.empty(2 * s, dtype=CDTYPE)
     scaled = buf[s:]
-    np.multiply(lam, xp, out=scaled[:p])
-    np.multiply(np.conj(lam), y, out=scaled[p:])
+    np.multiply(lam, cat[s:s + p], out=scaled[:p])
+    np.multiply(np.conj(lam), cat[s + p:], out=scaled[p:])
     np.subtract(cat[:s], scaled, out=buf[:s])
     defect_x, defect_y, max_lam_xp, max_lam_y = np.maximum.reduceat(
         np.abs(buf), segments).tolist()
@@ -215,23 +276,25 @@ def _rank_one(x, y, xp, yp, tol: Tolerance,
 def comparison_vectors(A: AsymToeplitz, B: AsymToeplitz):
     """The four vectors whose rank-one match decides Toeplitzness of A B.
 
-    Returns ``(x, y, u, v, regime)``: x is A's column tail, y is B's row
-    parameter vector, u and v are the regime comparison vectors.  The
-    corner values enter u (at index m) when m < n and v (conjugated, at
-    index m) when m < l.
+    Returns ``(x, y, u, v, regime)``, read-only views of the buffer that
+    :func:`product_is_toeplitz` matches.  Each vector is a window of its
+    factor's diagonal values d (``AsymToeplitz.diagonals``, length
+    rows + columns - 1) behind a structural zero:
+
+    * x = (0, d_A[m], ..., d_A[m+n-2]), A's column tail;
+    * u = (0, d_A[0], ..., d_A[n-2]);
+    * y = (0, conj d_B[l-2], ..., conj d_B[0]), B's row parameter vector;
+    * v = (0, conj d_B[m+l-2], ..., conj d_B[m]).
+
+    So u holds A's corner d_A[m-1] at index m when m < n, and v B's
+    conjugated corner d_B[l-1] at index m when m < l.  The flip P A P of a
+    factor reverses d, so its x and u are A's u and x with their tails
+    reversed (and likewise y and v).
     """
-    if A.m != B.n:
-        raise DimensionMismatch(
-            f"inner dimensions differ: {A.shape} times {B.shape}")
+    cat = _comparison_buffer(A, B)
     n, m, l = A.n, A.m, B.m
-    regime = classify_regime(n, m, l)
-    u = alpha_hat(A)
-    if m < n:
-        u[m] += A.a0
-    v = b_hat(B)
-    if m < l:
-        v[m] += np.conj(B.a0)
-    return A.a, B.alpha, u, v, regime
+    x, v, u, y = _split(cat, n, l)
+    return x, y, u, v, classify_regime(n, m, l)
 
 
 @dataclass(frozen=True)
@@ -273,12 +336,22 @@ def product_is_toeplitz(A: AsymToeplitz, B: AsymToeplitz,
     degenerate certificate.  Agrees with the dense diagonal-constancy
     oracle on the realized product.
     """
-    x, y, u, v, regime = comparison_vectors(A, B)
-    outcome = rank_one_equal(x, y, u, v, tol)
+    return _certify(A, B, tol)
+
+
+def _certify(A: AsymToeplitz, B: AsymToeplitz, tol: Tolerance, flip_left: bool = False,
+             flip_right: bool = False) -> ProductCertificate | None:
+    """:func:`product_is_toeplitz` on the factors, each flipped to P A P on request.
+
+    The certificate's vectors are read-only views of one buffer.
+    """
+    cat = _comparison_buffer(A, B, flip_left, flip_right)
+    n, m, l = A.n, A.m, B.m
+    outcome = _match(cat, n, l, tol)
     if outcome is None:
         return None
-    n, m, l = A.n, A.m, B.m
-    return ProductCertificate(regime, x, y, u, v, outcome,
+    x, v, u, y = _split(cat, n, l)
+    return ProductCertificate(classify_regime(n, m, l), x, y, u, v, outcome,
                               (n - 1) // m, (l - 1) // m)
 
 

@@ -14,9 +14,18 @@ from hypothesis import example, given, strategies as st
 import toepcert as tc
 from toepcert.io import MatrixFileError
 from toepcert.isometry import IsometryCertificate
-from toepcert.product import RankOneOutcome, comparison_vectors, rank_one_equal, sharp
+from toepcert.product import (
+    ProductCertificate,
+    RankOneOutcome,
+    classify_regime,
+    comparison_vectors,
+    rank_one_equal,
+    sharp,
+)
 
 EXACT = tc.Tolerance(0.0, 0.0)
+# exact, default, relative only, and absolute with relative
+TOLS = (EXACT, tc.DEFAULT_TOL, tc.Tolerance(0.0, 2.0**-30), tc.Tolerance(2.0**-20, 2.0**-40))
 
 
 def dense_shift(k: int) -> np.ndarray:
@@ -116,6 +125,11 @@ def with_shapes(test):
                  st.integers(0, 2**32 - 1), st.integers(-40, 40))(test)
 
 
+def lam_bits(lam):
+    """The bytes of a certificate scalar, ``None`` for a degenerate outcome."""
+    return None if lam is None else np.complex128(lam).tobytes()
+
+
 def reference_rank_one_equal(x, y, xp, yp, tol=tc.DEFAULT_TOL):
     """The rank-one match as separate reductions, one per tolerance test.
 
@@ -138,6 +152,59 @@ def reference_rank_one_equal(x, y, xp, yp, tol=tc.DEFAULT_TOL):
     if tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y):
         return RankOneOutcome(lam)
     return None
+
+
+def _reference_hat(primary, continuation, out_dim: int) -> np.ndarray:
+    """Reversed-conjugate read-out of trailing parameters, shifted by one."""
+    p = len(primary)
+    out = np.zeros(out_dim, dtype=complex)
+    head = min(out_dim, p)
+    if head > 1:
+        out[1:head] = np.conj(primary[p - 1:p - head:-1])
+    if out_dim > p + 1:
+        out[p + 1:] = continuation[1:out_dim - p]
+    return out
+
+
+def reference_comparison_vectors(A: tc.AsymToeplitz, B: tc.AsymToeplitz):
+    """``product.comparison_vectors`` with each vector built on its own.
+
+    x and y are the factors' own fields; u and v are zero vectors filled
+    from the parameters, with the corner added to the zero at index m.
+    """
+    n, m, l = A.n, A.m, B.m
+    u = _reference_hat(A.alpha, A.a, n)
+    if m < n:
+        u[m] += A.a0
+    v = _reference_hat(B.a, B.alpha, l)
+    if m < l:
+        v[m] += np.conj(B.a0)
+    return A.a, B.alpha, u, v, classify_regime(n, m, l)
+
+
+def reference_product_structure(left, right, tol=tc.DEFAULT_TOL):
+    """``hankel.product_structure`` through built flipped cores.
+
+    A Hankel factor's row-flip core comes from ``row_flip_core`` (one
+    ``rot180``), the four vectors from :func:`reference_comparison_vectors`
+    and the match from :func:`reference_rank_one_equal`.  The decision must
+    give the same certificate, vectors and scalar bit for bit.
+    """
+    if isinstance(left, tc.AsymHankel):
+        if isinstance(right, tc.AsymHankel):
+            kind, A, B = "toeplitz", left.core, right.row_flip_core()
+        else:
+            kind, A, B = "hankel", left.row_flip_core(), right
+    elif isinstance(right, tc.AsymHankel):
+        kind, A, B = "hankel", left, right.core
+    else:
+        kind, A, B = "toeplitz", left, right
+    x, y, u, v, regime = reference_comparison_vectors(A, B)
+    outcome = reference_rank_one_equal(x, y, u, v, tol)
+    if outcome is None:
+        return kind, None
+    n, m, l = A.n, A.m, B.m
+    return kind, ProductCertificate(regime, x, y, u, v, outcome, (n - 1) // m, (l - 1) // m)
 
 
 def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:

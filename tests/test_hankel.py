@@ -1,8 +1,36 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toepcert as tc
-from helpers import EXACT, dense_eye, dense_flip, nonzero_fill
+from helpers import (
+    CORNER_SHAPES,
+    EXACT,
+    TOLS,
+    dense_eye,
+    dense_flip,
+    gaussian_toeplitz,
+    lam_bits,
+    nonzero_fill,
+    reference_product_structure,
+)
+
+
+KINDS = ("TT", "HH", "HT", "TH")
+# dyadic scalars and inverses keep generated pairs exactly proportional
+LAMS = (2.0, -2.0, 2j, 1 + 1j, 0.5, -0.5j)
+SIGNED_ZEROS = (complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0))
+
+
+def factors_of(kinds, A, B):
+    """The factor pair of the given kinds whose decision is that of A B."""
+    return {"TT": (A, B),
+            "HH": (tc.flip_cols(A), tc.flip_rows_of(B)),
+            "HT": (tc.flip_rows_of(A), B),
+            "TH": (A, tc.flip_cols(B))}[kinds]
 
 
 class TestHankelProduct:
@@ -93,13 +121,6 @@ class TestProductStructure:
     DIMS = {tc.Regime.R1: (4, 5, 3), tc.Regime.R2: (6, 2, 5),
             tc.Regime.R3: (3, 4, 6), tc.Regime.R4: (6, 4, 3)}
 
-    @staticmethod
-    def factors(kinds, A, B):
-        return {"TT": (A, B),
-                "HH": (tc.flip_cols(A), tc.flip_rows_of(B)),
-                "HT": (tc.flip_rows_of(A), B),
-                "TH": (A, tc.flip_cols(B))}[kinds]
-
     @pytest.mark.parametrize("broken", [False, True], ids=["yes", "no"])
     @pytest.mark.parametrize("kinds, expected", [
         ("TT", "toeplitz"), ("HH", "toeplitz"), ("HT", "hankel"), ("TH", "hankel")])
@@ -113,7 +134,7 @@ class TestProductStructure:
                                              a0=1.0, b0=1.0))
             if broken:
                 pair = tc.perturb_to_break(pair, EXACT)
-            left, right = self.factors(kinds, *pair)
+            left, right = factors_of(kinds, *pair)
             kind, cert = tc.product_structure(left, right, EXACT)
             assert kind == expected
             dense = tc.dense_mul(left.to_dense(), right.to_dense())
@@ -143,3 +164,110 @@ class TestFlipAlgebra:
         H = tc.flip_rows_of(A)
         assert np.array_equal(H.row_flip_core().to_dense(),
                               dense_flip(5) @ H.to_dense())
+
+
+# ---------------------------------------------------------------------------
+# the decision against the route through built flipped cores
+# ---------------------------------------------------------------------------
+
+def _scaled(T, scale_exp):
+    """T times 2**scale_exp, exactly, signed zeros kept."""
+    def scale(v):
+        return np.ldexp(np.asarray(v, dtype=complex).view(float), scale_exp).view(complex)
+    return tc.AsymToeplitz(T.n, T.m, complex(scale([T.a0])[0]), scale(T.a), scale(T.alpha))
+
+
+def _with_signed_zeros(T, rng):
+    """T with a zero corner and structural zeros of random signs."""
+    a, alpha = T.a.copy(), T.alpha.copy()
+    a[0], alpha[0] = (SIGNED_ZEROS[i] for i in rng.integers(4, size=2))
+    return replace(T, a0=SIGNED_ZEROS[int(rng.integers(4))], a=a, alpha=alpha)
+
+
+def _pair(source, n, m, l, seed, scale_exp):
+    rng = np.random.default_rng(seed)
+    if source in ("pair", "broken"):
+        spec = tc.FamilySpec(tc.classify_regime(n, m, l), n, m, l,
+                             lam=LAMS[seed % len(LAMS)], seed=seed)
+        A, B = tc.gen_pair(spec)
+        if source == "broken":
+            try:
+                A, B = tc.perturb_to_break((A, B), EXACT)
+            except ValueError:
+                pass  # a zero tail or row leaves no interior entry to break
+    else:
+        A, B = gaussian_toeplitz(n, m, seed), gaussian_toeplitz(m, l, seed + 1)
+        if source == "zero_corner":
+            A, B = _with_signed_zeros(A, rng), _with_signed_zeros(B, rng)
+    return _scaled(A, scale_exp), _scaled(B, scale_exp)
+
+
+def assert_same_certificate(got, want, tol):
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert got.regime is want.regime
+    assert lam_bits(got.lam) == lam_bits(want.lam)
+    assert got.outcome.vanished == want.outcome.vanished
+    assert (got.k, got.k_prime) == (want.k, want.k_prime)
+    for name in "xyuv":
+        mine, theirs = getattr(got, name), getattr(want, name)
+        assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+        assert mine.tobytes() == theirs.tobytes(), name
+    assert got.verify(tol)
+
+
+def _corner_examples(test):
+    for n, m in CORNER_SHAPES:
+        for source in ("pair", "broken", "zero_corner"):
+            test = example(n, m, n, 0, 0, source)(test)
+    return test
+
+
+@settings(deadline=None, max_examples=150)
+@_corner_examples
+@given(st.integers(1, 96), st.integers(1, 96), st.integers(1, 96),
+       st.integers(0, 2**32 - 2), st.integers(-40, 40),
+       st.sampled_from(("pair", "broken", "random", "zero_corner")))
+def test_product_structure_matches_flipped_core_route(n, m, l, seed, scale_exp, source):
+    """Every factor kind decides as through rot180 cores and fresh vectors, bit for bit.
+
+    Generated pairs are accepted, broken and random ones mostly rejected;
+    zero-corner factors carry negative zeros in the corner and in the
+    structural zeros, which the certificate must reproduce exactly.
+    """
+    A, B = _pair(source, n, m, l, seed, scale_exp)
+    for kinds in KINDS:
+        left, right = factors_of(kinds, A, B)
+        for tol in TOLS:
+            kind, cert = tc.product_structure(left, right, tol)
+            want_kind, want = reference_product_structure(left, right, tol)
+            assert kind == want_kind
+            assert_same_certificate(cert, want, tol)
+
+
+@pytest.mark.parametrize("n, m, l", [(8, 1 << 16, 8)] + [(n, m, n) for n, m in CORNER_SHAPES])
+def test_hankel_decisions_build_no_flipped_core(monkeypatch, n, m, l):
+    spec = tc.FamilySpec(tc.classify_regime(n, m, l), n, m, l, lam=2.0, seed=n + m)
+    A, B = tc.gen_pair(spec)
+    cases = [factors_of(kinds, A, B) for kinds in ("HH", "HT", "TH")]
+    expected = [reference_product_structure(left, right, EXACT)[1] for left, right in cases]
+
+    def refuse(self):
+        raise AssertionError("rot180 called")
+
+    monkeypatch.setattr(tc.AsymToeplitz, "rot180", refuse)
+    for (left, right), want in zip(cases, expected):
+        cert = tc.product_structure(left, right, EXACT)[1]
+        assert cert is not None
+        assert_same_certificate(cert, want, EXACT)
+
+
+@pytest.mark.parametrize("kinds", KINDS)
+def test_certificate_vectors_read_only(kinds):
+    A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 2, 5, seed=7))
+    cert = tc.product_structure(*factors_of(kinds, A, B), EXACT)[1]
+    for name in "xyuv":
+        with pytest.raises(ValueError):
+            getattr(cert, name)[1] = 9
+    assert cert.verify(EXACT)

@@ -19,12 +19,15 @@ from toepcert.product import (
 )
 from helpers import (
     EXACT,
+    TOLS,
     basis,
     corner_free_dense,
     dense_eye,
     dense_shift,
+    lam_bits,
     outer,
     product_example_dense,
+    reference_comparison_vectors,
     reference_rank_one_equal,
     reference_verify,
 )
@@ -140,12 +143,7 @@ class TestRankOneEqual:
             assert structured == dense
 
 
-def _lam_bits(lam):
-    return None if lam is None else np.complex128(lam).tobytes()
-
-
 KINDS = ["gaussian", "integer", "sparse", "zero"]
-TOLS = (EXACT, tc.DEFAULT_TOL, tc.Tolerance(0.0, 2.0**-30), tc.Tolerance(2.0**-20, 2.0**-40))
 
 
 @settings(deadline=None, max_examples=300)
@@ -206,7 +204,7 @@ def _check_against_reference(x, y, xp, yp, tol, lam):
     reference = reference_rank_one_equal(x, y, xp, yp, tol)
     assert (fused is None) == (reference is None)
     if reference is not None:
-        assert _lam_bits(fused.lam) == _lam_bits(reference.lam)
+        assert lam_bits(fused.lam) == lam_bits(reference.lam)
         assert fused.vanished == reference.vanished
     for claimed in (reference, RankOneOutcome(None), RankOneOutcome(lam * (1 + 2**-20))):
         if claimed is None:
@@ -269,6 +267,17 @@ class TestComparisonVectors:
     def test_inner_dimension_mismatch(self):
         with pytest.raises(tc.DimensionMismatch):
             comparison_vectors(tc.AsymToeplitz.eye(2, 3), tc.AsymToeplitz.eye(4, 2))
+
+    def test_read_only_and_as_built_one_by_one(self, rng):
+        for _ in range(200):
+            n, m, l = (int(v) for v in rng.integers(1, 9, size=3))
+            A, B = tc.random_toeplitz(rng, n, m), tc.random_toeplitz(rng, m, l)
+            got = comparison_vectors(A, B)
+            want = reference_comparison_vectors(A, B)
+            assert got[4] is want[4]
+            for mine, theirs in zip(got[:4], want[:4]):
+                assert not mine.flags.writeable
+                assert mine.tobytes() == theirs.tobytes()
 
 
 class TestProductIsToeplitz:
@@ -439,7 +448,8 @@ def _float_tails(rng, n, m):
 @pytest.mark.parametrize("decide, flip", [
     (tc.product_is_toeplitz, lambda A, B: (A, B)),
     (tc.hankel_product_is_toeplitz, lambda A, B: (tc.flip_cols(A), tc.flip_rows_of(B))),
-], ids=["toeplitz", "hankel"])
+    (tc.hankel_times_toeplitz_is_hankel, lambda A, B: (tc.flip_rows_of(A), B)),
+], ids=["toeplitz", "hankel", "hankel_toeplitz"])
 def test_product_predicates_scale_near_linearly(decide, flip):
     # median time at 4096 over median at 512: 8 for linear cost, 64 for
     # quadratic; single timings are noisy, so the repeats are interleaved
