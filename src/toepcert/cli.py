@@ -291,6 +291,9 @@ def main(argv=None) -> int:
     except (MatrixFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

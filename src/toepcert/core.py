@@ -337,10 +337,6 @@ class AsymHankel:
     def to_dense(self) -> np.ndarray:
         return self.core.to_dense()[:, ::-1]
 
-    def row_flip_core(self) -> AsymToeplitz:
-        """The Toeplitz matrix A with H = P_n A (row-flip decomposition)."""
-        return self.core.rot180()
-
     @classmethod
     def from_dense(cls, M, tol: Tolerance = DEFAULT_TOL) -> "AsymHankel":
         """Compact form of a dense Hankel matrix.

@@ -142,12 +142,18 @@ def gen_degenerate(form: str, n: int, m: int, l: int, *,
       comparison vector vanishes.
 
     The product is Toeplitz for any values of the remaining free
-    parameters, which are filled from ``seed``.
+    parameters, which are filled from ``seed``.  ``lambda_zero`` with
+    l > m sets b0 = 0 and ``lambda_infinity`` with n > m sets a0 = 0, so a
+    nonzero corner passed there raises :class:`SpecificationError`.
     """
     if form not in DEGENERATE_FORMS:
         raise SpecificationError(f"unknown degenerate form {form!r}")
     if n < 1 or m < 1 or l < 1:
         raise SpecificationError(f"dimensions must be positive, got ({n}, {m}, {l})")
+    for name, corner, forced in (("b0", b0, form == "lambda_zero" and l > m),
+                                 ("a0", a0, form == "lambda_infinity" and n > m)):
+        if forced and corner is not None and complex(corner) != 0:
+            raise SpecificationError(f"{form} with these dimensions needs {name} = 0")
     rng = np.random.default_rng(seed)
     a0 = complex(a0) if a0 is not None else complex(_fill(rng, 1)[0])
     b0 = complex(b0) if b0 is not None else complex(_fill(rng, 1)[0])

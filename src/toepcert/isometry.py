@@ -6,10 +6,11 @@ matrix this reduces to a rank-one self-match of the row parameters
 against a comparison vector (with unimodular scalar) plus one residual
 vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
 is the product identity of the pair (A*, A), whose two comparison vectors
-coincide and are built once.  Neither A* A nor A itself is formed: the
-residual's one matrix-vector product is a convolution of the adjoint's
-diagonal values, computed by FFT at the smallest 2**i * 3**j * 5**k
-length that holds it, in O((n + m) log(n + m)) time and O(n + m) memory.
+coincide and come from the product layer's writer.  Neither A* A nor A
+is formed: the residual's one matrix-vector product is a convolution of
+the adjoint's diagonal values, computed by FFT at the smallest
+2**i * 3**j * 5**k length that holds it, in O((n + m) log(n + m)) time
+and O(n + m) memory.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, b_hat, rank_one_equal, sharp
+from .product import RankOneOutcome, _write_hat, rank_one_equal
 
 __all__ = [
     "IsometryCertificate",
     "hankel_is_isometry",
     "is_isometry",
     "isometry_residual",
-    "unit_column_check",
 ]
 
 
@@ -74,9 +74,11 @@ def isometry_residual(A: AsymToeplitz, _tail_norm_sq: float | None = None) -> np
     conv = np.fft.ifft(np.fft.fft(h) * np.fft.fft(A.a, size))
     if _tail_norm_sq is None:
         _tail_norm_sq = _tail_norm(A)
-    r = (conv[n - 1:n + m - 1]
-         + np.conj(A.a0) * sharp(A.a, m)
-         + A.a0 * A.alpha)
+    # conj(a0) a, cut or padded to m entries, is added before a0 alpha
+    r = conv[n - 1:n + m - 1]
+    k = min(n, m)
+    r[1:k] += np.conj(A.a0) * A.a[1:k]
+    r += A.a0 * A.alpha
     r[0] += (abs(A.a0) ** 2 - _tail_norm_sq - 1.0) / 2.0
     return r
 
@@ -86,24 +88,17 @@ def _tail_norm(A: AsymToeplitz) -> float:
     return float(np.sum(np.abs(A.a) ** 2))
 
 
-def unit_column_check(A: AsymToeplitz) -> float:
-    """Squared norm of the full first column (corner plus tail).
-
-    Every accepted isometry has value 1: a necessary condition.
-    """
-    return abs(A.a0) ** 2 + _tail_norm(A)
-
-
 @dataclass(frozen=True)
 class IsometryCertificate:
     """Outcome of the structured check A* A == I_m.
 
-    ``w`` is the comparison vector of the pair (A*, A), ``b_hat(A)`` plus
-    the conjugated corner at index n when the matrix is ``wide`` (n < m).
-    ``match`` is the rank-one self-match of the row parameters against
-    ``w``, or ``None`` when it fails.  Acceptance requires the match to be
-    degenerate or unimodular and the residual to vanish.  ``residual_norm`` is ``None`` when the
-    match failed, since the residual can no longer change the verdict.
+    ``w`` is the comparison vector of the pair (A*, A), with the conjugated
+    corner at index n when the matrix is ``wide`` (n < m).  ``match`` is
+    the rank-one self-match of the row parameters against ``w``, or ``None``
+    when it fails.  Acceptance requires the match to be degenerate or
+    unimodular and the residual to vanish.  ``residual_norm`` is ``None``
+    when the match failed, since the residual can no longer change the
+    verdict.
     """
 
     accepted: bool
@@ -122,20 +117,21 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     """Certify whether A* A equals the identity, without forming A* A.
 
     Accepts iff the rank-one self-match of the row parameters against the
-    comparison vector holds with |lam| = 1 (or degenerates to zero on both
-    sides) and the residual vector vanishes, all within ``tol``; the
-    residual is computed only when the match holds.  Agrees with the dense
-    oracle on A* A - I_m.  The residual is an FFT result and carries
-    rounding, so under ``Tolerance(0, 0)`` most exact isometries are
-    rejected; give it an ``atol`` above the rounding (the default 1e-9
-    is), until ROADMAP.md item 1 settles a tolerance band.
+    comparison vector ``w`` holds with |lam| = 1 (or degenerates to zero on
+    both sides) and the residual vector vanishes, all within ``tol``; the
+    residual is computed only when the match holds.  The product layer's
+    writer lays out ``w``.  Agrees with the dense oracle on A* A - I_m.
+    The residual is an FFT result and carries rounding, so under
+    ``Tolerance(0, 0)`` most exact isometries are rejected; give it an
+    ``atol`` above the rounding (the default 1e-9 is), until ROADMAP.md
+    item 1 settles a tolerance band.
     """
-    # both comparison vectors of the pair (A*, A) are b_hat(A), with the
-    # adjoint's corner conj(a0) at index n when A is wide
-    w = b_hat(A)
+    # both comparison vectors of the pair (A*, A): v of _comparison_buffer
+    w = np.zeros(A.m, dtype=CDTYPE)
+    _write_hat(A.m, A.n, A.a0.conjugate(), A.alpha, A.a, w[1:])
     wide = A.n < A.m
     if wide:
-        w[A.n] += np.conj(A.a0)
+        w[A.n] += 0
     match = rank_one_equal(A.alpha, A.alpha, w, w, tol)
     tail_norm_sq = _tail_norm(A)
     column_norm_sq = abs(A.a0) ** 2 + tail_norm_sq
@@ -151,7 +147,7 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
 def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
     """Certify whether a compact Hankel matrix has orthonormal columns.
 
-    Row-flipping is unitary, so H is an isometry exactly when its
-    row-flipped Toeplitz form is.
+    Row-flipping is unitary, so H is an isometry exactly when its row-flip
+    core P_n H (``core.rot180()``) is, and the certificate describes it.
     """
-    return is_isometry(H.row_flip_core(), tol)
+    return is_isometry(H.core.rot180(), tol)

@@ -29,14 +29,11 @@ __all__ = [
     "ProductCertificate",
     "RankOneOutcome",
     "Regime",
-    "alpha_hat",
-    "b_hat",
     "classify_regime",
     "comparison_vectors",
     "delta_product_structured",
     "product_is_toeplitz",
     "rank_one_equal",
-    "sharp",
 ]
 
 
@@ -77,30 +74,6 @@ def _write_hat(n: int, m: int, a0: complex, a: np.ndarray, alpha: np.ndarray,
     if m < n:
         out[m - 1] = a0
         out[m:] = a[1:n - m]
-
-
-def alpha_hat(A: AsymToeplitz) -> np.ndarray:
-    """Left-factor comparison vector in C^n, without the corner.
-
-    Reads A's row parameters backwards; when the factor is tall (m < n) the
-    read-out continues into the column tail after a structural zero.
-    Equals the shifted last column of A's corner-free part.
-    """
-    out = np.zeros(A.n, dtype=CDTYPE)
-    _write_hat(A.n, A.m, 0j, A.a, A.alpha, out[1:])
-    return out
-
-
-def b_hat(B: AsymToeplitz) -> np.ndarray:
-    """Right-factor comparison vector in C^l, without the corner.
-
-    B is m x l, so l = ``B.m``.  Reads B's column tail backwards; when the
-    factor is wide (m < l) the read-out continues into the row parameters
-    after a structural zero.
-    """
-    out = np.zeros(B.m, dtype=CDTYPE)
-    _write_hat(B.m, B.n, 0j, B.alpha, B.a, out[1:])
-    return out
 
 
 def _split(cat: np.ndarray, n: int, l: int):
@@ -147,20 +120,6 @@ def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False
         v[m] += 0
     cat.setflags(write=False)
     return cat
-
-
-def sharp(x, to_dim: int) -> np.ndarray:
-    """Truncate or zero-pad a leading-zero vector to ``to_dim`` entries.
-
-    This is multiplication by the rectangular identity.
-    """
-    x = np.asarray(x, dtype=CDTYPE)
-    if x[0] != 0:
-        raise ValueError("sharp expects a structural zero at index 0")
-    out = np.zeros(to_dim, dtype=CDTYPE)
-    k = min(len(x), to_dim)
-    out[:k] = x[:k]
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from toepcert.product import (
     classify_regime,
     comparison_vectors,
     rank_one_equal,
-    sharp,
 )
 
 EXACT = tc.Tolerance(0.0, 0.0)
@@ -96,7 +95,7 @@ def dense_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
     """First-row defect vector of A* A - I_m from the dense corner-free part."""
     A0 = replace(A, a0=0.0).to_dense()
     r = (A0.conj().T @ A.a
-         + np.conj(A.a0) * sharp(A.a, A.m)
+         + np.conj(A.a0) * (dense_eye(A.m, A.n) @ A.a)
          + A.a0 * A.alpha)
     r[0] += (abs(A.a0) ** 2 - float(np.sum(np.abs(A.a) ** 2)) - 1.0) / 2.0
     return r
@@ -185,16 +184,17 @@ def reference_comparison_vectors(A: tc.AsymToeplitz, B: tc.AsymToeplitz):
 def reference_product_structure(left, right, tol=tc.DEFAULT_TOL):
     """``hankel.product_structure`` through built flipped cores.
 
-    A Hankel factor's row-flip core comes from ``row_flip_core`` (one
-    ``rot180``), the four vectors from :func:`reference_comparison_vectors`
-    and the match from :func:`reference_rank_one_equal`.  The decision must
-    give the same certificate, vectors and scalar bit for bit.
+    A Hankel factor's row-flip core is built as its stored core's
+    ``rot180``, the four vectors come from
+    :func:`reference_comparison_vectors` and the match from
+    :func:`reference_rank_one_equal`.  The decision must give the same
+    certificate, vectors and scalar bit for bit.
     """
     if isinstance(left, tc.AsymHankel):
         if isinstance(right, tc.AsymHankel):
-            kind, A, B = "toeplitz", left.core, right.row_flip_core()
+            kind, A, B = "toeplitz", left.core, right.core.rot180()
         else:
-            kind, A, B = "hankel", left.row_flip_core(), right
+            kind, A, B = "hankel", left.core.rot180(), right
     elif isinstance(right, tc.AsymHankel):
         kind, A, B = "hankel", left, right.core
     else:
@@ -221,7 +221,7 @@ def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
     conv = np.fft.ifft(np.fft.fft(h, size) * np.fft.fft(A.a, size))
     tail_norm_sq = float(np.sum(np.abs(A.a) ** 2))
     r = (conv[n - 1:n + m - 1]
-         + np.conj(A.a0) * sharp(A.a, m)
+         + np.conj(A.a0) * (dense_eye(m, n) @ A.a)
          + A.a0 * A.alpha)
     r[0] += (abs(A.a0) ** 2 - tail_norm_sq - 1.0) / 2.0
     return r

@@ -216,6 +216,19 @@ class TestGenerate:
                   "-l", "4", *outs])
         assert not (tmp_path / "a.json").exists()
 
+    @pytest.mark.parametrize("regime, corner, n, l", [("lambda-zero", "--b0", 3, 5),
+                                                      ("lambda-infinity", "--a0", 5, 3)])
+    def test_degenerate_zeroed_corner_is_input_error(self, tmp_path, capsys,
+                                                     regime, corner, n, l):
+        # the form sets this corner to zero, so a nonzero one is refused
+        outs = ["--out-a", str(tmp_path / "a.json"), "--out-b", str(tmp_path / "b.json")]
+        err = assert_input_error(capsys, "generate", "--regime", regime, "-n", str(n),
+                                 "-m", "2", "-l", str(l), corner, "3,0", *outs)
+        assert corner[2:] in err
+        assert not (tmp_path / "a.json").exists()
+        assert main(["generate", "--regime", regime, "-n", str(n), "-m", "2",
+                     "-l", str(l), corner, "0,0", *outs]) == 0
+
 
 class TestClosure:
     def test_generate_product_closure_all_sizes(self, tmp_path, capsys):
@@ -339,6 +352,19 @@ class TestHostileFiles:
         f.write_bytes(b'{"kind": "toeplitz", "rows": 1, "cols": 1, '
                       b'"first_row": [[1, 0]], "first_col": [[1, 0]]}\xff')
         assert str(f) in assert_input_error(capsys, command, str(f))
+
+
+    @pytest.mark.parametrize("command", ["check", "isometry", "displacement", "product"])
+    def test_out_of_memory_is_input_error(self, tmp_path, capsys, monkeypatch, command):
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, tc.AsymToeplitz.eye(2, 2))
+
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr("toepcert.io.json.loads", exhausted)
+        files = [str(f)] * (2 if command == "product" else 1)
+        assert "out of memory" in assert_input_error(capsys, command, *files)
 
 
 @pytest.fixture(scope="module")

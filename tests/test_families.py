@@ -153,6 +153,21 @@ class TestGenDegenerate:
         assert A.a0 == 0 and not np.any(A.alpha)
         assert not np.any(A.a[:7 - 2])
 
+    def test_zeroed_corner_cannot_be_passed(self):
+        # lambda_zero with l > m and lambda_infinity with n > m set that
+        # corner to zero; a nonzero one passed there is refused, a zero kept
+        with pytest.raises(tc.SpecificationError, match="b0"):
+            tc.gen_degenerate("lambda_zero", 3, 2, 5, b0=3.0)
+        with pytest.raises(tc.SpecificationError, match="a0"):
+            tc.gen_degenerate("lambda_infinity", 5, 2, 3, a0=1j)
+        _, B = tc.gen_degenerate("lambda_zero", 3, 2, 5, b0=0.0, seed=5)
+        A, _ = tc.gen_degenerate("lambda_infinity", 5, 2, 3, a0=0.0, seed=6)
+        assert B.a0 == 0 and A.a0 == 0
+        # where the corner is free, a passed one is kept
+        _, B = tc.gen_degenerate("lambda_zero", 3, 2, 2, b0=3.0)
+        A, _ = tc.gen_degenerate("lambda_infinity", 2, 2, 3, a0=1j)
+        assert B.a0 == 3.0 and A.a0 == 1j
+
     def test_rejects_invalid_combinations(self):
         with pytest.raises(tc.SpecificationError):
             tc.gen_degenerate("row_band_a", 5, 3, 2)

@@ -151,7 +151,7 @@ class TestFlipAlgebra:
         A = tc.random_toeplitz(rng, 4, 6)
         Pn = dense_flip(4)
         assert np.array_equal(Pn @ (Pn @ A.to_dense()), A.to_dense())
-        assert tc.flip_rows_of(A).row_flip_core() == A
+        assert tc.flip_rows_of(A).core.rot180() == A
 
     def test_double_col_flip(self, rng):
         A = tc.random_toeplitz(rng, 4, 6)
@@ -162,7 +162,7 @@ class TestFlipAlgebra:
     def test_row_flip_core_is_dense_row_flip(self, rng):
         A = tc.random_toeplitz(rng, 5, 3)
         H = tc.flip_rows_of(A)
-        assert np.array_equal(H.row_flip_core().to_dense(),
+        assert np.array_equal(H.core.rot180().to_dense(),
                               dense_flip(5) @ H.to_dense())
 
 

@@ -1,5 +1,6 @@
 import statistics
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,9 @@ import toepcert as tc
 from toepcert.product import (
     ProductCertificate,
     RankOneOutcome,
-    alpha_hat,
-    b_hat,
     comparison_vectors,
     delta_product_structured,
     rank_one_equal,
-    sharp,
 )
 from helpers import (
     EXACT,
@@ -34,68 +32,65 @@ from helpers import (
 
 
 class TestAlphaHat:
+    # the left-factor comparison vector u of comparison_vectors(A, B): A's row
+    # parameters read backwards, continued into the column tail after the
+    # corner when A is tall (m < n)
     def test_short_read(self):
         A = tc.AsymToeplitz(2, 3, 0.0, [0, 1.0], [0, 2 + 1j, 5 - 2j])
-        assert np.array_equal(alpha_hat(A), [0.0, np.conj(5 - 2j)])
+        u = comparison_vectors(A, tc.AsymToeplitz.zero(3, 2))[2]
+        assert np.array_equal(u, [0.0, np.conj(5 - 2j)])
 
     def test_tall_read_continues_into_column(self):
         a = [0, 1.0, 2.0, 3.0, 4.0]
         alpha = [0, 5j, 6j]
         A = tc.AsymToeplitz(5, 3, 7.0, a, alpha)
-        assert np.array_equal(alpha_hat(A), [0.0, np.conj(6j), np.conj(5j), 0.0, 1.0])
+        u = comparison_vectors(A, tc.AsymToeplitz.zero(3, 2))[2]
+        assert np.array_equal(u, [0.0, np.conj(6j), np.conj(5j), 7.0, 1.0])
 
     def test_zero(self):
-        assert not np.any(alpha_hat(tc.AsymToeplitz.zero(4, 2)))
+        u = comparison_vectors(tc.AsymToeplitz.zero(4, 2), tc.AsymToeplitz.eye(2, 3))[2]
+        assert not np.any(u)
 
     def test_dense_oracle(self, rng):
-        # the hat vector is the shifted last column of the corner-free part
+        # the shifted last column of the corner-free part, plus the corner at
+        # index m when A is tall
         for _ in range(50):
-            n, m = rng.integers(1, 8, size=2)
-            A = tc.random_toeplitz(rng, n, m)
+            n, m, l = rng.integers(1, 8, size=3)
+            A, B = tc.random_toeplitz(rng, n, m), tc.random_toeplitz(rng, m, l)
             oracle = dense_shift(n) @ corner_free_dense(A) @ basis(m - 1, m)
-            assert np.array_equal(alpha_hat(A), oracle)
+            if m < n:
+                oracle[m] += A.a0
+            assert np.array_equal(comparison_vectors(A, B)[2], oracle)
 
 
 class TestBHat:
+    # the right-factor comparison vector v of comparison_vectors(A, B): B's
+    # column tail read backwards, continued into the row parameters after the
+    # conjugated corner when B is wide (m < l)
     def test_narrow_read(self):
         b = [0, 1.0, 2.0, 3.0, 4 + 1j]
         B = tc.AsymToeplitz(5, 3, 0.0, b, [0, 0, 0])
-        assert np.array_equal(b_hat(B), [0.0, np.conj(4 + 1j), 3.0])
+        v = comparison_vectors(tc.AsymToeplitz.zero(2, 5), B)[3]
+        assert np.array_equal(v, [0.0, np.conj(4 + 1j), 3.0])
 
     def test_wide_read_continues_into_row(self):
         B = tc.AsymToeplitz(2, 4, 0.0, [0, 1 - 1j], [0, 2.0, 3.0, 4.0])
-        assert np.array_equal(b_hat(B), [0.0, np.conj(1 - 1j), 0.0, 2.0])
+        v = comparison_vectors(tc.AsymToeplitz.zero(3, 2), B)[3]
+        assert np.array_equal(v, [0.0, np.conj(1 - 1j), 0.0, 2.0])
 
     def test_zero(self):
-        assert not np.any(b_hat(tc.AsymToeplitz.zero(3, 5)))
+        v = comparison_vectors(tc.AsymToeplitz.eye(2, 3), tc.AsymToeplitz.zero(3, 5))[3]
+        assert not np.any(v)
 
     def test_dense_oracle(self, rng):
         for _ in range(50):
-            m, l = rng.integers(1, 8, size=2)
-            B = tc.random_toeplitz(rng, m, l)
+            n, m, l = rng.integers(1, 8, size=3)
+            A, B = tc.random_toeplitz(rng, n, m), tc.random_toeplitz(rng, m, l)
             oracle = (dense_shift(l) @ corner_free_dense(B).conj().T
                       @ basis(m - 1, m))
-            assert np.array_equal(b_hat(B), oracle)
-
-
-class TestSharp:
-    def test_truncates(self):
-        assert np.array_equal(sharp([0, 1, 2, 3], 3), [0, 1, 2])
-
-    def test_pads(self):
-        assert np.array_equal(sharp([0, 1], 4), [0, 1, 0, 0])
-
-    def test_rejects_nonzero_head(self):
-        with pytest.raises(ValueError):
-            sharp([1, 2], 3)
-
-    def test_dense_identity_oracle(self, rng):
-        for _ in range(30):
-            n = int(rng.integers(1, 9))
-            x = np.zeros(n, dtype=complex)
-            x[1:] = rng.integers(-5, 6, size=n - 1)
-            for to_dim in range(1, 9):
-                assert np.array_equal(sharp(x, to_dim), dense_eye(to_dim, n) @ x)
+            if m < l:
+                oracle[m] += np.conj(B.a0)
+            assert np.array_equal(comparison_vectors(A, B)[3], oracle)
 
 
 class TestRankOneEqual:
@@ -243,12 +238,13 @@ class TestClassifyRegime:
 
 class TestComparisonVectors:
     def test_r1_uses_plain_hats(self, rng):
+        # no corner enters: the vectors equal those of the corner-free factors
         A = tc.random_toeplitz(rng, 3, 5)
         B = tc.random_toeplitz(rng, 5, 4)
         x, y, u, v, regime = comparison_vectors(A, B)
         assert regime is tc.Regime.R1
-        assert np.array_equal(u, alpha_hat(A))
-        assert np.array_equal(v, b_hat(B))
+        _, _, u0, v0, _ = comparison_vectors(replace(A, a0=0j), replace(B, a0=0j))
+        assert np.array_equal(u, u0) and np.array_equal(v, v0)
         assert np.array_equal(x, A.a) and np.array_equal(y, B.alpha)
 
     def test_r2_corners_enter_at_index_m(self, rng):
@@ -256,8 +252,11 @@ class TestComparisonVectors:
         B = tc.random_toeplitz(rng, 2, 7)
         x, y, u, v, regime = comparison_vectors(A, B)
         assert regime is tc.Regime.R2
-        assert u[2] == alpha_hat(A)[2] + A.a0
-        assert v[2] == b_hat(B)[2] + np.conj(B.a0)
+        _, _, u0, v0, _ = comparison_vectors(replace(A, a0=0j), replace(B, a0=0j))
+        assert u[2] == u0[2] + A.a0
+        assert v[2] == v0[2] + np.conj(B.a0)
+        for vec, vec0 in ((u, u0), (v, v0)):
+            assert np.array_equal(np.delete(vec, 2), np.delete(vec0, 2))
 
     def test_zero_pair(self):
         x, y, u, v, _ = comparison_vectors(tc.AsymToeplitz.zero(3, 4),
