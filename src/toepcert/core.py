@@ -61,11 +61,12 @@ class Tolerance:
 
     ``scale`` is the largest absolute entry among the operands compared.
     Tests against zero use ``atol`` alone.  ``Tolerance(0, 0)`` demands
-    exact equality, which only exact arithmetic can meet: the product
-    decisions on Gaussian-integer input meet it, but ``is_isometry``
-    rejects most exact isometries under it, because its FFT residual is
-    rounded (about 1e-17 where the exact value is 0).  A tolerance band for
-    rounded quantities is open item 1 of ROADMAP.md.  Both values must be
+    exact equality.  Product decisions on Gaussian-integer input meet it
+    when the scalar lambda is dyadic; otherwise the pivot quotient is
+    rounded and exact products may be rejected, e.g. (n, m, l) = (2, 5, 2)
+    with lambda = (4+i)/(-1-5i) (ROADMAP.md item 2).  ``is_isometry``
+    rejects most exact isometries, as its FFT residual is rounded; a band
+    for rounded quantities is ROADMAP.md item 1.  Both values must be
     finite and non-negative: a NaN or negative threshold rejects every
     comparison, an infinite one accepts every comparison.
     """
@@ -82,24 +83,6 @@ class Tolerance:
 
     def threshold(self, scale: float) -> float:
         return self.atol + self.rtol * scale
-
-    def is_zero(self, values) -> bool:
-        """Whether every entry has modulus at most ``atol``."""
-        values = np.asarray(values, dtype=CDTYPE)
-        if values.size == 0:
-            return True
-        return bool(np.max(np.abs(values)) <= self.atol)
-
-    def allclose(self, x, y) -> bool:
-        """Entrywise closeness, scaled by the largest entry of either side."""
-        x = np.asarray(x, dtype=CDTYPE)
-        y = np.asarray(y, dtype=CDTYPE)
-        if x.shape != y.shape:
-            raise DimensionMismatch(f"cannot compare shapes {x.shape} and {y.shape}")
-        if x.size == 0:
-            return True
-        scale = float(max(np.max(np.abs(x)), np.max(np.abs(y))))
-        return bool(np.max(np.abs(x - y)) <= self.threshold(scale))
 
 
 DEFAULT_TOL = Tolerance()

@@ -5,12 +5,12 @@ is the m x m identity (orthonormal columns).  For a compact Toeplitz
 matrix this reduces to a rank-one self-match of the row parameters
 against a comparison vector (with unimodular scalar) plus one residual
 vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
-is the product identity of the pair (A*, A), whose two comparison vectors
-coincide and come from the product layer's writer.  Neither A* A nor A
-is formed: the residual's one matrix-vector product is a convolution of
-the adjoint's diagonal values, computed by FFT at the smallest
-2**i * 3**j * 5**k length that holds it, in O((n + m) log(n + m)) time
-and O(n + m) memory.
+is the product identity of the pair (A*, A), decided on the product
+layer's comparison buffer, whose two comparison vectors coincide.
+Neither A* A nor A is formed: the residual's one matrix-vector product is
+a convolution of the adjoint's diagonal values, computed by FFT at the
+smallest 2**i * 3**j * 5**k length that holds it, in
+O((n + m) log(n + m)) time and O(n + m) memory.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, _write_hat, rank_one_equal
+from .product import RankOneOutcome, _comparison_buffer, _match
 
 __all__ = [
     "IsometryCertificate",
@@ -119,20 +119,20 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     Accepts iff the rank-one self-match of the row parameters against the
     comparison vector ``w`` holds with |lam| = 1 (or degenerates to zero on
     both sides) and the residual vector vanishes, all within ``tol``; the
-    residual is computed only when the match holds.  The product layer's
-    writer lays out ``w``.  Agrees with the dense oracle on A* A - I_m.
-    The residual is an FFT result and carries rounding, so under
-    ``Tolerance(0, 0)`` most exact isometries are rejected; give it an
-    ``atol`` above the rounding (the default 1e-9 is), until ROADMAP.md
-    item 1 settles a tolerance band.
+    residual is computed only when the match holds.  Agrees with the dense
+    oracle on A* A - I_m.  The residual is an FFT result and carries
+    rounding, so under ``Tolerance(0, 0)`` most exact isometries are
+    rejected; give it an ``atol`` above the rounding (the default 1e-9 is),
+    until ROADMAP.md item 1 settles a tolerance band.
     """
-    # both comparison vectors of the pair (A*, A): v of _comparison_buffer
-    w = np.zeros(A.m, dtype=CDTYPE)
-    _write_hat(A.m, A.n, A.a0.conjugate(), A.alpha, A.a, w[1:])
+    # the product identity of the pair (A*, A): its buffer is (alpha, w, w, alpha)
+    cat = _comparison_buffer(A.adjoint(), A)
+    match = _match(cat, A.m, A.m, tol)
+    # the certificate owns a copy of w; the 4m buffer is freed before the
+    # residual runs, since kept alive it slowed large accepted calls
+    w = cat[A.m:2 * A.m].copy()
+    del cat
     wide = A.n < A.m
-    if wide:
-        w[A.n] += 0
-    match = rank_one_equal(A.alpha, A.alpha, w, w, tol)
     tail_norm_sq = _tail_norm(A)
     column_norm_sq = abs(A.a0) ** 2 + tail_norm_sq
     if match is None:

@@ -150,11 +150,10 @@ class RankOneOutcome:
 def rank_one_equal(x, y, xp, yp, tol: Tolerance = DEFAULT_TOL) -> RankOneOutcome | None:
     """Decide whether x (x) y == xp (x) yp without forming either matrix.
 
-    Returns a :class:`RankOneOutcome` when the products coincide, ``None``
-    on mismatch.  A vector is zero when no entry exceeds ``tol.atol`` in
-    modulus; an empty vector is zero.  When neither side vanishes the scalar
-    is extracted at the largest entry of ``xp`` and verified entrywise, with
-    the scale of :meth:`Tolerance.allclose`.  O(len x + len y).
+    Returns a :class:`RankOneOutcome` if the products coincide, ``None`` if
+    not, in O(len x + len y).  A 1-D vector, empty or not, is zero when no
+    entry exceeds ``tol.atol``.  If neither side vanishes, lam is read at
+    xp's largest entry and checked within ``tol`` of each equation's scale.
     """
     return _rank_one(x, y, xp, yp, tol)
 
@@ -164,41 +163,33 @@ _NAMES = ("x", "y", "xp", "yp")
 
 def _rank_one(x, y, xp, yp, tol: Tolerance,
               lam: complex | None = None) -> RankOneOutcome | None:
-    """The rank-one match as one fused pass over the four vectors.
+    """The rank-one match of four loose vectors, through :func:`_match`.
 
-    Without ``lam`` this is :func:`rank_one_equal`.  Given the scalar of a
-    proportional outcome it re-checks only x = lam * xp and
-    yp = conj(lam) * y.  One modulus and one segmented maximum over the
-    concatenated vectors give the zero tests, the pivot and the operand
-    scales; a second pair gives the defects and the scaled sides.  The
-    thresholds are exactly those of :meth:`Tolerance.is_zero` and
-    :meth:`Tolerance.allclose` on the same vectors.
+    Without ``lam`` this is :func:`rank_one_equal`; given a proportional
+    outcome's scalar it re-checks only x = lam * xp and yp = conj(lam) * y.
+    Each vector goes behind one zero, as every comparison vector does: that
+    changes no maximum, pivot or defect, and no segment is left empty.
     """
-    x = np.asarray(x, dtype=CDTYPE)
-    xp = np.asarray(xp, dtype=CDTYPE)
-    y = np.asarray(y, dtype=CDTYPE)
-    yp = np.asarray(yp, dtype=CDTYPE)
+    x, y, xp, yp = vecs = [np.asarray(vec, dtype=CDTYPE) for vec in (x, y, xp, yp)]
+    if any(vec.ndim != 1 for vec in vecs):
+        raise DimensionMismatch(f"vectors must be 1-D, got shapes {[v.shape for v in vecs]}")
     if x.shape != xp.shape:
         raise DimensionMismatch(f"x and xp lengths differ: {x.shape} vs {xp.shape}")
     if y.shape != yp.shape:
         raise DimensionMismatch(f"y and yp lengths differ: {y.shape} vs {yp.shape}")
-    p, q = len(x), len(y)
-    if p == 0 or q == 0:
-        # reduceat takes no empty segment; with an empty vector both sides vanish
-        if lam is None:
-            return RankOneOutcome(None, tuple(
-                name for name, vec in zip(_NAMES, (x, y, xp, yp)) if tol.is_zero(vec)))
-        ok = tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y)
-        return RankOneOutcome(lam) if ok else None
+    zero = np.zeros(1, dtype=CDTYPE)
     # x and yp lead, so that the defects subtract from one slice
-    return _match(np.concatenate((x, yp, xp, y)), p, q, tol, lam)
+    return _match(np.concatenate((zero, x, zero, yp, zero, xp, zero, y)),
+                  len(x) + 1, len(y) + 1, tol, lam)
 
 
 def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
            lam: complex | None = None) -> RankOneOutcome | None:
-    """The fused pass of :func:`_rank_one` on ``cat = (x, yp, xp, y)``.
+    """The rank-one match as one fused pass over ``cat = (x, yp, xp, y)``.
 
-    x and xp have length p >= 1, y and yp length q >= 1.
+    x and xp have length p >= 1, y and yp length q >= 1.  One modulus and
+    one segmented maximum give the zero tests, the pivot and the operand
+    scales; a second pair gives the defects and the scaled sides.
     """
     s = p + q
     segments = (0, p, s, s + p)

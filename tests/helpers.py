@@ -14,13 +14,7 @@ from hypothesis import example, given, strategies as st
 import toepcert as tc
 from toepcert.io import MatrixFileError
 from toepcert.isometry import IsometryCertificate
-from toepcert.product import (
-    ProductCertificate,
-    RankOneOutcome,
-    classify_regime,
-    comparison_vectors,
-    rank_one_equal,
-)
+from toepcert.product import ProductCertificate, RankOneOutcome, classify_regime
 
 EXACT = tc.Tolerance(0.0, 0.0)
 # exact, default, relative only, and absolute with relative
@@ -129,26 +123,47 @@ def lam_bits(lam):
     return None if lam is None else np.complex128(lam).tobytes()
 
 
+def is_zero(tol, values) -> bool:
+    """Whether every entry has modulus at most ``tol.atol``; an empty vector is zero."""
+    values = np.asarray(values, dtype=complex)
+    if values.size == 0:
+        return True
+    return bool(np.max(np.abs(values)) <= tol.atol)
+
+
+def allclose(tol, x, y) -> bool:
+    """Entrywise closeness, scaled by the largest entry of either side."""
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape != y.shape:
+        raise tc.DimensionMismatch(f"cannot compare shapes {x.shape} and {y.shape}")
+    if x.size == 0:
+        return True
+    scale = float(max(np.max(np.abs(x)), np.max(np.abs(y))))
+    return bool(np.max(np.abs(x - y)) <= tol.threshold(scale))
+
+
 def reference_rank_one_equal(x, y, xp, yp, tol=tc.DEFAULT_TOL):
     """The rank-one match as separate reductions, one per tolerance test.
 
-    The multi-reduction form of ``product.rank_one_equal``; the fused pass
-    must give the same outcome, the same ``lam`` bit for bit and the same
-    ``vanished`` names.
+    The multi-reduction form of ``product.rank_one_equal``, with the zero
+    and closeness tests of :func:`is_zero` and :func:`allclose`; the fused
+    pass must give the same outcome, the same ``lam`` bit for bit and the
+    same ``vanished`` names.
     """
     x, y, xp, yp = (np.asarray(v, dtype=complex) for v in (x, y, xp, yp))
-    lhs_zero = tol.is_zero(x) or tol.is_zero(y)
-    rhs_zero = tol.is_zero(xp) or tol.is_zero(yp)
+    lhs_zero = is_zero(tol, x) or is_zero(tol, y)
+    rhs_zero = is_zero(tol, xp) or is_zero(tol, yp)
     if lhs_zero and rhs_zero:
         vanished = tuple(name for name, vec in
                          (("x", x), ("y", y), ("xp", xp), ("yp", yp))
-                         if tol.is_zero(vec))
+                         if is_zero(tol, vec))
         return RankOneOutcome(None, vanished)
     if lhs_zero != rhs_zero:
         return None
     pivot = int(np.argmax(np.abs(xp)))
     lam = complex(x[pivot] / xp[pivot])
-    if tol.allclose(x, lam * xp) and tol.allclose(yp, np.conj(lam) * y):
+    if allclose(tol, x, lam * xp) and allclose(tol, yp, np.conj(lam) * y):
         return RankOneOutcome(lam)
     return None
 
@@ -228,18 +243,19 @@ def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
 
 
 def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCertificate:
-    """``isometry.is_isometry`` through the product layer's comparison vectors.
+    """``isometry.is_isometry`` from the reference comparison vectors and match.
 
-    Reads both comparison vectors off ``comparison_vectors(A*, A)`` and
-    takes the residual at the next power of two.  The decision must give
-    the same ``w``, match and column norm bit for bit, the residual norm
-    within rounding, and the same verdict wherever that rounding cannot
-    tip it.
+    Builds both comparison vectors of the pair (A*, A) with
+    :func:`reference_comparison_vectors`, matches them with
+    :func:`reference_rank_one_equal` and takes the residual at the next
+    power of two.  The decision must give the same ``w``, match and column
+    norm bit for bit, the residual norm within rounding, and the same
+    verdict wherever that rounding cannot tip it.
     """
-    x, y, w, v, _ = comparison_vectors(A.adjoint(), A)
+    x, y, w, v, _ = reference_comparison_vectors(A.adjoint(), A)
     wide = A.n < A.m
     column_norm_sq = float(abs(A.a0) ** 2 + np.sum(np.abs(A.a) ** 2))
-    match = rank_one_equal(x, y, w, v, tol)
+    match = reference_rank_one_equal(x, y, w, v, tol)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
     residual_norm = float(np.max(np.abs(reference_isometry_residual(A))))
@@ -249,13 +265,13 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
 
 
 def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:
-    """``ProductCertificate.verify`` as separate ``allclose``/``is_zero`` tests."""
+    """``ProductCertificate.verify`` as separate :func:`allclose`/:func:`is_zero` tests."""
     if cert.outcome.is_proportional:
         lam = cert.outcome.lam
-        return (tol.allclose(cert.x, lam * cert.u)
-                and tol.allclose(cert.v, np.conj(lam) * cert.y))
-    return ((tol.is_zero(cert.x) or tol.is_zero(cert.y))
-            and (tol.is_zero(cert.u) or tol.is_zero(cert.v)))
+        return (allclose(tol, cert.x, lam * cert.u)
+                and allclose(tol, cert.v, np.conj(lam) * cert.y))
+    return ((is_zero(tol, cert.x) or is_zero(tol, cert.y))
+            and (is_zero(tol, cert.u) or is_zero(tol, cert.v)))
 
 
 def reference_parse_entries(items, count: int, where: str) -> np.ndarray:

@@ -320,10 +320,6 @@ class TestShiftIdentityAlgebra:
 
 
 class TestTolerance:
-    def test_exact_policy(self):
-        assert EXACT.is_zero(0.0)
-        assert not EXACT.is_zero(1e-300)
-
     def test_threshold_scales(self):
         tol = tc.Tolerance(1e-9, 1e-9)
         assert tol.threshold(100.0) == pytest.approx(1e-9 + 1e-7)
@@ -335,11 +331,6 @@ class TestTolerance:
         with pytest.raises(ValueError, match="finite and non-negative"):
             tc.Tolerance(atol, rtol)
 
-    def test_allclose_uses_operand_scale(self):
-        tol = tc.Tolerance(0.0, 1e-9)
-        assert tol.allclose([1e9], [1e9 + 0.5])
-        assert not tol.allclose([1.0], [1.0 + 0.5])
-
     def test_degenerate_one_by_one(self):
         A = tc.AsymToeplitz(1, 1, 2.0, [0.0], [0.0])
         assert A.entry(0, 0) == 2
@@ -348,5 +339,5 @@ class TestTolerance:
 
 
 def test_root_api_is_small_and_resolves():
-    assert len(tc.__all__) <= 35
+    assert len(tc.__all__) <= 34
     assert all(hasattr(tc, name) for name in tc.__all__)

@@ -294,6 +294,29 @@ class TestIsIsometry:
         assert checked == 17
 
 
+def test_no_residual_after_failed_match(monkeypatch):
+    # a failed self-match decides the verdict, so the residual must not run
+    def refuse(*args, **kwargs):
+        raise AssertionError("isometry_residual ran after a failed match")
+
+    monkeypatch.setattr(isometry, "isometry_residual", refuse)
+    candidates = []
+    for n in range(2, 9):
+        for m in range(2, 9):
+            # continuous entries: a random self-match fails almost surely
+            candidates.append(gaussian_toeplitz(n, m, seed=n * m + n))
+            # shifted past the last column (k > n - m), wide ones included:
+            # a column is zero, and one side of the self-match vanishes
+            # while the other does not
+            candidates.extend(shift_toeplitz(n, m, k, np.exp(1j * k))
+                              for k in range(max(n - m + 1, 0), n))
+    assert any(A.n < A.m for A in candidates)
+    for A in candidates:
+        for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
+            assert cert.accepted is False
+            assert cert.residual_norm is None
+
+
 class TestHankelIsometry:
     def test_row_flipped_unit_example(self):
         H = tc.flip_rows_of(unit_example())

@@ -116,6 +116,14 @@ class TestRankOneEqual:
         with pytest.raises(tc.DimensionMismatch):
             rank_one_equal([0, 1], [0, 1], [0, 1, 2], [0, 1], EXACT)
 
+    @pytest.mark.parametrize("vector", [1.0, [[1, 2], [3, 4]], [[1, 2, 3, 4]]])
+    def test_rejects_vectors_that_are_not_one_dimensional(self, vector):
+        # a 0-d input has no length, and a 2-D one would reach the fused
+        # match as rows
+        other = 2.0 if np.ndim(vector) == 0 else vector
+        with pytest.raises(tc.DimensionMismatch, match="1-D"):
+            rank_one_equal(vector, other, vector, other, EXACT)
+
     def test_complex_scalar_with_conjugation(self):
         lam = 1 + 2j
         xp = np.array([0, 2 - 1j, 3j])
