@@ -59,7 +59,10 @@ class DimensionMismatch(ValueError):
 class Tolerance:
     """Float comparison policy: |x - y| <= atol + rtol * scale.
 
-    ``scale`` is the largest absolute entry among the operands compared.
+    ``scale`` is the largest absolute entry among the operands compared;
+    for a side scaled by lambda the product layer takes |lambda| times the
+    unscaled side's largest, which differs only by rounding, so it can
+    tip a verdict only for a defect within a few ulps of its threshold.
     Tests against zero use ``atol`` alone.  ``Tolerance(0, 0)`` demands
     exact equality.  Product decisions on Gaussian-integer input meet it
     when the scalar lambda is dyadic; otherwise the pivot quotient is
@@ -265,8 +268,11 @@ class AsymToeplitz:
 
     def adjoint(self) -> "AsymToeplitz":
         """Conjugate transpose; swaps the roles of ``a`` and ``alpha``."""
-        return AsymToeplitz._trusted(self.m, self.n, self.a0.conjugate(),
-                                     self.alpha, self.a)
+        # the fields are read-only already, so unlike _trusted no setflags runs
+        out = object.__new__(AsymToeplitz)
+        out.__dict__.update(n=self.m, m=self.n, a0=self.a0.conjugate(),
+                            a=self.alpha, alpha=self.a)
+        return out
 
     def rot180(self) -> "AsymToeplitz":
         """Flip both axes (P_n A P_m); diagonals map to diagonals."""

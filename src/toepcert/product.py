@@ -92,15 +92,18 @@ def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False
     there.  A flag flips a factor to P A P (``AsymToeplitz.rot180``),
     whose diagonal values are A's reversed: its column tail and comparison
     vector trade places, each reversed behind its structural zero, so no
-    flipped factor is built.
+    flipped factor is built.  Every entry is written, the structural zeros
+    too, so the buffer is allocated unfilled.
     """
     n, m, l = A.n, A.m, B.m
     if B.n != m:
         raise DimensionMismatch(
             f"inner dimensions differ: {A.shape} times {B.shape}")
-    cat = np.zeros(2 * (n + l), dtype=CDTYPE)
+    cat = np.empty(2 * (n + l), dtype=CDTYPE)
     x, v, u, y = _split(cat, n, l)
+    u[0] = v[0] = 0
     if flip_left:
+        x[0] = 0
         u[:0:-1] = A.a[1:]
         _write_hat(n, m, A.a0, A.a, A.alpha, x[:0:-1])
     else:
@@ -108,6 +111,7 @@ def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False
         _write_hat(n, m, A.a0, A.a, A.alpha, u[1:])
     # a right factor's vectors are the left ones of its adjoint
     if flip_right:
+        y[0] = 0
         v[:0:-1] = B.alpha[1:]
         _write_hat(l, m, B.a0.conjugate(), B.alpha, B.a, y[:0:-1])
     else:
@@ -189,12 +193,15 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
 
     x and xp have length p >= 1, y and yp length q >= 1.  One modulus and
     one segmented maximum give the zero tests, the pivot and the operand
-    scales; a second pair gives the defects and the scaled sides.
+    scales; a second pair, over half as many entries, gives the defects.
+    A scaled side's scale is |lam| max|xp| (and |lam| max|y|), which
+    differs from max|lam xp_i| only by rounding, so the verdict can differ
+    from that of separate reductions only for a defect within a few ulps
+    of its threshold.
     """
     s = p + q
-    segments = (0, p, s, s + p)
     mags = np.abs(cat)
-    max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, segments).tolist()
+    max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
     if lam is None:
         zero = (max_x <= tol.atol, max_y <= tol.atol, max_xp <= tol.atol, max_yp <= tol.atol)
         lhs_zero = zero[0] or zero[1]
@@ -205,16 +212,16 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
             return None
         pivot = int(mags[s:s + p].argmax())
         lam = complex(cat[pivot] / cat[s + pivot])
-    # buf holds the defects (x - lam xp, yp - conj(lam) y), then the scaled sides
-    buf = np.empty(2 * s, dtype=CDTYPE)
-    scaled = buf[s:]
-    np.multiply(lam, cat[s:s + p], out=scaled[:p])
-    np.multiply(np.conj(lam), cat[s + p:], out=scaled[p:])
-    np.subtract(cat[:s], scaled, out=buf[:s])
-    defect_x, defect_y, max_lam_xp, max_lam_y = np.maximum.reduceat(
-        np.abs(buf), segments).tolist()
-    if (defect_x <= tol.threshold(max(max_x, max_lam_xp))
-            and defect_y <= tol.threshold(max(max_yp, max_lam_y))):
+    # buf holds the scaled sides (lam xp, conj(lam) y), then the defects
+    # (x - lam xp, yp - conj(lam) y) in their place
+    buf = np.empty(s, dtype=CDTYPE)
+    np.multiply(lam, cat[s:s + p], out=buf[:p])
+    np.multiply(lam.conjugate(), cat[s + p:], out=buf[p:])
+    np.subtract(cat[:s], buf, out=buf)
+    defect_x, defect_y = np.maximum.reduceat(np.abs(buf), (0, p)).tolist()
+    scale = abs(lam)
+    if (defect_x <= tol.threshold(max(max_x, scale * max_xp))
+            and defect_y <= tol.threshold(max(max_yp, scale * max_y))):
         return RankOneOutcome(lam)
     return None
 

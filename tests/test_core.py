@@ -212,6 +212,13 @@ class TestAdjoint:
     def test_involution(self, rng):
         A = tc.random_toeplitz(rng, 5, 3)
         assert A.adjoint().adjoint() == A
+        # the adjoint shares the read-only fields, which stay read-only
+        adj = A.adjoint()
+        assert adj.a is A.alpha and adj.alpha is A.a
+        for T in (adj, adj.adjoint()):
+            assert not T.a.flags.writeable and not T.alpha.flags.writeable
+            with pytest.raises(ValueError):
+                T.a[0] = 1
 
     def test_swaps_parameters(self):
         A = compact(2, 2, 1j, [2.0], [3j])

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepcert as tc
+from toepcert import product
 from helpers import (
     CORNER_SHAPES,
     EXACT,
@@ -271,3 +273,90 @@ def test_certificate_vectors_read_only(kinds):
         with pytest.raises(ValueError):
             getattr(cert, name)[1] = 9
     assert cert.verify(EXACT)
+
+
+# ---------------------------------------------------------------------------
+# unfilled buffers
+# ---------------------------------------------------------------------------
+
+# one shape per regime, each of which every degenerate form accepts or refuses
+REGIME_DIMS = {tc.Regime.R1: (5, 8, 6), tc.Regime.R2: (9, 4, 11),
+               tc.Regime.R3: (3, 5, 12), tc.Regime.R4: (13, 5, 2)}
+
+
+def _unfilled_buffer_pairs():
+    for seed, (regime, dims) in enumerate(REGIME_DIMS.items()):
+        pair = tc.gen_pair(tc.FamilySpec(regime, *dims, lam=LAMS[seed], seed=seed))
+        yield pair
+        yield tc.perturb_to_break(pair, EXACT)
+        for form in tc.DEGENERATE_FORMS:
+            try:
+                yield tc.gen_degenerate(form, *dims, seed=seed)
+            except tc.SpecificationError:
+                pass  # a band form needs n <= m or l <= m
+
+
+def test_unfilled_buffers_are_written_in_full(monkeypatch):
+    """Every entry of a buffer allocated unfilled is written, structural zeros too.
+
+    ``numpy.empty`` returns NaN-filled arrays for the whole test, so an
+    unwritten entry would reach the match as NaN: each decision must still
+    equal the route through built flipped cores bit for bit, and the
+    structural zeros of x, v, u and y, which lead the four segments of
+    every buffer matched, accepted or not, must be exactly 0.
+    """
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    match = product._match
+    heads = []
+
+    def recording_match(cat, p, q, tol, lam=None):
+        s = p + q
+        heads.append(cat[[0, p, s, s + p]])
+        return match(cat, p, q, tol, lam)
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    monkeypatch.setattr(product, "_match", recording_match)
+    assert np.isnan(np.empty(3, dtype=complex)).all()
+    decisions = 0
+    for A, B in _unfilled_buffer_pairs():
+        for kinds in KINDS:
+            left, right = factors_of(kinds, A, B)
+            for tol in TOLS:
+                kind, cert = tc.product_structure(left, right, tol)
+                want_kind, want = reference_product_structure(left, right, tol)
+                assert kind == want_kind
+                assert_same_certificate(cert, want, tol)
+                decisions += 1
+    assert len(heads) >= decisions
+    for head in heads:
+        assert np.array_equal(head, np.zeros(4)), head
+
+
+def test_large_decision_peak_memory():
+    """One large H·T decision peaks at 40 bytes or less per buffer entry.
+
+    The buffer (x, v, u, y) holds 2(n + l) complex entries, 16 bytes each.
+    The match adds their moduli (8 bytes per entry) and the defects and
+    their moduli over half as many entries (12 bytes per buffer entry):
+    36 bytes in all.  Defects written next to the scaled sides, in a
+    second buffer of full size with a modulus of its own, would make 48.
+    """
+    n, m, l = 4096, 1024, 2048
+    A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, n, m, l, seed=12))
+    H = tc.flip_rows_of(A)
+    assert tc.hankel_times_toeplitz_is_hankel(H, B) is not None  # warm-up
+    tracemalloc.start()
+    try:
+        cert = tc.hankel_times_toeplitz_is_hankel(H, B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert is not None
+    assert peak <= 40 * 2 * (n + l), peak / (2 * (n + l))
