@@ -5,7 +5,7 @@ The structured predicates run in linear time in the dimensions and every
 decision can be cross-validated against a dense brute-force oracle.  The
 package root exports the representations, errors, decisions with their
 certificates, dense oracles, generators and file I/O; building blocks such
-as ``product.comparison_vectors`` or ``displacement.reconstruct`` live in
+as ``product.comparison_vectors`` or ``isometry.isometry_residual`` live in
 their modules.
 """
 

@@ -2,8 +2,7 @@
 
 The displacement of an n x m matrix is the matrix minus its own copy
 shifted one step down the main diagonal.  It vanishes outside the first
-row and column exactly when the matrix is Toeplitz, and the original
-matrix can be rebuilt from it by accumulating diagonal shifts.
+row and column exactly when the matrix is Toeplitz.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from .core import DEFAULT_TOL, Tolerance, _first_break, as_dense
 __all__ = [
     "displacement_dense",
     "is_toeplitz_by_displacement",
-    "reconstruct",
 ]
 
 
@@ -29,20 +27,6 @@ def displacement_dense(M) -> np.ndarray:
     M = as_dense(M)
     out = M.copy()
     out[1:, 1:] -= M[:-1, :-1]
-    return out
-
-
-def reconstruct(D) -> np.ndarray:
-    """Accumulate diagonal shifts of D: the inverse of ``displacement_dense``.
-
-    Entry (i, j) of the result is the sum of D along its diagonal up to
-    (i, j), built row by row: each row adds the previous result row
-    shifted one step right.  O(n m).  For every matrix M,
-    ``reconstruct(displacement_dense(M))`` returns M.
-    """
-    out = as_dense(D).copy()
-    for i in range(1, out.shape[0]):
-        out[i, 1:] += out[i - 1, :-1]
     return out
 
 

@@ -98,7 +98,8 @@ class IsometryCertificate:
     when it fails.  Acceptance requires the match to be degenerate or
     unimodular and the residual to vanish.  ``residual_norm`` is ``None``
     when the match failed, since the residual can no longer change the
-    verdict.
+    verdict.  For a Hankel matrix H = C P_m it describes the stored core C,
+    since H* H = P_m C* C P_m.
     """
 
     accepted: bool
@@ -147,7 +148,7 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
 def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
     """Certify whether a compact Hankel matrix has orthonormal columns.
 
-    Row-flipping is unitary, so H is an isometry exactly when its row-flip
-    core P_n H (``core.rot180()``) is, and the certificate describes it.
+    H = C P_m for its stored core C, so H* H = P_m C* C P_m, which is the
+    identity exactly when C* C is; the certificate describes C.
     """
-    return is_isometry(H.core.rot180(), tol)
+    return is_isometry(H.core, tol)

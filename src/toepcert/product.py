@@ -31,7 +31,6 @@ __all__ = [
     "Regime",
     "classify_regime",
     "comparison_vectors",
-    "delta_product_structured",
     "product_is_toeplitz",
     "rank_one_equal",
 ]
@@ -310,25 +309,3 @@ def _certify(A: AsymToeplitz, B: AsymToeplitz, tol: Tolerance, flip_left: bool =
     x, v, u, y = _split(cat, n, l)
     return ProductCertificate(classify_regime(n, m, l), x, y, u, v, outcome,
                               (n - 1) // m, (l - 1) // m)
-
-
-# ---------------------------------------------------------------------------
-# structured displacement of a product
-# ---------------------------------------------------------------------------
-
-def delta_product_structured(A: AsymToeplitz, B: AsymToeplitz) -> np.ndarray:
-    """Displacement of A B assembled from the factors, without forming A B.
-
-    Equals ``displacement_dense(to_dense(A) @ to_dense(B))``.  The interior
-    is the rank-one difference x (x) y - u (x) v of
-    :func:`comparison_vectors`; column 0 is A times B's first column and
-    row 0 is A's first row times B, each one direct convolution with the
-    factor's diagonal values.  O(n m + m l + n l) time and no factor is
-    realized.  Every entry is a sum of products of input entries, so the
-    result is exact on Gaussian-integer input whose sums stay below 2**53.
-    """
-    x, y, u, v, _ = comparison_vectors(A, B)
-    out = np.outer(x, np.conj(y)) - np.outer(u, np.conj(v))
-    out[:, 0] = np.convolve(A.diagonals(), B.first_col(), "valid")
-    out[0, :] = np.convolve(B.diagonals(), A.first_row()[::-1], "valid")[::-1]
-    return out

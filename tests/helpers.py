@@ -14,7 +14,12 @@ from hypothesis import example, given, strategies as st
 import toepcert as tc
 from toepcert.io import MatrixFileError
 from toepcert.isometry import IsometryCertificate
-from toepcert.product import ProductCertificate, RankOneOutcome, classify_regime
+from toepcert.product import (
+    ProductCertificate,
+    RankOneOutcome,
+    classify_regime,
+    comparison_vectors,
+)
 
 EXACT = tc.Tolerance(0.0, 0.0)
 # exact, default, relative only, and absolute with relative
@@ -41,6 +46,17 @@ def basis(i: int, dim: int) -> np.ndarray:
 
 def outer(x, y) -> np.ndarray:
     return np.outer(np.asarray(x, dtype=complex), np.conj(np.asarray(y, dtype=complex)))
+
+
+def displacement_interior(A: tc.AsymToeplitz, B: tc.AsymToeplitz) -> np.ndarray:
+    """The interior of the displacement of A B, by the paper's product identity.
+
+    ``(x (x) conj y - u (x) conj v)[1:, 1:]`` for the vectors of
+    ``product.comparison_vectors``: entry (i, j) is
+    ``(A B)[i + 1, j + 1] - (A B)[i, j]``, and no factor is realized.
+    """
+    x, y, u, v, _ = comparison_vectors(A, B)
+    return (outer(x, y) - outer(u, v))[1:, 1:]
 
 
 def corner_free_dense(A: tc.AsymToeplitz) -> np.ndarray:

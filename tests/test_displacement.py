@@ -1,8 +1,7 @@
 import numpy as np
 
 import toepcert as tc
-from toepcert.displacement import reconstruct
-from helpers import EXACT, basis, outer, unit_isometry_dense
+from helpers import EXACT, basis, outer
 
 
 class TestDisplacementDense:
@@ -19,37 +18,6 @@ class TestDisplacementDense:
     def test_small_counterexample(self):
         D = tc.displacement_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert np.array_equal(D, np.array([[1.0, 2.0], [3.0, 3.0]]))
-
-
-class TestReconstruct:
-    def test_corner_one_traces_the_diagonal(self):
-        D = outer(basis(0, 3), basis(0, 5))
-        assert np.array_equal(reconstruct(D), np.eye(3, 5))
-
-    def test_unit_isometry_roundtrip(self):
-        M = unit_isometry_dense()
-        assert np.array_equal(reconstruct(tc.displacement_dense(M)), M)
-
-    def test_compact_roundtrip_exact(self, rng):
-        for _ in range(20):
-            n, m = rng.integers(1, 9, size=2)
-            M = tc.random_toeplitz(rng, n, m).to_dense()
-            assert np.array_equal(reconstruct(tc.displacement_dense(M)), M)
-
-    def test_arbitrary_integer_matrix_roundtrip_exact(self, rng):
-        for _ in range(20):
-            n, m = rng.integers(1, 11, size=2)
-            M = (rng.integers(-5, 6, size=(n, m))
-                 + 1j * rng.integers(-5, 6, size=(n, m))).astype(complex)
-            assert np.array_equal(reconstruct(tc.displacement_dense(M)), M)
-
-    def test_arbitrary_float_matrix_roundtrip_tight(self, rng):
-        # the telescoping holds for every matrix, not only Toeplitz ones
-        for _ in range(20):
-            n, m = rng.integers(1, 11, size=2)
-            M = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-            err = np.max(np.abs(reconstruct(tc.displacement_dense(M)) - M))
-            assert err <= 1e-12
 
 
 class TestToeplitzByDisplacement:

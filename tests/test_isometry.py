@@ -163,11 +163,11 @@ def test_matches_reference(shape, kind, seed, scale_exp, tol):
         if kind == "scaled-shift":
             c *= 2.0 ** scale_exp
         A = shift_toeplitz(n, m, int(rng.integers(0, n)), c)
-    H = tc.flip_cols(A)
-    flipped = H.core.rot180()
+    # H = C P_m is decided on its stored core C = P_n A P_m
+    H = tc.flip_rows_of(A)
+    hankel = tc.hankel_is_isometry(H, tol)
     for cert, ref, core in ((tc.is_isometry(A, tol), reference_is_isometry(A, tol), A),
-                            (tc.hankel_is_isometry(H, tol), reference_is_isometry(flipped, tol),
-                             flipped)):
+                            (hankel, reference_is_isometry(H.core, tol), H.core)):
         assert cert.wide == ref.wide
         assert bits(cert.w) == bits(ref.w)
         assert (cert.match is None) == (ref.match is None)
@@ -187,6 +187,11 @@ def test_matches_reference(shape, kind, seed, scale_exp, tol):
         # length leaves an ulp)
         if abs(ref.residual_norm - tol.atol) > bound:
             assert cert.accepted == ref.accepted
+    # the row-flip core P_n H = P_n C P_m is an isometry exactly when C is,
+    # and gives the same verdict outside the exact contract, where an exact
+    # isometry's verdict is the rounding of one FFT residual
+    if tol != EXACT:
+        assert hankel.accepted == reference_is_isometry(H.core.rot180(), tol).accepted
 
 
 class TestUnitColumnCheck:
@@ -315,6 +320,29 @@ def test_no_residual_after_failed_match(monkeypatch):
         for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
             assert cert.accepted is False
             assert cert.residual_norm is None
+
+
+def test_hankel_isometry_builds_no_flipped_core(monkeypatch):
+    # H* H = P_m C* C P_m for H = C P_m, so the decision reads the stored
+    # core C and never builds a flipped one
+    cases = []
+    for n, m in ((1, 1), (5, 3), (9, 9), (3, 7), (40, 33)):
+        for k in range(min(n, 3)):
+            A = shift_toeplitz(n, m, k, np.exp(1j * (k + 1)))
+            cases.append((tc.flip_cols(A), reference_is_isometry(A)))
+        A = gaussian_toeplitz(n, m, seed=n + m)
+        cases.append((tc.flip_cols(A), reference_is_isometry(A)))
+    assert {ref.accepted for _, ref in cases} == {True, False}
+    assert any(H.n < H.m for H, _ in cases)
+
+    def refuse(self):
+        raise AssertionError("rot180 called")
+
+    monkeypatch.setattr(tc.AsymToeplitz, "rot180", refuse)
+    for H, ref in cases:
+        cert = tc.hankel_is_isometry(H)
+        assert cert.accepted == ref.accepted
+        assert bits(cert.w) == bits(ref.w)
 
 
 class TestHankelIsometry:

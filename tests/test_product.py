@@ -12,7 +12,6 @@ from toepcert.product import (
     ProductCertificate,
     RankOneOutcome,
     comparison_vectors,
-    delta_product_structured,
     rank_one_equal,
 )
 from helpers import (
@@ -22,6 +21,7 @@ from helpers import (
     corner_free_dense,
     dense_eye,
     dense_shift,
+    displacement_interior,
     lam_bits,
     outer,
     product_example_dense,
@@ -363,11 +363,13 @@ def test_scale_covariance(n, m, l, seed, c):
 
 
 class TestDeltaProduct:
+    # the product identity: the interior of the displacement of A B is
+    # x (x) conj y - u (x) conj v, every other entry of that difference
+    # being 0
     def test_identity_factors(self):
         for n, m, l in [(3, 5, 4), (4, 4, 4), (2, 6, 3)]:
-            D = delta_product_structured(tc.AsymToeplitz.eye(n, m),
-                                            tc.AsymToeplitz.eye(m, l))
-            assert np.array_equal(D, outer(basis(0, n), basis(0, l)))
+            D = displacement_interior(tc.AsymToeplitz.eye(n, m), tc.AsymToeplitz.eye(m, l))
+            assert np.array_equal(D, np.zeros((n - 1, l - 1)))
 
     def test_corner_free_r1(self, rng):
         for _ in range(20):
@@ -377,15 +379,18 @@ class TestDeltaProduct:
             A = tc.AsymToeplitz(n, m, 0.0, *_tails(rng, n, m))
             B = tc.AsymToeplitz(m, l, 0.0, *_tails(rng, m, l))
             dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            assert np.array_equal(delta_product_structured(A, B), dense)
+            assert np.array_equal(displacement_interior(A, B), dense[1:, 1:])
 
     def test_all_regimes_integer_exact(self, rng):
+        seen = set()
         for _ in range(100):
             n, m, l = rng.integers(1, 9, size=3)
+            seen.add(tc.classify_regime(n, m, l))
             A = tc.random_toeplitz(rng, n, m)
             B = tc.random_toeplitz(rng, m, l)
             dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            assert np.array_equal(delta_product_structured(A, B), dense)
+            assert np.array_equal(displacement_interior(A, B), dense[1:, 1:])
+        assert seen == set(tc.Regime)
 
     def test_all_regimes_float(self, rng):
         for _ in range(50):
@@ -395,24 +400,12 @@ class TestDeltaProduct:
             B = tc.AsymToeplitz(m, l, complex(*rng.standard_normal(2)),
                                 *_float_tails(rng, m, l))
             dense = tc.displacement_dense(A.to_dense() @ B.to_dense())
-            err = np.max(np.abs(delta_product_structured(A, B) - dense))
+            err = np.max(np.abs(displacement_interior(A, B) - dense[1:, 1:]), initial=0.0)
             assert err <= 1e-10
 
-    def test_border_is_first_row_and_column_of_product(self, rng):
-        # the displacement passes row 0 and column 0 of the product through
-        for _ in range(30):
-            n, m, l = rng.integers(1, 8, size=3)
-            A = tc.random_toeplitz(rng, n, m)
-            B = tc.random_toeplitz(rng, m, l)
-            product = A.to_dense() @ B.to_dense()
-            D = delta_product_structured(A, B)
-            assert np.array_equal(D[:, 0], product[:, 0])
-            assert np.array_equal(D[0, :], product[0, :])
-
     def test_realizes_no_factor(self, rng, monkeypatch):
-        # a 4 x 65536 factor would take 4 MiB dense; the border is checked
-        # against sums written out entry by entry, the interior against the
-        # diagonal differences of those sums
+        # a 4 x 65536 factor would take 4 MiB dense; the interior is checked
+        # against the diagonal differences of sums written out entry by entry
         n, m, l = 4, 1 << 16, 4
         A = tc.random_toeplitz(rng, n, m)
         B = tc.random_toeplitz(rng, m, l)
@@ -425,15 +418,8 @@ class TestDeltaProduct:
             raise AssertionError("to_dense called")
 
         monkeypatch.setattr(tc.AsymToeplitz, "to_dense", refuse)
-        D = delta_product_structured(A, B)
-        assert np.array_equal(D[:, 0], product[:, 0])
-        assert np.array_equal(D[0, :], product[0, :])
-        assert np.array_equal(D[1:, 1:], product[1:, 1:] - product[:-1, :-1])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(tc.DimensionMismatch):
-            delta_product_structured(tc.AsymToeplitz.eye(2, 3),
-                                        tc.AsymToeplitz.eye(4, 2))
+        D = displacement_interior(A, B)
+        assert np.array_equal(D, product[1:, 1:] - product[:-1, :-1])
 
 
 def _tails(rng, n, m):
