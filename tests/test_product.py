@@ -421,6 +421,10 @@ class TestDeltaProduct:
         D = displacement_interior(A, B)
         assert np.array_equal(D, product[1:, 1:] - product[:-1, :-1])
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(tc.DimensionMismatch):
+            displacement_interior(tc.AsymToeplitz.eye(2, 3), tc.AsymToeplitz.eye(4, 2))
+
 
 def _tails(rng, n, m):
     a = np.zeros(n, dtype=complex)
