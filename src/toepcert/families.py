@@ -98,28 +98,31 @@ def gen_pair(spec: FamilySpec) -> tuple[AsymToeplitz, AsymToeplitz]:
     a0 = complex(spec.a0) if spec.a0 is not None else complex(_fill(rng, 1)[0])
     b0 = complex(spec.b0) if spec.b0 is not None else complex(_fill(rng, 1)[0])
 
-    a = np.zeros(n, dtype=CDTYPE)
-    alpha = np.zeros(m, dtype=CDTYPE)
-    if n <= m:
-        alpha[1:] = a_free
-        for i in range(1, n):
-            a[i] = lam * np.conj(alpha[m - i])
-    else:
-        a[1:m] = a_free
-        for j in range(1, m):
-            alpha[j] = np.conj(a[m - j]) / np.conj(lam)
-        for i in range(m, n):
-            a[i] = lam * (a0 if i == m else a[i - m])
+    # a lam near the float range's edges overflows here; AsymToeplitz
+    # refuses the non-finite result with one error, so NumPy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.zeros(n, dtype=CDTYPE)
+        alpha = np.zeros(m, dtype=CDTYPE)
+        if n <= m:
+            alpha[1:] = a_free
+            for i in range(1, n):
+                a[i] = lam * np.conj(alpha[m - i])
+        else:
+            a[1:m] = a_free
+            for j in range(1, m):
+                alpha[j] = np.conj(a[m - j]) / np.conj(lam)
+            for i in range(m, n):
+                a[i] = lam * (a0 if i == m else a[i - m])
 
-    b = np.zeros(m, dtype=CDTYPE)
-    b[1:] = b_free
-    beta = np.zeros(l, dtype=CDTYPE)
-    for j in range(1, min(l, m)):
-        beta[j] = np.conj(b[m - j]) / np.conj(lam)
-    if m < l:
-        beta[m] = np.conj(b0) / np.conj(lam)
-        for j in range(m + 1, l):
-            beta[j] = beta[j - m] / np.conj(lam)
+        b = np.zeros(m, dtype=CDTYPE)
+        b[1:] = b_free
+        beta = np.zeros(l, dtype=CDTYPE)
+        for j in range(1, min(l, m)):
+            beta[j] = np.conj(b[m - j]) / np.conj(lam)
+        if m < l:
+            beta[m] = np.conj(b0) / np.conj(lam)
+            for j in range(m + 1, l):
+                beta[j] = beta[j - m] / np.conj(lam)
 
     return AsymToeplitz(n, m, a0, a, alpha), AsymToeplitz(m, l, b0, b, beta)
 
@@ -221,12 +224,13 @@ def perturb_to_break(pair: tuple[AsymToeplitz, AsymToeplitz],
     if not np.any(B.alpha):
         raise ValueError("cannot perturb: right row parameters are zero")
     n, m = A.n, A.m
-    candidates = [p for p in range(1, min(n, m)) if A.a[p] != 0]
+    # offsets p - 1 of the nonzero A.a[p], 1 <= p < min(n, m)
+    candidates = np.flatnonzero(A.a[1:min(n, m)])
 
     def bumped(delta: float) -> AsymToeplitz:
-        if candidates:
+        if candidates.size:
             alpha = A.alpha.copy()
-            alpha[m - candidates[0]] += delta
+            alpha[m - 1 - candidates[0]] += delta
             return replace(A, alpha=alpha)
         # tail nonzero only through the geometric blocks: bump the corner,
         # which feeds the comparison vector at index m

@@ -4,16 +4,17 @@ Numbers are stored as ``[re, im]`` pairs.  Toeplitz files carry the
 literal first row and first column, Hankel files the first row and last
 column, dense files the row-major entries.  Writing is canonical (sorted
 keys, floats with 17 significant digits), so rewriting a canonical file
-reproduces it byte for byte.
+reproduces it byte for byte; each vector is formatted by one ``%`` call.
 
-Reading accepts as a number part only an exact JSON integer or float;
-``true``, strings, ``null``, ``NaN``, ``Infinity`` and integers beyond
-the float range are rejected.  Each part becomes the double that
-``float()`` gives, bit for bit.  The well-formed lists convert in one
-NumPy pass; any other list is checked entry by entry, and the error
-names the first bad position, as in ``'first_row[3]'``.  On a file it
-cannot read or a malformed one, :func:`load_matrix` raises a
-:class:`MatrixFileError` whose message names the file.
+Reading accepts as a pair only an exact ``list`` of two parts, and as a
+part only an exact ``int`` or ``float`` (what ``json.loads`` gives):
+``true``, strings, ``null``, ``NaN``, ``Infinity``, integers beyond the
+float range, list subclasses and ``numpy.float64`` are rejected.  Each
+part becomes the double that ``float()`` gives, bit for bit, in one NumPy
+pass.  When that pass refuses a list, a walk over its items names the
+first bad position, as in ``'first_row[3]'``.  On a file it cannot read
+or a malformed one, :func:`load_matrix` raises a :class:`MatrixFileError`
+whose message names the file.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ def _parse_entries(items, count: int, where: str) -> np.ndarray:
         raise MatrixFileError(f"'{where}' must be a list of {count} [re, im] pairs")
     # one pass in C when every item is an exact [int | float, int | float]
     # list; NumPy alone would also convert bools and numeric strings
-    if (set(map(type, items)) == {list} and set(map(len, items)) == {2}
+    if (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
             and set(map(type, chain.from_iterable(items))) <= {int, float}):
         try:
             parts = np.fromiter(chain.from_iterable(items), np.float64, count=2 * count)
@@ -61,23 +62,22 @@ def _parse_entries(items, count: int, where: str) -> np.ndarray:
         else:
             if np.isfinite(parts).all():
                 return parts.view(CDTYPE)
-    # entry by entry: names the first bad position, and converts the list
-    # and number subclasses (such as numpy.float64) the pass above leaves out
-    out = np.zeros(count, dtype=CDTYPE)
+    raise MatrixFileError(_first_bad_entry(items, where))
+
+
+def _first_bad_entry(items: list, where: str) -> str:
+    """The message for the first item that the one-pass conversion refuses."""
     for pos, item in enumerate(items):
-        if (not isinstance(item, list) or len(item) != 2
-                or any(isinstance(part, bool) or not isinstance(part, (int, float))
-                       for part in item)):
-            raise MatrixFileError(f"'{where}[{pos}]' must be a [re, im] number pair")
+        if (type(item) is not list or len(item) != 2
+                or not set(map(type, item)) <= {int, float}):
+            return f"'{where}[{pos}]' must be a [re, im] number pair"
         try:
-            re, im = float(item[0]), float(item[1])
+            # both parts first: a too-large integer beside a NaN is named
+            finite = all([math.isfinite(part) for part in item])
         except OverflowError:
-            raise MatrixFileError(
-                f"'{where}[{pos}]' contains an integer too large for a float") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise MatrixFileError(f"'{where}[{pos}]' contains a non-finite number")
-        out[pos] = complex(re, im)
-    return out
+            return f"'{where}[{pos}]' contains an integer too large for a float"
+        if not finite:
+            return f"'{where}[{pos}]' contains a non-finite number"
 
 
 def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
@@ -153,37 +153,25 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
 # canonical writing
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _pairs(values) -> str:
-    return "[" + ", ".join(f"[{_fmt(z.real)}, {_fmt(z.imag)}]" for z in values) + "]"
+    parts = np.ascontiguousarray(values, dtype=CDTYPE).view(np.float64).tolist()
+    return "[" + ", ".join(["[%.17g, %.17g]"] * (len(parts) // 2)) % tuple(parts) + "]"
 
 
 def matrix_to_text(obj) -> str:
     """Canonical file text for a compact or dense matrix."""
     if isinstance(obj, AsymToeplitz):
-        body = (f'  "cols": {obj.m},\n'
-                f'  "first_col": {_pairs(obj.first_col())},\n'
-                f'  "first_row": {_pairs(obj.first_row())},\n'
-                f'  "kind": "toeplitz",\n'
-                f'  "rows": {obj.n}\n')
+        doc = {"kind": '"toeplitz"', "rows": obj.n, "cols": obj.m,
+               "first_row": _pairs(obj.first_row()), "first_col": _pairs(obj.first_col())}
     elif isinstance(obj, AsymHankel):
-        first_row = obj.core.first_row()[::-1]
-        last_col = obj.core.first_col()
-        body = (f'  "cols": {obj.m},\n'
-                f'  "first_row": {_pairs(first_row)},\n'
-                f'  "kind": "hankel",\n'
-                f'  "last_col": {_pairs(last_col)},\n'
-                f'  "rows": {obj.n}\n')
+        doc = {"kind": '"hankel"', "rows": obj.n, "cols": obj.m,
+               "first_row": _pairs(obj.core.first_row()[::-1]),
+               "last_col": _pairs(obj.core.first_col())}
     else:
         M = as_dense(obj)
-        body = (f'  "cols": {M.shape[1]},\n'
-                f'  "data": {_pairs(M.ravel())},\n'
-                f'  "kind": "dense",\n'
-                f'  "rows": {M.shape[0]}\n')
-    return "{\n" + body + "}\n"
+        doc = {"kind": '"dense"', "rows": M.shape[0], "cols": M.shape[1],
+               "data": _pairs(M.ravel())}
+    return "{\n" + ",\n".join(f'  "{key}": {doc[key]}' for key in sorted(doc)) + "\n}\n"
 
 
 def save_matrix(path, obj) -> None:

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 import toepcert as tc
+from toepcert.core import as_dense
 from toepcert.io import MatrixFileError
 from toepcert.isometry import IsometryCertificate
 from toepcert.product import (
@@ -251,9 +252,10 @@ def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
     size = 1 << int(n + m - 2).bit_length()
     conv = np.fft.ifft(np.fft.fft(h, size) * np.fft.fft(A.a, size))
     tail_norm_sq = float(np.sum(np.abs(A.a) ** 2))
-    r = (conv[n - 1:n + m - 1]
-         + np.conj(A.a0) * (dense_eye(m, n) @ A.a)
-         + A.a0 * A.alpha)
+    # the rectangular identity's part: conj(a0) times a, cut or padded to m
+    head = np.zeros(m, dtype=complex)
+    head[:min(n, m)] = A.a[:min(n, m)]
+    r = conv[n - 1:n + m - 1] + np.conj(A.a0) * head + A.a0 * A.alpha
     r[0] += (abs(A.a0) ** 2 - tail_norm_sq - 1.0) / 2.0
     return r
 
@@ -293,16 +295,17 @@ def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:
 def reference_parse_entries(items, count: int, where: str) -> np.ndarray:
     """``io._parse_entries`` as a per-entry loop, checking each pair in turn.
 
-    The bulk parse must return the same values bit for bit and raise the
-    same ``MatrixFileError`` text, which names the first bad position.
+    A pair must be an exact ``list`` and each part an exact ``int`` or
+    ``float``.  The bulk parse must return the same values bit for bit and
+    raise the same ``MatrixFileError`` text, which names the first bad
+    position.
     """
     if not isinstance(items, list) or len(items) != count:
         raise MatrixFileError(f"'{where}' must be a list of {count} [re, im] pairs")
     out = np.zeros(count, dtype=complex)
     for pos, item in enumerate(items):
-        if (not isinstance(item, list) or len(item) != 2
-                or any(isinstance(part, bool) or not isinstance(part, (int, float))
-                       for part in item)):
+        if (type(item) is not list or len(item) != 2
+                or any(type(part) not in (int, float) for part in item)):
             raise MatrixFileError(f"'{where}[{pos}]' must be a [re, im] number pair")
         try:
             re, im = float(item[0]), float(item[1])
@@ -313,3 +316,41 @@ def reference_parse_entries(items, count: int, where: str) -> np.ndarray:
             raise MatrixFileError(f"'{where}[{pos}]' contains a non-finite number")
         out[pos] = complex(re, im)
     return out
+
+
+def _reference_fmt(x: float) -> str:
+    return format(float(x), ".17g")
+
+
+def _reference_pairs(values) -> str:
+    return ("[" + ", ".join(f"[{_reference_fmt(z.real)}, {_reference_fmt(z.imag)}]"
+                            for z in values) + "]")
+
+
+def reference_matrix_to_text(obj) -> str:
+    """``io.matrix_to_text`` with each body written out and each part formatted alone.
+
+    Every part goes through ``format(x, ".17g")`` on its own; the writer
+    must give the same text byte for byte.
+    """
+    if isinstance(obj, tc.AsymToeplitz):
+        body = (f'  "cols": {obj.m},\n'
+                f'  "first_col": {_reference_pairs(obj.first_col())},\n'
+                f'  "first_row": {_reference_pairs(obj.first_row())},\n'
+                f'  "kind": "toeplitz",\n'
+                f'  "rows": {obj.n}\n')
+    elif isinstance(obj, tc.AsymHankel):
+        first_row = obj.core.first_row()[::-1]
+        last_col = obj.core.first_col()
+        body = (f'  "cols": {obj.m},\n'
+                f'  "first_row": {_reference_pairs(first_row)},\n'
+                f'  "kind": "hankel",\n'
+                f'  "last_col": {_reference_pairs(last_col)},\n'
+                f'  "rows": {obj.n}\n')
+    else:
+        M = as_dense(obj)
+        body = (f'  "cols": {M.shape[1]},\n'
+                f'  "data": {_reference_pairs(M.ravel())},\n'
+                f'  "kind": "dense",\n'
+                f'  "rows": {M.shape[0]}\n')
+    return "{\n" + body + "}\n"

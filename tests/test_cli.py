@@ -187,6 +187,17 @@ class TestGenerate:
                      "--out-b", str(tmp_path / "b.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("lam, field", [("1e308,1e308", "a"), ("1e-320", "alpha")])
+    def test_overflowing_lambda_is_one_error_line(self, tmp_path, lam, field):
+        # a fresh process, where a NumPy warning would reach stderr as it
+        # does for a user
+        proc = subprocess.run(
+            [sys.executable, "-m", "toepcert", "generate", "--regime", "r1", "-n", "2",
+             "-m", "2", "-l", "2", "--lambda", lam, "--out-a", str(tmp_path / "a.json"),
+             "--out-b", str(tmp_path / "b.json")], capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {field} contains non-finite entries\n"
+
     def test_unknown_regime_is_usage_error(self, tmp_path, capsys):
         code = main(["generate", "--regime", "r9", "-n", "2", "-m", "4", "-l", "3",
                      "--out-a", str(tmp_path / "a.json"),

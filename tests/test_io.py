@@ -3,13 +3,15 @@ import json
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import toepcert as tc
 from toepcert.io import _parse_entries, matrix_to_text, parse_matrix
-from helpers import reference_parse_entries
+from helpers import reference_matrix_to_text, reference_parse_entries
 
 # the largest integer that float() still rounds to a finite double
 MAX_FLOAT_INT = 2**1024 - 2**970 - 1
+MAX_FLOAT = 1.7976931348623157e308
 
 
 def roundtrip(obj):
@@ -53,6 +55,35 @@ class TestRoundtrip:
     def test_keys_are_sorted(self, rng):
         doc = json.loads(matrix_to_text(tc.random_toeplitz(rng, 2, 2)))
         assert list(doc) == sorted(doc)
+
+
+# every finite double, with both zeros, the smallest subnormal and the
+# largest float drawn as often as the rest
+FINITE_PARTS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                         st.sampled_from([0.0, -0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT]))
+
+
+@st.composite
+def written_matrices(draw):
+    """A Toeplitz, Hankel or dense matrix of shape 1..40 x 1..40."""
+    kind = draw(st.sampled_from(("toeplitz", "hankel", "dense")))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    count = n * m if kind == "dense" else n + m - 1
+    values = draw(arrays(np.float64, 2 * count, elements=FINITE_PARTS)).view(complex)
+    if kind == "dense":
+        return values.reshape(n, m)
+    A = tc.AsymToeplitz(n, m, values[0], np.concatenate([[0], values[1:n]]),
+                        np.concatenate([[0], values[n:]]))
+    # the writer reads a Hankel file's first row as a reversed view of the core's
+    return A if kind == "toeplitz" else tc.AsymHankel(A)
+
+
+class TestWriter:
+    @given(written_matrices())
+    @example(np.array([[MAX_FLOAT - 5e-324j]]))
+    @example(tc.AsymHankel(tc.AsymToeplitz(2, 3, -0.0, [0, 5e-324], [0, -MAX_FLOAT, 0.1j])))
+    def test_matches_per_part_formatting(self, obj):
+        assert matrix_to_text(obj) == reference_matrix_to_text(obj)
 
 
 class TestHankelFileSemantics:
@@ -202,12 +233,13 @@ class TestBulkParse:
     def test_list_shape_same_error(self, items, count):
         assert_same_error(items, count)
 
-    def test_subclasses_take_the_loop(self):
-        # exact types only go to NumPy; a list subclass or NumPy scalar
-        # gives the loop's value
+    def test_subclasses_are_refused(self):
+        # only exact lists, ints and floats are read, as json.loads gives them
         class Pair(list):
             pass
-        items = [Pair([1, 2]), [np.float64(0.1), -0.0], [3, np.float64(-2.5)]]
-        got = _parse_entries(items, 3, "data")
-        want = reference_parse_entries(items, 3, "data")
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        for items, pos in (([[1, 2], Pair([1, 2]), [3, 4]], 1),
+                           ([[1, 2], [3, 4], [np.float64(0.1), -0.0], [np.float64(2.5), 0]], 2)):
+            with pytest.raises(tc.MatrixFileError) as got:
+                _parse_entries(items, len(items), "data")
+            assert str(got.value) == f"'data[{pos}]' must be a [re, im] number pair"
+            assert_same_error(items, len(items))

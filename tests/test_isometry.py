@@ -146,23 +146,9 @@ def bits(value) -> bytes | None:
     return None if value is None else np.asarray(value, dtype=complex).tobytes()
 
 
-@settings(deadline=None, max_examples=300)
-@given(st.one_of(st.sampled_from(CORNER_SHAPES),
-                 st.tuples(st.integers(1, 96), st.integers(1, 96))),
-       st.sampled_from(("random", "shift", "scaled-shift")),
-       st.integers(0, 2**32 - 1), st.integers(-40, 40),
-       st.sampled_from((tc.DEFAULT_TOL, EXACT, tc.Tolerance(1e-12, 1e-12),
-                        tc.Tolerance(1e-3, 1e-3))))
-def test_matches_reference(shape, kind, seed, scale_exp, tol):
-    n, m = shape
-    if kind == "random":
-        A = gaussian_toeplitz(n, m, seed, scale_exp)
-    else:
-        rng = np.random.default_rng(seed)
-        c = np.exp(2j * np.pi * rng.random())
-        if kind == "scaled-shift":
-            c *= 2.0 ** scale_exp
-        A = shift_toeplitz(n, m, int(rng.integers(0, n)), c)
+def assert_matches_reference(A, tol):
+    """``is_isometry`` on A and ``hankel_is_isometry`` on ``flip_rows_of(A)``
+    against the reference; returns the Hankel matrix and its certificate."""
     # H = C P_m is decided on its stored core C = P_n A P_m
     H = tc.flip_rows_of(A)
     hankel = tc.hankel_is_isometry(H, tol)
@@ -187,11 +173,45 @@ def test_matches_reference(shape, kind, seed, scale_exp, tol):
         # length leaves an ulp)
         if abs(ref.residual_norm - tol.atol) > bound:
             assert cert.accepted == ref.accepted
+    return H, hankel
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(st.sampled_from(CORNER_SHAPES),
+                 st.tuples(st.integers(1, 96), st.integers(1, 96))),
+       st.sampled_from(("random", "shift", "scaled-shift")),
+       st.integers(0, 2**32 - 1), st.integers(-40, 40),
+       st.sampled_from((tc.DEFAULT_TOL, EXACT, tc.Tolerance(1e-12, 1e-12),
+                        tc.Tolerance(1e-3, 1e-3))))
+def test_matches_reference(shape, kind, seed, scale_exp, tol):
+    n, m = shape
+    if kind == "random":
+        A = gaussian_toeplitz(n, m, seed, scale_exp)
+    else:
+        rng = np.random.default_rng(seed)
+        c = np.exp(2j * np.pi * rng.random())
+        if kind == "scaled-shift":
+            c *= 2.0 ** scale_exp
+        A = shift_toeplitz(n, m, int(rng.integers(0, n)), c)
+    H, hankel = assert_matches_reference(A, tol)
     # the row-flip core P_n H = P_n C P_m is an isometry exactly when C is,
     # and gives the same verdict outside the exact contract, where an exact
     # isometry's verdict is the rounding of one FFT residual
     if tol != EXACT:
         assert hankel.accepted == reference_is_isometry(H.core.rot180(), tol).accepted
+
+
+# the isometry benchmark's three shapes: a shift by k <= n - m is an
+# isometry, one by k > n - m fails the match, and 1.5 times a fitting one
+# passes the match and fails the residual
+@pytest.mark.parametrize("n, m", [(576, 512), (1152, 1024), (2304, 2048)])
+@pytest.mark.parametrize("shift, scale, accepted", [
+    ("fits", 1.0, True), ("overhangs", 1.0, False), ("fits", 1.5, False)])
+def test_matches_reference_at_benchmark_shapes(n, m, shift, scale, accepted):
+    k = (n - m) // 2 if shift == "fits" else n - m + 1
+    A = shift_toeplitz(n, m, k, scale * np.exp(0.3j))
+    assert tc.is_isometry(A).accepted is accepted
+    assert_matches_reference(A, tc.DEFAULT_TOL)
 
 
 class TestUnitColumnCheck:
