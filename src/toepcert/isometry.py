@@ -5,12 +5,15 @@ is the m x m identity (orthonormal columns).  For a compact Toeplitz
 matrix this reduces to a rank-one self-match of the row parameters
 against a comparison vector (with unimodular scalar) plus one residual
 vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
-is the product identity of the pair (A*, A), decided on the product
-layer's comparison buffer, whose two comparison vectors coincide.
-Neither A* A nor A is formed: the residual's one matrix-vector product is
-a convolution of the adjoint's diagonal values, computed by FFT at the
-smallest 2**i * 3**j * 5**k length that holds it, in
-O((n + m) log(n + m)) time and O(n + m) memory.
+is the product identity of the pair (A*, A), decided by the product
+layer's rank-one match on half its comparison buffer, since the two
+comparison vectors coincide.  The conditions are tested in order of cost:
+the self-match and the unit norm of the first column (the residual's first
+entry) in O(n + m), then the rest of the residual.  Neither A* A nor A is
+formed: the residual's one matrix-vector product is a convolution of the
+adjoint's diagonal values, computed by FFT at the smallest
+2**i * 3**j * 5**k length that holds it, in O((n + m) log(n + m)) time and
+O(n + m) memory.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, _comparison_buffer, _match
+from .product import RankOneOutcome, _match, _self_pair_buffer
 
 __all__ = [
     "IsometryCertificate",
@@ -52,13 +55,15 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def isometry_residual(A: AsymToeplitz, _tail_norm_sq: float | None = None) -> np.ndarray:
+def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None) -> np.ndarray:
     """First-row defect vector of A* A - I_m.
 
     Zero (along with the rank-one self-match) exactly when A is an
     isometry.  The term A0* a, with A0 = A - a0 I_{n,m} the corner-free
     part, is a Toeplitz matrix-vector product, computed by FFT as a
-    convolution of A0*'s diagonal values with ``a``.
+    convolution of A0*'s diagonal values with ``a``.  Entry 0 is
+    (c - 1) / 2 for c the squared norm of A's first column, set from that
+    expression rather than read off the FFT.
     """
     n, m = A.n, A.m
     # (A0* a)[j] = sum_i h[j - i + n - 1] a[i] = (h conv a)[j + n - 1], with h
@@ -72,20 +77,21 @@ def isometry_residual(A: AsymToeplitz, _tail_norm_sq: float | None = None) -> np
     np.conj(A.a[:0:-1], out=h[:n - 1])
     h[n:n + m - 1] = A.alpha[1:]
     conv = np.fft.ifft(np.fft.fft(h) * np.fft.fft(A.a, size))
-    if _tail_norm_sq is None:
-        _tail_norm_sq = _tail_norm(A)
+    if _column_norm_sq is None:
+        _column_norm_sq = _squared_column_norm(A)
     # conj(a0) a, cut or padded to m entries, is added before a0 alpha
     r = conv[n - 1:n + m - 1]
     k = min(n, m)
     r[1:k] += np.conj(A.a0) * A.a[1:k]
     r += A.a0 * A.alpha
-    r[0] += (abs(A.a0) ** 2 - _tail_norm_sq - 1.0) / 2.0
+    # the FFT's entry 0 is sum |a|**2; half the column's defect replaces it
+    r[0] = (_column_norm_sq - 1.0) / 2.0
     return r
 
 
-def _tail_norm(A: AsymToeplitz) -> float:
-    """sum |a|**2, the squared norm of the first column below the corner."""
-    return float(np.sum(np.abs(A.a) ** 2))
+def _squared_column_norm(A: AsymToeplitz) -> float:
+    """|a0|**2 + sum |a|**2, the squared norm of A's first column."""
+    return abs(A.a0) ** 2 + float(np.sum(np.abs(A.a) ** 2))
 
 
 @dataclass(frozen=True)
@@ -95,11 +101,13 @@ class IsometryCertificate:
     ``w`` is the comparison vector of the pair (A*, A), with the conjugated
     corner at index n when the matrix is ``wide`` (n < m).  ``match`` is
     the rank-one self-match of the row parameters against ``w``, or ``None``
-    when it fails.  Acceptance requires the match to be degenerate or
-    unimodular and the residual to vanish.  ``residual_norm`` is ``None``
-    when the match failed, since the residual can no longer change the
-    verdict.  For a Hankel matrix H = C P_m it describes the stored core C,
-    since H* H = P_m C* C P_m.
+    when it fails.  ``column_norm_sq`` is the squared norm of the first
+    column.  Acceptance requires the match to be degenerate or unimodular
+    and the residual to vanish.  ``residual_norm`` is ``None`` when the
+    verdict was decided without it: when the match failed, or when
+    |column_norm_sq - 1| / 2, the residual's entry 0, exceeds ``tol.atol``.
+    For a Hankel matrix H = C P_m it describes the stored core C, since
+    H* H = P_m C* C P_m.
     """
 
     accepted: bool
@@ -119,26 +127,27 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
 
     Accepts iff the rank-one self-match of the row parameters against the
     comparison vector ``w`` holds with |lam| = 1 (or degenerates to zero on
-    both sides) and the residual vector vanishes, all within ``tol``; the
-    residual is computed only when the match holds.  Agrees with the dense
-    oracle on A* A - I_m.  The residual is an FFT result and carries
+    both sides) and the residual vector vanishes, all within ``tol``.  The
+    tests run in order of cost, each only when the ones before it pass: the
+    self-match, then the residual's entry 0, |column_norm_sq - 1| / 2, then
+    the FFT for the rest of the residual.  Agrees with the dense oracle on
+    A* A - I_m.  The residual is an FFT result and carries
     rounding, so under ``Tolerance(0, 0)`` most exact isometries are
     rejected; give it an ``atol`` above the rounding (the default 1e-9 is),
     until ROADMAP.md item 1 settles a tolerance band.
     """
-    # the product identity of the pair (A*, A): its buffer is (alpha, w, w, alpha)
-    cat = _comparison_buffer(A.adjoint(), A)
+    # the product identity of the pair (A*, A), matched on half its buffer
+    cat = _self_pair_buffer(A)
     match = _match(cat, A.m, A.m, tol)
-    # the certificate owns a copy of w; the 4m buffer is freed before the
-    # residual runs, since kept alive it slowed large accepted calls
-    w = cat[A.m:2 * A.m].copy()
-    del cat
+    w = cat[A.m:].copy()
     wide = A.n < A.m
-    tail_norm_sq = _tail_norm(A)
-    column_norm_sq = abs(A.a0) ** 2 + tail_norm_sq
+    column_norm_sq = _squared_column_norm(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
-    residual_norm = float(np.max(np.abs(isometry_residual(A, tail_norm_sq))))
+    # the residual's norm is at least its entry 0, |column_norm_sq - 1| / 2
+    if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
+        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
+    residual_norm = float(np.max(np.abs(isometry_residual(A, column_norm_sq))))
     accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
                 and residual_norm <= tol.atol)
     return IsometryCertificate(accepted, wide, w, match,

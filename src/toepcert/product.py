@@ -125,6 +125,26 @@ def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False
     return cat
 
 
+def _self_pair_buffer(A: AsymToeplitz) -> np.ndarray:
+    """The first half ``(alpha, w)`` of the buffer of the pair (A*, A).
+
+    The pair's buffer ``(x, v, u, y)`` is ``(alpha, w, w, alpha)``: A*'s
+    column tail and A's row parameters are both ``alpha``, and the two
+    comparison vectors coincide.  It is this half followed by the half
+    swapped, which :func:`_match` reads from the half alone.  ``w`` is
+    written as :func:`_comparison_buffer` writes A's ``v``, and the buffer
+    is allocated unfilled.
+    """
+    n, m = A.n, A.m
+    cat = np.empty(2 * m, dtype=CDTYPE)
+    cat[:m] = A.alpha
+    cat[m] = 0
+    _write_hat(m, n, A.a0.conjugate(), A.alpha, A.a, cat[m + 1:])
+    if n < m:
+        cat[m + n] += 0
+    return cat
+
+
 # ---------------------------------------------------------------------------
 # rank-one matching
 # ---------------------------------------------------------------------------
@@ -197,10 +217,20 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
     differs from max|lam xp_i| only by rounding, so the verdict can differ
     from that of separate reductions only for a defect within a few ulps
     of its threshold.
+
+    A self pair (xp, y) = (yp, x), with p == q, may pass its first half
+    ``cat = (x, yp)`` alone: (xp, y) is then read as that half swapped,
+    which gives the outcome, lam and defects of the full buffer bit for bit.
     """
     s = p + q
     mags = np.abs(cat)
-    max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
+    if len(cat) == s:
+        xp, y, mags_xp = cat[p:], cat[:p], mags[p:]
+        max_x, max_yp = np.maximum.reduceat(mags, (0, p)).tolist()
+        max_xp, max_y = max_yp, max_x
+    else:
+        xp, y, mags_xp = cat[s:s + p], cat[s + p:], mags[s:s + p]
+        max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
     if lam is None:
         zero = (max_x <= tol.atol, max_y <= tol.atol, max_xp <= tol.atol, max_yp <= tol.atol)
         lhs_zero = zero[0] or zero[1]
@@ -209,13 +239,13 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
             return RankOneOutcome(None, tuple(name for name, z in zip(_NAMES, zero) if z))
         if lhs_zero != rhs_zero:
             return None
-        pivot = int(mags[s:s + p].argmax())
-        lam = complex(cat[pivot] / cat[s + pivot])
+        pivot = int(mags_xp.argmax())
+        lam = complex(cat[pivot] / xp[pivot])
     # buf holds the scaled sides (lam xp, conj(lam) y), then the defects
     # (x - lam xp, yp - conj(lam) y) in their place
     buf = np.empty(s, dtype=CDTYPE)
-    np.multiply(lam, cat[s:s + p], out=buf[:p])
-    np.multiply(lam.conjugate(), cat[s + p:], out=buf[p:])
+    np.multiply(lam, xp, out=buf[:p])
+    np.multiply(lam.conjugate(), y, out=buf[p:])
     np.subtract(cat[:s], buf, out=buf)
     defect_x, defect_y = np.maximum.reduceat(np.abs(buf), (0, p)).tolist()
     scale = abs(lam)
@@ -307,5 +337,9 @@ def _certify(A: AsymToeplitz, B: AsymToeplitz, tol: Tolerance, flip_left: bool =
     if outcome is None:
         return None
     x, v, u, y = _split(cat, n, l)
-    return ProductCertificate(classify_regime(n, m, l), x, y, u, v, outcome,
-                              (n - 1) // m, (l - 1) // m)
+    # built as AsymToeplitz._trusted builds a matrix, skipping the frozen
+    # dataclass's __init__, which sets each field through object.__setattr__
+    cert = object.__new__(ProductCertificate)
+    cert.__dict__.update(regime=classify_regime(n, m, l), x=x, y=y, u=u, v=v,
+                         outcome=outcome, k=(n - 1) // m, k_prime=(l - 1) // m)
+    return cert

@@ -260,6 +260,28 @@ def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
     return r
 
 
+def full_self_pair_buffer(A: tc.AsymToeplitz) -> np.ndarray:
+    """The product buffer ``(alpha, w, w, alpha)`` of the pair (A*, A).
+
+    The four vectors ``(x, v, u, y)`` of :func:`reference_comparison_vectors`
+    in the layout ``product._match`` reads, which the isometry self-match
+    once matched whole; its first half ``(alpha, w)`` must give the same
+    outcome, ``lam`` bits and ``vanished`` names.
+    """
+    x, y, u, v, _ = reference_comparison_vectors(A.adjoint(), A)
+    return np.concatenate((x, v, u, y))
+
+
+def isometry_rounding_bound(A: tc.AsymToeplitz) -> float:
+    """How far two isometry residuals of A may differ by rounding alone.
+
+    FFT and dense sums round differently: a few ulps of the squared
+    parameter norm, which every term of the residual is bounded by.
+    """
+    scale = (np.linalg.norm(A.a) + np.linalg.norm(A.alpha) + abs(A.a0)) ** 2 + 1.0
+    return 16 * np.finfo(float).eps * scale
+
+
 def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCertificate:
     """``isometry.is_isometry`` from the reference comparison vectors and match.
 
@@ -268,7 +290,11 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     :func:`reference_rank_one_equal` and takes the residual at the next
     power of two.  The decision must give the same ``w``, match and column
     norm bit for bit, the residual norm within rounding, and the same
-    verdict wherever that rounding cannot tip it.
+    verdict wherever that rounding cannot tip it.  When the match holds and
+    the residual's entry 0, |column_norm_sq - 1| / 2, exceeds ``tol.atol``,
+    the residual norm is reported as ``None``, as the decision reports it;
+    the residual is still computed there and must reject too, up to its
+    rounding.
     """
     x, y, w, v, _ = reference_comparison_vectors(A.adjoint(), A)
     wide = A.n < A.m
@@ -277,6 +303,9 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
     residual_norm = float(np.max(np.abs(reference_isometry_residual(A))))
+    if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
+        assert residual_norm > tol.atol - isometry_rounding_bound(A)
+        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
                 and residual_norm <= tol.atol)
     return IsometryCertificate(accepted, wide, w, match, residual_norm, column_norm_sq)

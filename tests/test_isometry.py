@@ -9,21 +9,25 @@ from hypothesis import given, settings, strategies as st
 import toepcert as tc
 from toepcert import isometry
 from toepcert.isometry import _fft_length, isometry_residual
+from toepcert.product import _match
 from helpers import (
     CORNER_SHAPES,
     EXACT,
+    TOLS,
     basis,
     corner_free_dense,
     dense_isometry_residual,
     dense_shift,
+    full_self_pair_buffer,
     gaussian_toeplitz,
+    isometry_rounding_bound,
+    lam_bits,
     reference_is_isometry,
     unit_isometry_dense,
     with_shapes,
 )
 
 TOL = tc.Tolerance(1e-9, 1e-9)
-EPS = np.finfo(float).eps
 
 
 def dense_defect(A):
@@ -76,19 +80,12 @@ class TestResidual:
         assert np.array_equal(isometry_residual(A), [1.5, 0.0])
 
 
-def rounding_bound(A) -> float:
-    # FFT and dense sums round differently: a few ulps of the squared
-    # parameter norm, which every term of the residual is bounded by
-    scale = (np.linalg.norm(A.a) + np.linalg.norm(A.alpha) + abs(A.a0)) ** 2 + 1.0
-    return 16 * EPS * scale
-
-
 @settings(deadline=None)
 @with_shapes
 def test_residual_matches_dense_formula(n, m, seed, scale_exp):
     A = gaussian_toeplitz(n, m, seed, scale_exp)
     error = np.max(np.abs(isometry_residual(A) - dense_isometry_residual(A)))
-    assert error <= rounding_bound(A)
+    assert error <= isometry_rounding_bound(A)
 
 
 # n + m - 1 = 1125 is 5-smooth, 1126 one above it, 1129 a prime just above
@@ -98,7 +95,7 @@ def test_residual_matches_dense_formula(n, m, seed, scale_exp):
 def test_residual_at_padding_boundaries(n, m):
     A = gaussian_toeplitz(n, m, seed=n * m)
     error = np.max(np.abs(isometry_residual(A) - dense_isometry_residual(A)))
-    assert error <= rounding_bound(A)
+    assert error <= isometry_rounding_bound(A)
 
 
 def smooth_numbers(limit: int) -> list[int]:
@@ -165,7 +162,7 @@ def assert_matches_reference(A, tol):
         if ref.residual_norm is None:
             assert cert.accepted == ref.accepted
             continue
-        bound = rounding_bound(core)
+        bound = isometry_rounding_bound(core)
         assert abs(cert.residual_norm - ref.residual_norm) <= bound
         # the residual is defined up to rounding, so only a reference residual
         # that close to the threshold may tip the verdict (an exact shift
@@ -203,7 +200,7 @@ def test_matches_reference(shape, kind, seed, scale_exp, tol):
 
 # the isometry benchmark's three shapes: a shift by k <= n - m is an
 # isometry, one by k > n - m fails the match, and 1.5 times a fitting one
-# passes the match and fails the residual
+# passes the match and fails the column norm, the residual's entry 0
 @pytest.mark.parametrize("n, m", [(576, 512), (1152, 1024), (2304, 2048)])
 @pytest.mark.parametrize("shift, scale, accepted", [
     ("fits", 1.0, True), ("overhangs", 1.0, False), ("fits", 1.5, False)])
@@ -270,8 +267,11 @@ class TestIsIsometry:
         assert dense_defect(near) > 1e-9
 
     def test_zero_matrix_rejected(self):
+        # the column norm 0 decides before the residual (whose entry 0 is
+        # (0 - 1) / 2) is computed
         cert = tc.is_isometry(tc.AsymToeplitz.zero(3, 2), TOL)
-        assert not cert.accepted and cert.residual_norm == 0.5
+        assert not cert.accepted and cert.residual_norm is None
+        assert cert.column_norm_sq == 0.0
 
     def test_oracle_equivalence_random(self, rng):
         for _ in range(800):
@@ -319,12 +319,80 @@ class TestIsIsometry:
         assert checked == 17
 
 
-def test_no_residual_after_failed_match(monkeypatch):
-    # a failed self-match decides the verdict, so the residual must not run
+def matched_toeplitz(n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
+    """A random matrix whose row parameters are lam times its comparison vector.
+
+    lam is unimodular, so the self-match alpha = lam w, w = conj(lam) alpha
+    holds up to rounding; a wide matrix's w continues into alpha, which is
+    filled in index order, so each entry it reads is already set.
+    """
+    re, im = rng.standard_normal((2, n))
+    a0, a = complex(re[0], im[0]), re + 1j * im
+    a[0] = 0
+    lam = np.exp(2j * np.pi * rng.random())
+    alpha = np.zeros(m, dtype=complex)
+    for j in range(1, m):
+        w_j = np.conj(a[n - j]) if j < n else np.conj(a0) if j == n else alpha[j - n]
+        alpha[j] = lam * w_j
+    return tc.AsymToeplitz(n, m, a0, a, alpha)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**32 - 1),
+       st.integers(-40, 40),
+       st.sampled_from(("random", "integer", "sparse", "zero", "scaled-shift", "matched")))
+def test_self_match_equals_full_buffer_match(n, m, seed, scale_exp, kind):
+    """The self-match on (alpha, w) decides as ``_match`` on (alpha, w, w, alpha).
+
+    Integer entries tie in modulus, so the pivot choice shows in ``lam``;
+    matched matrices are also perturbed at about a quarter and twice the
+    match threshold, so that both verdicts occur under every tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "zero":
+        A = tc.AsymToeplitz.zero(n, m)
+    elif kind == "scaled-shift":
+        c = np.exp(2j * np.pi * rng.random()) * 2.0 ** scale_exp
+        A = shift_toeplitz(n, m, int(rng.integers(0, n)), c)
+    elif kind == "matched":
+        A = matched_toeplitz(n, m, rng)
+    else:
+        A = gaussian_toeplitz(n, m, seed, scale_exp)
+        a, alpha = A.a.copy(), A.alpha.copy()
+        if kind == "integer":
+            a, alpha = (np.round(v * 2) for v in (a, alpha))
+        elif kind == "sparse":
+            a[rng.random(n) < 0.5] = 0
+            alpha[rng.random(m) < 0.5] = 0
+        A = tc.AsymToeplitz(n, m, A.a0, a, alpha)
+    for tol in TOLS:
+        cases = [A]
+        if kind == "matched":
+            scale = tol.threshold(float(np.max(np.abs(A.alpha))))
+            for k in (-2, 1):
+                noise = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                noise[0] = 0
+                cases.append(tc.AsymToeplitz(n, m, A.a0, A.a,
+                                             A.alpha + noise * scale * 2.0 ** k))
+        for B in cases:
+            full = _match(full_self_pair_buffer(B), m, m, tol)
+            for cert in (tc.is_isometry(B, tol), tc.hankel_is_isometry(tc.flip_cols(B), tol)):
+                assert (cert.match is None) == (full is None)
+                if full is not None:
+                    assert lam_bits(cert.lam) == lam_bits(full.lam)
+                    assert cert.match.vanished == full.vanished
+
+
+def refuse_residual(monkeypatch, reason: str) -> None:
     def refuse(*args, **kwargs):
-        raise AssertionError("isometry_residual ran after a failed match")
+        raise AssertionError(f"isometry_residual ran {reason}")
 
     monkeypatch.setattr(isometry, "isometry_residual", refuse)
+
+
+def test_no_residual_after_failed_match(monkeypatch):
+    # a failed self-match decides the verdict, so the residual must not run
+    refuse_residual(monkeypatch, "after a failed match")
     candidates = []
     for n in range(2, 9):
         for m in range(2, 9):
@@ -340,6 +408,47 @@ def test_no_residual_after_failed_match(monkeypatch):
         for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
             assert cert.accepted is False
             assert cert.residual_norm is None
+
+
+def fitting_shifts(c: complex) -> list[tc.AsymToeplitz]:
+    """c times every n x m shift by k <= n - m, whose self-match degenerates."""
+    return [shift_toeplitz(n, m, k, c)
+            for n in range(1, 9) for m in range(1, n + 1) for k in range(n - m + 1)]
+
+
+def test_no_residual_after_column_norm_off_one(monkeypatch):
+    # the residual's entry 0 is (column_norm_sq - 1) / 2, so a matched matrix
+    # whose column norm is off 1 by more than 2 atol is rejected without it
+    refuse_residual(monkeypatch, "after the column norm decided")
+    candidates = [tc.AsymToeplitz.zero(n, m) for n in range(1, 6) for m in range(1, 6)]
+    for c in (0.5, 2.0, 1 + 1e-6, 2j):
+        candidates.extend(fitting_shifts(c))
+    for A in candidates:
+        for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
+            assert cert.accepted is False
+            assert cert.residual_norm is None
+            assert cert.match is not None
+            assert abs(cert.column_norm_sq - 1.0) / 2.0 > tc.DEFAULT_TOL.atol
+
+
+def test_residual_runs_for_column_norm_within_atol(monkeypatch):
+    # (1 + 1e-12) S has column norm 1 + 2e-12, within the default atol: the
+    # residual decides, as the dense oracle does
+    calls = []
+    residual = isometry.isometry_residual
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(isometry, "isometry_residual", counting)
+    candidates = fitting_shifts(1 + 1e-12)
+    for A in candidates:
+        H = tc.flip_cols(A)
+        for cert, M in ((tc.is_isometry(A), A), (tc.hankel_is_isometry(H), H)):
+            assert cert.residual_norm is not None
+            assert cert.accepted == (dense_defect(M) <= tc.DEFAULT_TOL.atol)
+    assert len(calls) == 2 * len(candidates)
 
 
 def test_hankel_isometry_builds_no_flipped_core(monkeypatch):
