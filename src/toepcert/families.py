@@ -5,7 +5,8 @@ for a chosen scalar; ``gen_degenerate`` builds the banded/one-sided forms
 whose comparison vectors vanish outright; ``perturb_to_break`` bumps one
 parameter of a certified pair so the identity provably fails, for negative
 testing.  Random fill uses Gaussian-integer values so the dense oracle
-comparisons stay exact in double precision.
+comparisons stay exact in double precision.  ``gen_isometry`` builds
+Toeplitz matrices with orthonormal columns, whose entries are not.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "FamilySpec",
     "SpecificationError",
     "gen_degenerate",
+    "gen_isometry",
     "gen_pair",
     "perturb_to_break",
     "random_toeplitz",
@@ -45,6 +47,32 @@ def random_toeplitz(rng: np.random.Generator, n: int, m: int) -> AsymToeplitz:
     alpha = np.zeros(m, dtype=CDTYPE)
     alpha[1:] = _fill(rng, m - 1)
     return AsymToeplitz(n, m, complex(_fill(rng, 1)[0]), a, alpha)
+
+
+def gen_isometry(rng: np.random.Generator, n: int, m: int) -> AsymToeplitz:
+    """An n x m Toeplitz isometry (n >= m) with a dense first column.
+
+    Its row parameters are alpha[j] = lam conj(a[n - j]) for a random
+    unimodular lam, so column j is the first column c shifted cyclically
+    down by j, its wrapped entries times conj(lam).  With theta**n =
+    conj(lam), g[i] = theta**i c[i] turns that twisted shift into a plain
+    cyclic one, so A* A = I when g's periodic autocorrelation vanishes at
+    lags 1..m-1 and ||g|| = 1 (Davis, *Circulant Matrices*, 1979).  g is
+    the inverse DFT of random unit phases, a flat spectrum, which holds for
+    every m <= n.
+    """
+    if not 1 <= m <= n:
+        raise SpecificationError(f"an isometry needs n >= m >= 1, got {n}x{m}")
+    turn = rng.random()
+    lam = np.exp(2j * np.pi * turn)
+    g = np.fft.ifft(np.exp(2j * np.pi * rng.random(n)))
+    # untwist: c[i] = theta**-i g[i] with theta = exp(-2 pi i turn / n)
+    c = g * np.exp(2j * np.pi * turn * np.arange(n) / n)
+    a = c.copy()
+    a[0] = 0
+    alpha = np.zeros(m, dtype=CDTYPE)
+    alpha[1:] = lam * np.conj(a[n - 1:n - m:-1])
+    return AsymToeplitz._trusted(n, m, complex(c[0]), a, alpha)
 
 
 @dataclass(frozen=True)

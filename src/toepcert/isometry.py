@@ -8,16 +8,23 @@ vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
 is the product identity of the pair (A*, A), decided by the product
 layer's rank-one match on half its comparison buffer, since the two
 comparison vectors coincide.  The conditions are tested in order of cost:
-the self-match and the unit norm of the first column (the residual's first
-entry) in O(n + m), then the rest of the residual.  Neither A* A nor A is
-formed: the residual's one matrix-vector product is a convolution of the
-adjoint's diagonal values, computed by FFT at the smallest
-2**i * 3**j * 5**k length that holds it, in O((n + m) log(n + m)) time and
-O(n + m) memory.
+the self-match, the unit modulus of its scalar and the unit norm of the
+first column (the residual's first entry) in O(n + m), then the rest of
+the residual.  Neither A* A nor A is formed.  The residual's one
+matrix-vector product is a convolution of the adjoint's diagonal values,
+computed by FFT in O((n + m) log(n + m)) time and O(n + m) memory.  Once
+the self-match alpha = lam w holds, with w[k] = conj(a[n - k]), every
+column of an n x m matrix with n >= m is a twisted cyclic shift of the
+first column (Davis, *Circulant Matrices*, 1979), and the product is the
+autocorrelation of the first column's tail: one complex and one real FFT
+of about 2n points instead of three complex ones of about n + m, taken
+where that is cheaper.  FFT lengths are the smallest 2**i * 3**j * 5**k
+that hold the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +62,8 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None) -> np.ndarray:
+def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None,
+                      _self_match: tuple[complex, np.ndarray] | None = None) -> np.ndarray:
     """First-row defect vector of A* A - I_m.
 
     Zero (along with the rank-one self-match) exactly when A is an
@@ -63,8 +71,34 @@ def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None) -> 
     part, is a Toeplitz matrix-vector product, computed by FFT as a
     convolution of A0*'s diagonal values with ``a``.  Entry 0 is
     (c - 1) / 2 for c the squared norm of A's first column, set from that
-    expression rather than read off the FFT.
+    expression rather than read off the FFT; the corner's terms are added
+    outside the FFT, so a scaled identity's residual is exact.
+
+    :func:`is_isometry` passes the self-match's scalar and comparison
+    vector (lam, w), with lam = 0 when both sides vanish.  Then A0* a is
+    read off the autocorrelation of ``a`` when that is cheaper (m <= n
+    <= 4m) and A lies within rounding of the matrix whose row parameters
+    are exactly lam w: c**(1/2) ||alpha - lam w||, which must not exceed
+    16 eps (c + 1), bounds by Cauchy-Schwarz how far the two residuals differ.
     """
+    n, m = A.n, A.m
+    if _column_norm_sq is None:
+        _column_norm_sq = _squared_column_norm(A)
+    if _self_match is not None and _autocorrelation_fits(A, _column_norm_sq, *_self_match):
+        r = _autocorrelation_term(A.a, _self_match[0], n, m)
+    else:
+        r = _convolution_term(A)
+    # conj(a0) a, cut or padded to m entries, is added before a0 alpha
+    k = min(n, m)
+    r[1:k] += np.conj(A.a0) * A.a[1:k]
+    r += A.a0 * A.alpha
+    # the FFT's entry 0 is sum |a|**2; half the column's defect replaces it
+    r[0] = (_column_norm_sq - 1.0) / 2.0
+    return r
+
+
+def _convolution_term(A: AsymToeplitz) -> np.ndarray:
+    """A0* a for any A, by one FFT convolution (three complex FFTs)."""
     n, m = A.n, A.m
     # (A0* a)[j] = sum_i h[j - i + n - 1] a[i] = (h conv a)[j + n - 1], with h
     # the diagonal values of the m x n adjoint, corner zeroed:
@@ -77,15 +111,48 @@ def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None) -> 
     np.conj(A.a[:0:-1], out=h[:n - 1])
     h[n:n + m - 1] = A.alpha[1:]
     conv = np.fft.ifft(np.fft.fft(h) * np.fft.fft(A.a, size))
-    if _column_norm_sq is None:
-        _column_norm_sq = _squared_column_norm(A)
-    # conj(a0) a, cut or padded to m entries, is added before a0 alpha
-    r = conv[n - 1:n + m - 1]
-    k = min(n, m)
-    r[1:k] += np.conj(A.a0) * A.a[1:k]
-    r += A.a0 * A.alpha
-    # the FFT's entry 0 is sum |a|**2; half the column's defect replaces it
-    r[0] = (_column_norm_sq - 1.0) / 2.0
+    return conv[n - 1:n + m - 1]
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, lam: complex,
+                          w: np.ndarray) -> bool:
+    """Whether :func:`_autocorrelation_term` may stand in for A0* a.
+
+    It costs one complex and one real FFT of about 2n points against three
+    complex ones of about n + m, and pays from m >= n / 4 on (measured).
+    It is exact for alpha = lam w, and A0* a is linear in alpha with
+    ||a|| <= c**(1/2), so the drift bound keeps the two within rounding.
+    """
+    n, m = A.n, A.m
+    if not m <= n <= 4 * m:
+        return False
+    drift = float(np.linalg.norm(A.alpha - lam * w))
+    return math.sqrt(column_norm_sq) * drift <= 16 * _EPS * (column_norm_sq + 1.0)
+
+
+def _autocorrelation_term(a: np.ndarray, lam: complex, n: int, m: int) -> np.ndarray:
+    """A0* a for n >= m and alpha = lam w, from the autocorrelation of ``a``.
+
+    With R[k] = sum_i conj(a[i + k]) a[i], the entries of A0* a below the
+    diagonal sum to conj(R[j]) and those above it, alpha[j - i] =
+    lam conj(a[n - j + i]), to lam R[n - j].  R is the real FFT of the
+    power spectrum |fft(a)|**2 at a length of at least 2n - 1, which does
+    not wrap lags below n.  Entry 0 is left at 0.
+    """
+    size = _fft_length(2 * n - 1)
+    spectrum = np.fft.fft(a, size)
+    power = spectrum.real * spectrum.real
+    power += spectrum.imag * spectrum.imag
+    R = np.fft.rfft(power)
+    r = np.empty(m, dtype=CDTYPE)
+    r[0] = 0
+    np.conjugate(R[1:m], out=r[1:])
+    if lam:
+        r[1:] += lam * R[n - 1:n - m:-1]
+    r[1:] /= size
     return r
 
 
@@ -104,7 +171,8 @@ class IsometryCertificate:
     when it fails.  ``column_norm_sq`` is the squared norm of the first
     column.  Acceptance requires the match to be degenerate or unimodular
     and the residual to vanish.  ``residual_norm`` is ``None`` when the
-    verdict was decided without it: when the match failed, or when
+    verdict was decided without it: when the match failed, when its scalar's
+    modulus is off 1 by more than ``tol.atol``, or when
     |column_norm_sq - 1| / 2, the residual's entry 0, exceeds ``tol.atol``.
     For a Hankel matrix H = C P_m it describes the stored core C, since
     H* H = P_m C* C P_m.
@@ -129,12 +197,13 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     comparison vector ``w`` holds with |lam| = 1 (or degenerates to zero on
     both sides) and the residual vector vanishes, all within ``tol``.  The
     tests run in order of cost, each only when the ones before it pass: the
-    self-match, then the residual's entry 0, |column_norm_sq - 1| / 2, then
-    the FFT for the rest of the residual.  Agrees with the dense oracle on
-    A* A - I_m.  The residual is an FFT result and carries
-    rounding, so under ``Tolerance(0, 0)`` most exact isometries are
-    rejected; give it an ``atol`` above the rounding (the default 1e-9 is),
-    until ROADMAP.md item 1 settles a tolerance band.
+    self-match, then |abs(lam) - 1| and the residual's entry 0,
+    |column_norm_sq - 1| / 2, then the FFT for the rest of the residual,
+    which reads the matched scalar to take the shorter route where it can.
+    Agrees with the dense oracle on A* A - I_m.  The residual is an FFT
+    result and carries rounding, so under ``Tolerance(0, 0)`` most exact
+    isometries are rejected; give it an ``atol`` above the rounding (the
+    default 1e-9 is), until ROADMAP.md item 1 settles a tolerance band.
     """
     # the product identity of the pair (A*, A), matched on half its buffer
     cat = _self_pair_buffer(A)
@@ -144,13 +213,15 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     column_norm_sq = _squared_column_norm(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
-    # the residual's norm is at least its entry 0, |column_norm_sq - 1| / 2
-    if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
+    # a scalar off the unit circle rejects whatever the residual, whose norm
+    # is at least its entry 0, |column_norm_sq - 1| / 2
+    if ((match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol)
+            or abs(column_norm_sq - 1.0) / 2.0 > tol.atol):
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
-    residual_norm = float(np.max(np.abs(isometry_residual(A, column_norm_sq))))
-    accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
-                and residual_norm <= tol.atol)
-    return IsometryCertificate(accepted, wide, w, match,
+    lam = match.lam if match.is_proportional else 0.0
+    residual = isometry_residual(A, column_norm_sq, (lam, w))
+    residual_norm = float(np.max(np.abs(residual)))
+    return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
                                residual_norm, column_norm_sq)
 
 

@@ -290,11 +290,12 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     :func:`reference_rank_one_equal` and takes the residual at the next
     power of two.  The decision must give the same ``w``, match and column
     norm bit for bit, the residual norm within rounding, and the same
-    verdict wherever that rounding cannot tip it.  When the match holds and
-    the residual's entry 0, |column_norm_sq - 1| / 2, exceeds ``tol.atol``,
-    the residual norm is reported as ``None``, as the decision reports it;
-    the residual is still computed there and must reject too, up to its
-    rounding.
+    verdict wherever that rounding cannot tip it.  When the match holds with
+    a scalar whose modulus is off 1 by more than ``tol.atol``, or the
+    residual's entry 0, |column_norm_sq - 1| / 2, exceeds ``tol.atol``, the
+    residual norm is reported as ``None``, as the decision reports it; in
+    the second case the residual is still computed and must reject too, up
+    to its rounding.
     """
     x, y, w, v, _ = reference_comparison_vectors(A.adjoint(), A)
     wide = A.n < A.m
@@ -302,13 +303,14 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     match = reference_rank_one_equal(x, y, w, v, tol)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
+    if match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol:
+        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     residual_norm = float(np.max(np.abs(reference_isometry_residual(A))))
     if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
         assert residual_norm > tol.atol - isometry_rounding_bound(A)
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
-    accepted = ((match.is_both_zero or abs(abs(match.lam) - 1.0) <= tol.atol)
-                and residual_norm <= tol.atol)
-    return IsometryCertificate(accepted, wide, w, match, residual_norm, column_norm_sq)
+    return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
+                               residual_norm, column_norm_sq)
 
 
 def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import toepcert as tc
+from toepcert.families import SpecificationError, gen_isometry
 from helpers import EXACT, nonzero_fill, product_example_dense
 
 
@@ -236,3 +238,39 @@ class TestRandomToeplitz:
         parts = np.concatenate([A.a.real, A.a.imag, A.alpha.real, A.alpha.imag])
         assert np.array_equal(parts, np.round(parts))
         assert np.max(np.abs(parts)) <= 5
+
+
+class TestGenIsometry:
+    @settings(deadline=None, max_examples=150)
+    @given(st.integers(1, 200), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_dense_oracle(self, n, width, seed):
+        # A* A = I to rounding for the matrix and for the Hankel matrix
+        # A P_m, at every width m <= n; the first column is dense, not a shift
+        m = max(1, round(width * n))
+        A = gen_isometry(np.random.default_rng(seed), n, m)
+        assert A.shape == (n, m)
+        for M in (A, tc.flip_cols(A)):
+            D = M.to_dense()
+            defect = np.max(np.abs(D.conj().T @ D - np.eye(m)))
+            assert defect <= 64 * n * np.finfo(float).eps
+        column = A.to_dense()[:, 0]
+        assert np.count_nonzero(np.abs(column) > 1e-3 / n) > min(n - 1, n // 2)
+
+    def test_certified(self):
+        rng = np.random.default_rng(7)
+        for n, m in ((2, 2), (5, 3), (64, 64), (199, 50)):
+            A = gen_isometry(rng, n, m)
+            for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
+                assert cert.accepted and cert.match.is_proportional
+                assert abs(abs(cert.lam) - 1.0) <= 1e-12
+
+    def test_seeded(self):
+        A, B = (gen_isometry(np.random.default_rng(3), 9, 4) for _ in range(2))
+        assert A == B
+
+    def test_rejects_wide(self):
+        with pytest.raises(SpecificationError, match="n >= m"):
+            gen_isometry(np.random.default_rng(0), 3, 4)
+
+    def test_off_the_root(self):
+        assert not hasattr(tc, "gen_isometry")

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import toepcert as tc
 from toepcert import isometry
+from toepcert.families import gen_isometry
 from toepcert.isometry import _fft_length, isometry_residual
 from toepcert.product import _match
 from helpers import (
@@ -319,14 +320,19 @@ class TestIsIsometry:
         assert checked == 17
 
 
-def matched_toeplitz(n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
+def matched_toeplitz(n: int, m: int, rng: np.random.Generator,
+                     unit: bool = False) -> tc.AsymToeplitz:
     """A random matrix whose row parameters are lam times its comparison vector.
 
     lam is unimodular, so the self-match alpha = lam w, w = conj(lam) alpha
     holds up to rounding; a wide matrix's w continues into alpha, which is
-    filled in index order, so each entry it reads is already set.
+    filled in index order, so each entry it reads is already set.  With
+    ``unit`` the first column is scaled to norm 1 before alpha is derived.
     """
     re, im = rng.standard_normal((2, n))
+    if unit:
+        scale = np.sqrt(np.sum(re**2 + im**2))
+        re, im = re / scale, im / scale
     a0, a = complex(re[0], im[0]), re + 1j * im
     a[0] = 0
     lam = np.exp(2j * np.pi * rng.random())
@@ -449,6 +455,172 @@ def test_residual_runs_for_column_norm_within_atol(monkeypatch):
             assert cert.residual_norm is not None
             assert cert.accepted == (dense_defect(M) <= tc.DEFAULT_TOL.atol)
     assert len(calls) == 2 * len(candidates)
+
+
+def test_no_residual_after_lambda_off_unit_circle(monkeypatch):
+    # a matched matrix whose scalar is off the unit circle is rejected
+    # without the residual, even with a unit first column.  Its comparison
+    # vector w is small but above atol, so the match alpha = lam w,
+    # w = conj(lam) alpha holds: |lam| = 1 -+ 1e-6 leaves a defect of about
+    # 2e-6 |w| in the second equation, and |lam| = 2 or 1/2 one of
+    # 3 |w|, within a relative tolerance of 1
+    refuse_residual(monkeypatch, "after the scalar left the unit circle")
+    wide_rtol = tc.Tolerance(1e-9, 1.0)
+    cases = []
+    for n in range(2, 9):
+        for m in range(2, n + 1):
+            for lam, tol in ((1 + 1e-6, tc.DEFAULT_TOL), (-1j * (1 - 1e-6), tc.DEFAULT_TOL),
+                             (2.0, wide_rtol), (0.5j, wide_rtol)):
+                a = np.zeros(n, dtype=complex)
+                a[n - m + 1:] = 1e-6 * np.exp(1j * np.arange(m - 1))
+                alpha = np.zeros(m, dtype=complex)
+                alpha[1:] = lam * np.conj(a[n - 1:n - m:-1])
+                a0 = np.sqrt(1.0 - np.sum(np.abs(a) ** 2))
+                cases.append((tc.AsymToeplitz(n, m, a0, a, alpha), tol))
+    for A, tol in cases:
+        for cert in (tc.is_isometry(A, tol), tc.hankel_is_isometry(tc.flip_cols(A), tol)):
+            assert cert.accepted is False
+            assert cert.residual_norm is None
+            assert cert.match is not None and cert.match.is_proportional
+            assert abs(abs(cert.lam) - 1.0) > tol.atol
+            assert abs(cert.column_norm_sq - 1.0) / 2.0 <= tol.atol
+
+
+def drifted(A: tc.AsymToeplitz, ratio: float, rng: np.random.Generator) -> tc.AsymToeplitz:
+    """A with noise on alpha of ``ratio`` times the route's drift bound,
+    ||noise|| = 16 eps (c + 1) / c**(1/2) for c the column's squared norm."""
+    noise = rng.standard_normal(A.m) + 1j * rng.standard_normal(A.m)
+    noise[0] = 0
+    norm = np.linalg.norm(noise)
+    if norm == 0:
+        return A
+    c = abs(A.a0) ** 2 + np.sum(np.abs(A.a) ** 2)
+    noise *= ratio * 16 * np.finfo(float).eps * (c + 1.0) / (np.sqrt(c) * norm)
+    return tc.AsymToeplitz(A.n, A.m, A.a0, A.a, A.alpha + noise)
+
+
+def both_zero_toeplitz(n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
+    """A unit first column with no entry in w's window and alpha = 0."""
+    re, im = rng.standard_normal((2, n))
+    c = re + 1j * im
+    c[max(n - m + 1, 1):] = 0
+    c /= np.linalg.norm(c)
+    a = c.copy()
+    a[0] = 0
+    return tc.AsymToeplitz(n, m, c[0], a, np.zeros(m))
+
+
+def route_case(kind: str, n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
+    """A generated isometry (n >= m), a both-zero match, or a matched unit
+    column, exact or drifted to a quarter or 4 times the route bound."""
+    if kind == "generated":
+        return gen_isometry(rng, n, m)
+    if kind == "both-zero":
+        return both_zero_toeplitz(n, m, rng)
+    A = matched_toeplitz(n, m, rng, unit=True)
+    ratio = {"matched": 0.0, "quarter": 0.25, "quadruple": 4.0}[kind]
+    return drifted(A, ratio, rng) if ratio else A
+
+
+PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, int(p**0.5) + 1))]
+
+
+@st.composite
+def route_shapes(draw):
+    """(n, m) where the autocorrelation pays (m <= n <= 4m), is wide, is tall
+    (m < n / 4) or has a prime n."""
+    kind = draw(st.sampled_from(("fits", "wide", "tall", "prime")))
+    if kind == "wide":
+        m = draw(st.integers(2, 200))
+        return draw(st.integers(1, m - 1)), m
+    if kind == "tall":
+        n = draw(st.integers(5, 200))
+        return n, draw(st.integers(1, (n - 1) // 4))
+    n = draw(st.sampled_from(PRIMES)) if kind == "prime" else draw(st.integers(1, 200))
+    return n, draw(st.integers(-(-n // 4), n))
+
+
+@settings(deadline=None, max_examples=300)
+@given(route_shapes(),
+       st.sampled_from(("generated", "matched", "both-zero", "quarter", "quadruple")),
+       st.integers(0, 2**32 - 1))
+def test_route_matches_reference(shape, kind, seed):
+    """Certificates on either residual route equal the reference's.
+
+    Generated isometries, exactly matched unit columns, both-zero matches
+    and matched matrices drifted to 1/4 and 4 times the route bound, under
+    every tolerance: ``w``, ``match`` and ``column_norm_sq`` bit for bit, the
+    residual norm within rounding and the verdict outside that band (all in
+    :func:`assert_matches_reference`); the residual also agrees with the
+    public, always-convolving ``isometry_residual``.
+    """
+    n, m = shape
+    if kind == "generated" and n < m:
+        kind = "matched"
+    A = route_case(kind, n, m, np.random.default_rng(seed))
+    for tol in (*TOLS, tc.Tolerance(1e-12, 1e-12)):
+        assert_matches_reference(A, tol)
+        cert = tc.is_isometry(A, tol)
+        if cert.residual_norm is not None:
+            lam = cert.lam if cert.match.is_proportional else 0.0
+            routed = isometry_residual(A, cert.column_norm_sq, (lam, cert.w))
+            exact = isometry_residual(A)
+            assert np.max(np.abs(routed - exact)) <= isometry_rounding_bound(A)
+
+
+# FFT lengths 125, 625 and 2000, whose radix-5 passes round a constant
+# spectrum's other bins away from 0
+@pytest.mark.parametrize("n", [63, 313, 1000])
+def test_identity_residual_is_exact(n):
+    # the corner's terms stay out of the FFT: the identity's column tail is
+    # zero, so its residual is exactly 0 on the autocorrelation route
+    for m in (n, -(-n // 4)):
+        for cert in (tc.is_isometry(tc.AsymToeplitz.eye(n, m), EXACT),
+                     tc.hankel_is_isometry(tc.flip_cols(tc.AsymToeplitz.eye(n, m)), EXACT)):
+            assert cert.accepted and cert.residual_norm == 0.0
+
+
+def count_routes(monkeypatch) -> dict:
+    counts = {"autocorrelation": 0, "convolution": 0}
+    for name in counts:
+        term = getattr(isometry, f"_{name}_term")
+
+        def counting(*args, term=term, name=name):
+            counts[name] += 1
+            return term(*args)
+
+        monkeypatch.setattr(isometry, f"_{name}_term", counting)
+    return counts
+
+
+@pytest.mark.parametrize("n, m, kind, route", [
+    # the autocorrelation where it pays, up to n = 4m, prime n included
+    *((n, m, "generated", "autocorrelation")
+      for n, m in ((1, 1), (2, 2), (8, 2), (31, 31), (97, 25), (200, 50), (211, 190))),
+    (64, 40, "quarter", "autocorrelation"),
+    (40, 40, "both-zero", "autocorrelation"),
+    # the convolution above the route bound, for wide and for tall shapes
+    (64, 40, "quadruple", "convolution"),
+    (40, 40, "quadruple", "convolution"),
+    (20, 60, "matched", "convolution"),
+    (3, 4, "matched", "convolution"),
+    *((n, m, "generated", "convolution") for n, m in ((9, 2), (201, 50), (2304, 16))),
+    (97, 20, "both-zero", "convolution"),
+])
+def test_route_selection(monkeypatch, n, m, kind, route):
+    A = route_case(kind, n, m, np.random.default_rng(n * m))
+    counts = count_routes(monkeypatch)
+    certs = (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A)))
+    assert all(cert.residual_norm is not None for cert in certs)
+    accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
+    assert accepted is (kind == "generated" or (kind == "both-zero" and n == m))
+    assert all(cert.accepted is accepted for cert in certs)
+    other = "convolution" if route == "autocorrelation" else "autocorrelation"
+    assert counts == {route: 2, other: 0}
+    # a public call convolves, whatever the matrix
+    convolutions = counts["convolution"]
+    isometry_residual(A)
+    assert counts["convolution"] == convolutions + 1
 
 
 def test_hankel_isometry_builds_no_flipped_core(monkeypatch):
