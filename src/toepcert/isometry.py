@@ -10,7 +10,8 @@ layer's rank-one match on half its comparison buffer, since the two
 comparison vectors coincide.  The conditions are tested in order of cost:
 the self-match, the unit modulus of its scalar and the unit norm of the
 first column (the residual's first entry) in O(n + m), then the rest of
-the residual.  Neither A* A nor A is formed.  The residual's one
+the residual, which a wide matrix (n < m, so of rank below m) never
+reaches.  Neither A* A nor A is formed.  The residual's one
 matrix-vector product is a convolution of the adjoint's diagonal values,
 computed by FFT in O((n + m) log(n + m)) time and O(n + m) memory.  Once
 the self-match alpha = lam w holds, with w[k] = conj(a[n - k]), every
@@ -172,8 +173,9 @@ class IsometryCertificate:
     column.  Acceptance requires the match to be degenerate or unimodular
     and the residual to vanish.  ``residual_norm`` is ``None`` when the
     verdict was decided without it: when the match failed, when its scalar's
-    modulus is off 1 by more than ``tol.atol``, or when
-    |column_norm_sq - 1| / 2, the residual's entry 0, exceeds ``tol.atol``.
+    modulus is off 1 by more than ``tol.atol``, when
+    |column_norm_sq - 1| / 2, the residual's entry 0, exceeds ``tol.atol``,
+    or when the matrix is wide, since A* A then has rank at most n < m.
     For a Hankel matrix H = C P_m it describes the stored core C, since
     H* H = P_m C* C P_m.
     """
@@ -200,6 +202,8 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     self-match, then |abs(lam) - 1| and the residual's entry 0,
     |column_norm_sq - 1| / 2, then the FFT for the rest of the residual,
     which reads the matched scalar to take the shorter route where it can.
+    A wide matrix (n < m) is rejected before the FFT: A* A has rank at most
+    n < m, so it is never the identity.
     Agrees with the dense oracle on A* A - I_m.  The residual is an FFT
     result and carries rounding, so under ``Tolerance(0, 0)`` most exact
     isometries are rejected; give it an ``atol`` above the rounding (the
@@ -214,9 +218,10 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
     # a scalar off the unit circle rejects whatever the residual, whose norm
-    # is at least its entry 0, |column_norm_sq - 1| / 2
+    # is at least its entry 0, |column_norm_sq - 1| / 2; a wide matrix has
+    # rank at most n < m, so its A* A is never the identity
     if ((match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol)
-            or abs(column_norm_sq - 1.0) / 2.0 > tol.atol):
+            or abs(column_norm_sq - 1.0) / 2.0 > tol.atol or wide):
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     lam = match.lam if match.is_proportional else 0.0
     residual = isometry_residual(A, column_norm_sq, (lam, w))

@@ -12,7 +12,8 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 import toepcert as tc
-from toepcert.core import as_dense
+from toepcert.core import CDTYPE, as_dense
+from toepcert.families import SpecificationError, _fill
 from toepcert.io import MatrixFileError
 from toepcert.isometry import IsometryCertificate
 from toepcert.product import (
@@ -295,7 +296,8 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     residual's entry 0, |column_norm_sq - 1| / 2, exceeds ``tol.atol``, the
     residual norm is reported as ``None``, as the decision reports it; in
     the second case the residual is still computed and must reject too, up
-    to its rounding.
+    to its rounding.  A wide matrix (n < m) that passes those tests is
+    rejected with ``None`` as well, since A* A has rank at most n < m.
     """
     x, y, w, v, _ = reference_comparison_vectors(A.adjoint(), A)
     wide = A.n < A.m
@@ -309,8 +311,64 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
         assert residual_norm > tol.atol - isometry_rounding_bound(A)
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
+    if wide:
+        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
                                residual_norm, column_norm_sq)
+
+
+def reference_gen_pair(spec: tc.FamilySpec) -> tuple[tc.AsymToeplitz, tc.AsymToeplitz]:
+    """``families.gen_pair`` with one NumPy scalar operation per derived entry.
+
+    The whole-slice generator must give the same pair bit for bit, and raise
+    the same exception with the same message where this one raises.
+    """
+    n, m, l = spec.n, spec.m, spec.l
+    actual = classify_regime(n, m, l)
+    if actual is not spec.regime:
+        raise SpecificationError(
+            f"sizes ({n}, {m}, {l}) fall in {actual.name}, not {spec.regime.name}")
+    lam = complex(spec.lam)
+    if lam == 0:
+        raise SpecificationError(
+            "lam must be nonzero; degenerate families have dedicated constructors")
+    rng = np.random.default_rng(spec.seed)
+    a_free = (np.asarray(spec.a_free, dtype=CDTYPE) if spec.a_free is not None
+              else _fill(rng, m - 1))
+    b_free = (np.asarray(spec.b_free, dtype=CDTYPE) if spec.b_free is not None
+              else _fill(rng, m - 1))
+    if len(a_free) != m - 1 or len(b_free) != m - 1:
+        raise SpecificationError(f"free parameter vectors must have length {m - 1}")
+    a0 = complex(spec.a0) if spec.a0 is not None else complex(_fill(rng, 1)[0])
+    b0 = complex(spec.b0) if spec.b0 is not None else complex(_fill(rng, 1)[0])
+
+    # a lam near the float range's edges overflows here; AsymToeplitz
+    # refuses the non-finite result with one error, so NumPy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = np.zeros(n, dtype=CDTYPE)
+        alpha = np.zeros(m, dtype=CDTYPE)
+        if n <= m:
+            alpha[1:] = a_free
+            for i in range(1, n):
+                a[i] = lam * np.conj(alpha[m - i])
+        else:
+            a[1:m] = a_free
+            for j in range(1, m):
+                alpha[j] = np.conj(a[m - j]) / np.conj(lam)
+            for i in range(m, n):
+                a[i] = lam * (a0 if i == m else a[i - m])
+
+        b = np.zeros(m, dtype=CDTYPE)
+        b[1:] = b_free
+        beta = np.zeros(l, dtype=CDTYPE)
+        for j in range(1, min(l, m)):
+            beta[j] = np.conj(b[m - j]) / np.conj(lam)
+        if m < l:
+            beta[m] = np.conj(b0) / np.conj(lam)
+            for j in range(m + 1, l):
+                beta[j] = beta[j - m] / np.conj(lam)
+
+    return tc.AsymToeplitz(n, m, a0, a, alpha), tc.AsymToeplitz(m, l, b0, b, beta)
 
 
 def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:

@@ -333,9 +333,14 @@ def matched_toeplitz(n: int, m: int, rng: np.random.Generator,
     if unit:
         scale = np.sqrt(np.sum(re**2 + im**2))
         re, im = re / scale, im / scale
-    a0, a = complex(re[0], im[0]), re + 1j * im
+    a = re + 1j * im
     a[0] = 0
-    lam = np.exp(2j * np.pi * rng.random())
+    return matched_with_column(complex(re[0], im[0]), a, m, np.exp(2j * np.pi * rng.random()))
+
+
+def matched_with_column(a0: complex, a: np.ndarray, m: int, lam: complex) -> tc.AsymToeplitz:
+    """The n x m matrix with first column (a0, a[1:]) and row parameters lam w."""
+    n = len(a)
     alpha = np.zeros(m, dtype=complex)
     for j in range(1, m):
         w_j = np.conj(a[n - j]) if j < n else np.conj(a0) if j == n else alpha[j - n]
@@ -414,6 +419,29 @@ def test_no_residual_after_failed_match(monkeypatch):
         for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
             assert cert.accepted is False
             assert cert.residual_norm is None
+
+
+def test_no_residual_for_wide_matrix(monkeypatch):
+    # n < m leaves A* A rank at most n < m, so a wide matrix is rejected
+    # before the residual even when its self-match, unimodular scalar and
+    # unit column pass.  Every first column is a unit vector c e_k and lam a
+    # power of i, so alpha = lam w holds exactly, under every tolerance
+    refuse_residual(monkeypatch, "for a wide matrix")
+    candidates = []
+    for n in range(1, 6):
+        for m in range(n + 1, n + 5):
+            for k in range(n):
+                for c, lam in ((1.0, 1.0), (1j, -1.0), (-1.0, 1j), (-1j, -1j)):
+                    column = c * np.eye(n, dtype=complex)[k]
+                    a = np.concatenate(([0], column[1:]))
+                    candidates.append(matched_with_column(column[0], a, m, lam))
+    for A in candidates:
+        for tol in TOLS:
+            for cert in (tc.is_isometry(A, tol), tc.hankel_is_isometry(tc.flip_cols(A), tol)):
+                assert cert.wide and cert.match is not None
+                assert cert.column_norm_sq == 1.0
+                assert cert.accepted is False
+                assert cert.residual_norm is None
 
 
 def fitting_shifts(c: complex) -> list[tc.AsymToeplitz]:
@@ -611,12 +639,17 @@ def test_route_selection(monkeypatch, n, m, kind, route):
     A = route_case(kind, n, m, np.random.default_rng(n * m))
     counts = count_routes(monkeypatch)
     certs = (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A)))
-    assert all(cert.residual_norm is not None for cert in certs)
     accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
     assert accepted is (kind == "generated" or (kind == "both-zero" and n == m))
     assert all(cert.accepted is accepted for cert in certs)
-    other = "convolution" if route == "autocorrelation" else "autocorrelation"
-    assert counts == {route: 2, other: 0}
+    if n < m:
+        # a wide matrix is rejected before either route
+        assert all(cert.residual_norm is None for cert in certs)
+        assert counts == {"autocorrelation": 0, "convolution": 0}
+    else:
+        assert all(cert.residual_norm is not None for cert in certs)
+        other = "convolution" if route == "autocorrelation" else "autocorrelation"
+        assert counts == {route: 2, other: 0}
     # a public call convolves, whatever the matrix
     convolutions = counts["convolution"]
     isometry_residual(A)
