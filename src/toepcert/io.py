@@ -6,21 +6,41 @@ column, dense files the row-major entries.  Writing is canonical (sorted
 keys, floats with 17 significant digits), so rewriting a canonical file
 reproduces it byte for byte; each vector is formatted by one ``%`` call.
 
-Reading accepts as a pair only an exact ``list`` of two parts, and as a
-part only an exact ``int`` or ``float`` (what ``json.loads`` gives):
-``true``, strings, ``null``, ``NaN``, ``Infinity``, integers beyond the
-float range, list subclasses and ``numpy.float64`` are rejected.  Each
-part becomes the double that ``float()`` gives, bit for bit, in one NumPy
-pass.  When that pass refuses a list, a walk over its items names the
-first bad position, as in ``'first_row[3]'``.  On a file it cannot read
-or a malformed one, :func:`load_matrix` raises a :class:`MatrixFileError`
-whose message names the file.
+Reading decodes the top-level object key by key with the ``json``
+module's own scanner, and each pair array flat.  A value that starts with
+``[[`` and holds no quote before the next ``]]`` must, once digits,
+``-+.eE`` and whitespace are deleted, be exactly ``[[,],...,[,]]``.  It
+is then read by one ``json.loads`` with its inner brackets blanked: one
+flat list of ``int`` and ``float`` parts, no list per pair, since JSON's
+number grammar admits nothing else there.  One NumPy call converts it and
+the parts are checked for overflow and finiteness.  Every other value is
+decoded as ``json.loads`` decodes it; a pair array laid out otherwise (as
+``python -m json.tool`` writes it) thus arrives as nested lists and takes
+the nested-list conversion below.  Each ``]]`` is searched for once, past
+the last one found, so hostile text stays linear.
+
+Whatever the flat route refuses (a top level that is not one object, a
+skeleton mismatch, a JSON error, a non-finite or too large part, a wrong
+count or any other fault) is read again by ``json.loads(text)`` and
+:func:`parse_matrix`, and only that route writes error messages.  In
+nested lists a pair must be an exact ``list`` of two parts, and a part an
+exact ``int`` or ``float`` (what ``json.loads`` gives): ``true``,
+strings, ``null``, ``NaN``, ``Infinity``, integers beyond the float
+range, list subclasses and ``numpy.float64`` are rejected, and the message
+names the first bad position, as in ``'first_row[3]'``.  Either way each
+part becomes the double that ``float()`` gives, bit for bit.  Negative
+zero is written ``-0.0`` and survives the round trip; a hand-written
+``-0`` is the integer 0 in JSON and reads as +0.0.  On a file it cannot
+read or a malformed one, :func:`load_matrix` raises a
+:class:`MatrixFileError` whose message names the file.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -39,6 +59,17 @@ _KIND_KEYS = {
 
 class MatrixFileError(ValueError):
     """Malformed or inconsistent matrix file."""
+
+
+_DECODE = json.JSONDecoder().raw_decode
+# the object's opening brace, the comma after a value and the colon after a
+# key, each with its whitespace, up to the next key's quote; group 1 is the
+# closing brace at the end of the text
+_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?:(?=")|(\}[ \t\n\r]*\Z))').match
+_NEXT = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*(?=")|(\}[ \t\n\r]*\Z))').match
+_COLON = re.compile(r'[ \t\n\r]*:[ \t\n\r]*').match
+# deleted from a pair array to leave its skeleton of brackets and commas
+_NUMBER_CHARS = b"0123456789-+.eE \t\n\r"
 
 
 def _require_dim(doc: dict, key: str) -> int:
@@ -80,16 +111,80 @@ def _first_bad_entry(items: list, where: str) -> str:
             return f"'{where}[{pos}]' contains a non-finite number"
 
 
+def _flat_pairs(value: str) -> np.ndarray | None:
+    """The pair array ``value`` (``[[`` to ``]]``, no quote) read flat, or None.
+
+    None when the skeleton is not exactly ``[[,],...,[,]]`` or a part is
+    not finite; ``json.loads`` raises on what JSON's number grammar refuses
+    and ``np.fromiter`` on an integer beyond the float range.
+    """
+    skeleton = value.encode().translate(None, _NUMBER_CHARS)
+    pairs = (len(skeleton) - 1) // 4
+    if skeleton != b"[" + b"[,]," * (pairs - 1) + b"[,]]":
+        return None
+    flat = json.loads("[" + value[2:-2].replace("[", " ").replace("]", " ") + "]")
+    parts = np.fromiter(flat, np.float64, count=2 * pairs)
+    return parts.view(CDTYPE) if np.isfinite(parts).all() else None
+
+
+def _flat_document(text: str) -> dict | None:
+    """The top-level object of ``text`` with its pair arrays read flat, or None.
+
+    Keys and other values are decoded as ``json.loads`` decodes them, and
+    raise as it raises.  None when the text is not one object, or a value
+    that starts with ``[[`` and holds no quote before the next ``]]`` is
+    refused by :func:`_flat_pairs`.
+    """
+    step = _OPEN(text)
+    doc = {}
+    close = -1  # the last ']]' found, len(text) once there is none
+    while step is not None:
+        if step.group(1):
+            return doc
+        key, i = _DECODE(text, step.end())
+        step = _COLON(text, i)
+        if step is None:
+            return None
+        i = step.end()
+        flat = text.startswith("[[", i)
+        if flat and close < i:
+            close = text.find("]]", i)
+            if close < 0:
+                close = len(text)
+        # a quote before that ']]' means the stretch spans a key: decode whole
+        if flat and close < len(text) and text.find('"', i, close) < 0:
+            value, i = _flat_pairs(text[i:close + 2]), close + 2
+            if value is None:
+                return None
+        else:
+            value, i = _DECODE(text, i)
+        doc[key] = value
+        step = _NEXT(text, i)
+    return None
+
+
+def _flat_entries(items, count: int, where: str) -> np.ndarray:
+    """A pair array read flat when its count holds, else :func:`_parse_entries`."""
+    if type(items) is np.ndarray and len(items) == count:
+        return items
+    return _parse_entries(items, count, where)
+
+
 def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     """Validate a decoded matrix document and build the typed value.
 
     Unknown keys are rejected; the corner-sharing invariants are enforced
     exactly.
     """
+    return _build(doc, _parse_entries)
+
+
+def _build(doc, entries) -> AsymToeplitz | AsymHankel | np.ndarray:
+    """:func:`parse_matrix` with ``entries(value, count, where)`` reading each pair array."""
     if not isinstance(doc, dict):
         raise MatrixFileError("matrix file must contain a JSON object")
     kind = doc.get("kind")
-    if kind not in _KIND_KEYS:
+    if not isinstance(kind, str) or kind not in _KIND_KEYS:
         raise MatrixFileError(
             f"'kind' must be one of {sorted(_KIND_KEYS)}, got {kind!r}")
     expected = _KIND_KEYS[kind]
@@ -106,19 +201,19 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     cols = _require_dim(doc, "cols")
 
     if kind == "dense":
-        data = _parse_entries(doc["data"], rows * cols, "data")
+        data = entries(doc["data"], rows * cols, "data")
         return data.reshape(rows, cols)
 
     if kind == "toeplitz":
-        first_row = _parse_entries(doc["first_row"], cols, "first_row")
-        first_col = _parse_entries(doc["first_col"], rows, "first_col")
+        first_row = entries(doc["first_row"], cols, "first_row")
+        first_col = entries(doc["first_col"], rows, "first_col")
         if first_row[0] != first_col[0]:
             raise MatrixFileError(
                 "toeplitz file: first_row[0] and first_col[0] must be identical")
         return AsymToeplitz.from_first_row_col(first_row, first_col)
 
-    first_row = _parse_entries(doc["first_row"], cols, "first_row")
-    last_col = _parse_entries(doc["last_col"], rows, "last_col")
+    first_row = entries(doc["first_row"], cols, "first_row")
+    last_col = entries(doc["last_col"], rows, "last_col")
     if first_row[cols - 1] != last_col[0]:
         raise MatrixFileError(
             "hankel file: first_row[cols - 1] and last_col[0] must be identical")
@@ -131,11 +226,21 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
 def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
     """Read and validate a matrix file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise MatrixFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    if "\r" in text:
+        # newlines as text mode reads them, for the positions in JSON errors
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        doc = _flat_document(text)
+        if doc is not None:
+            return _build(doc, _flat_entries)
+    except (ValueError, OverflowError, RecursionError):
+        pass  # MatrixFileError included: the route below names the fault
     try:
         doc = json.loads(text)
     except ValueError as exc:
@@ -155,7 +260,9 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
 
 def _pairs(values) -> str:
     parts = np.ascontiguousarray(values, dtype=CDTYPE).view(np.float64).tolist()
-    return "[" + ", ".join(["[%.17g, %.17g]"] * (len(parts) // 2)) % tuple(parts) + "]"
+    text = "[" + ", ".join(["[%.17g, %.17g]"] * (len(parts) // 2)) % tuple(parts) + "]"
+    # %.17g writes -0.0 as -0, which JSON reads as the integer 0
+    return text.replace("[-0,", "[-0.0,").replace(" -0]", " -0.0]")
 
 
 def matrix_to_text(obj) -> str:

@@ -5,8 +5,10 @@ structured closed forms under test are checked against an independent
 route.
 """
 
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, strategies as st
@@ -14,7 +16,7 @@ from hypothesis import example, given, strategies as st
 import toepcert as tc
 from toepcert.core import CDTYPE, as_dense
 from toepcert.families import SpecificationError, _fill
-from toepcert.io import MatrixFileError
+from toepcert.io import MatrixFileError, parse_matrix
 from toepcert.isometry import IsometryCertificate
 from toepcert.product import (
     ProductCertificate,
@@ -407,8 +409,36 @@ def reference_parse_entries(items, count: int, where: str) -> np.ndarray:
     return out
 
 
+def reference_load_matrix(path):
+    """``io.load_matrix`` as one ``json.loads`` of the whole text, then ``parse_matrix``.
+
+    The reader before pair arrays were read flat.  The flat route must
+    return the same bits, the sign of zero included, or raise the same
+    ``MatrixFileError`` text.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MatrixFileError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise MatrixFileError(f"{path}: not UTF-8 text: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal beyond Python's digit limit
+        raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise MatrixFileError(f"{path}: JSON nested too deeply") from None
+    try:
+        return parse_matrix(doc)
+    except MatrixFileError as exc:
+        raise MatrixFileError(f"{path}: {exc}") from exc
+
+
 def _reference_fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    # JSON reads -0 as the integer 0; -0.0 keeps the sign
+    return "-0.0" if x == 0 and math.copysign(1.0, x) < 0 else format(x, ".17g")
 
 
 def _reference_pairs(values) -> str:
@@ -419,8 +449,9 @@ def _reference_pairs(values) -> str:
 def reference_matrix_to_text(obj) -> str:
     """``io.matrix_to_text`` with each body written out and each part formatted alone.
 
-    Every part goes through ``format(x, ".17g")`` on its own; the writer
-    must give the same text byte for byte.
+    Every part goes through ``format(x, ".17g")`` on its own, except
+    negative zero, written ``-0.0``; the writer must give the same text
+    byte for byte.
     """
     if isinstance(obj, tc.AsymToeplitz):
         body = (f'  "cols": {obj.m},\n'

@@ -342,6 +342,13 @@ class TestHostileFiles:
                      encoding="utf-8")
         assert_input_error(capsys, command, str(f))
 
+    @pytest.mark.parametrize("kind", ["[]", "{}", "[[1, 2]]"])
+    def test_non_string_kind(self, tmp_path, capsys, kind):
+        f = tmp_path / "m.json"
+        f.write_text(f'{{"kind": {kind}, "rows": 1, "cols": 1, "data": [[1, 2]]}}',
+                     encoding="utf-8")
+        assert assert_input_error(capsys, "check", str(f)).endswith(f"got {kind}\n")
+
     def test_product_operand(self, tmp_path, capsys):
         good, bad = tmp_path / "a.json", tmp_path / "b.json"
         tc.save_matrix(good, tc.AsymToeplitz.eye(2, 2))

@@ -1,4 +1,6 @@
 import json
+import re
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 import toepcert as tc
 from toepcert.io import _parse_entries, matrix_to_text, parse_matrix
-from helpers import reference_matrix_to_text, reference_parse_entries
+from helpers import reference_load_matrix, reference_matrix_to_text, reference_parse_entries
 
 # the largest integer that float() still rounds to a finite double
 MAX_FLOAT_INT = 2**1024 - 2**970 - 1
@@ -44,7 +46,22 @@ class TestRoundtrip:
         # 17 significant digits round-trip doubles exactly
         values = [0.1, 1 / 3, np.pi, 2 ** -52, 1e300, -0.0]
         M = np.array([values], dtype=complex) + 1j * np.array([values])
-        assert np.array_equal(roundtrip(M), M)
+        assert np.array_equal(roundtrip(M).view(np.uint64), M.view(np.uint64))
+
+    def test_negative_zero_survives(self, tmp_path):
+        A = tc.AsymToeplitz(2, 3, complex(-0.0, 0.0), [0, complex(0.0, -0.0)],
+                            [0, complex(-0.0, -0.0), 1])
+        path = tmp_path / "z.json"
+        tc.save_matrix(path, A)
+        again = tc.load_matrix(path)
+        for got, want in ((again.a0, A.a0), (again.a, A.a), (again.alpha, A.alpha)):
+            assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+        assert matrix_to_text(again) == path.read_text(encoding="utf-8")
+
+    def test_hand_written_minus_zero_reads_as_plus_zero(self):
+        # -0 is the integer 0 in JSON
+        M = parse_matrix({"kind": "dense", "rows": 1, "cols": 1, "data": [[-0, -0.0]]})
+        assert M.view(np.uint64).tolist() == [[0, 1 << 63]]
 
     def test_file_helpers(self, tmp_path, rng):
         A = tc.random_toeplitz(rng, 3, 3)
@@ -135,6 +152,11 @@ class TestValidation:
     def test_bad_kind(self):
         with pytest.raises(tc.MatrixFileError, match="kind"):
             parse_matrix({"kind": "circulant"})
+        # unhashable kinds are named too, not a TypeError
+        for kind in ([], {}, [[1, 2]]):
+            with pytest.raises(tc.MatrixFileError, match="kind") as got:
+                parse_matrix({"kind": kind, "rows": 1, "cols": 1, "data": [[1, 2]]})
+            assert str(got.value).endswith(f"got {kind!r}")
 
     def test_non_object(self):
         with pytest.raises(tc.MatrixFileError):
@@ -243,3 +265,184 @@ class TestBulkParse:
                 _parse_entries(items, len(items), "data")
             assert str(got.value) == f"'data[{pos}]' must be a [re, im] number pair"
             assert_same_error(items, len(items))
+
+
+# ---------------------------------------------------------------------------
+# the file reader against one json.loads of the whole text
+# ---------------------------------------------------------------------------
+
+NUMBER = r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?"
+NUMBER_TOKEN = re.compile(NUMBER)
+PAIR_TOKEN = re.compile(rf"\[\s*({NUMBER})\s*,\s*({NUMBER})\s*\]")
+
+# (item separator, key separator); None is `python -m json.tool`'s layout
+LAYOUTS = {"none": (",", ":"), "spaces": (" , ", " : "), "tabs": (",\t", ":\t"),
+           "newlines": (",\n", ":\n"), "crlf": (",\r\n", ":\r\n"), "json.tool": None}
+# malformed or awkward number tokens, and small sizes that may miscount
+TOKENS = ["true", "null", '"1"', "NaN", "-Infinity", "1e400", "9" * 401, "7" * 5000,
+          "01", ".5", "1.", "+1", "-0", "1E+2", "1", "2", "3"]
+VALUES = [[[1, 2]], [], {}, [[[1, 2]]], [[1, 2], 3], "[[1, 2]]", "]]", "x[[1, 2]]y", 7]
+MUTATIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("token"), st.integers(0, 10**6), st.sampled_from(TOKENS)),
+    st.tuples(st.just("arity"), st.integers(0, 10**6), st.booleans()),
+    st.tuples(st.just("nest"), st.integers(0, 10**6)),
+    st.tuples(st.just("bom")),
+    st.tuples(st.just("trailing"), st.sampled_from([" 1", "{}", "]", "]]", ",", " x"])),
+)
+
+
+def serialize(items, layout: str) -> str:
+    """The (key, value) items as one JSON object, duplicates kept in order."""
+    if LAYOUTS[layout] is None:
+        body = ",\n".join(f"    {json.dumps(key)}: "
+                          + json.dumps(value, indent=4).replace("\n", "\n    ")
+                          for key, value in items)
+        return "{\n" + body + "\n}\n"
+    item_sep, key_sep = LAYOUTS[layout]
+    return "{" + item_sep.join(json.dumps(key) + key_sep
+                               + json.dumps(value, separators=(item_sep, key_sep))
+                               for key, value in items) + "}"
+
+
+def mutate(text: str, mutation) -> str:
+    """``text`` with one token, pair or end changed as ``mutation`` says."""
+    if mutation is None:
+        return text
+    kind, *args = mutation
+    if kind == "bom":
+        return "\ufeff" + text
+    if kind == "trailing":
+        return text + args[0]
+    tokens = list((NUMBER_TOKEN if kind == "token" else PAIR_TOKEN).finditer(text))
+    if not tokens:
+        return text
+    hit = tokens[args[0] % len(tokens)]
+    if kind == "token":
+        new = args[1]
+    elif kind == "arity":
+        new = f"[{hit[1]}, {hit[2]}, 0]" if args[1] else f"[{hit[1]}]"
+    else:
+        new = f"[{hit[0]}]"
+    return text[:hit.start()] + new + text[hit.end():]
+
+
+@st.composite
+def file_texts(draw):
+    """A written matrix's text, relaid out, its keys shuffled or repeated, maybe mutated."""
+    obj = draw(written_matrices())
+    items = list(json.loads(matrix_to_text(obj)).items())
+    layout = draw(st.sampled_from(["written"] + list(LAYOUTS)))
+    if layout != "written":
+        items = draw(st.permutations(items))
+        for _ in range(draw(st.integers(0, 2))):
+            key = draw(st.sampled_from(items))[0]
+            value = draw(st.sampled_from([value for _, value in items] + VALUES))
+            items.insert(draw(st.integers(0, len(items))), (key, value))
+        text = serialize(items, layout)
+    else:
+        text = matrix_to_text(obj)
+    return mutate(text, draw(MUTATIONS))
+
+
+def read_bits(read, path):
+    """What ``read(path)`` gives, down to the bits, or its error message."""
+    try:
+        obj = read(path)
+    except tc.MatrixFileError as exc:
+        return "error", str(exc)
+    if isinstance(obj, np.ndarray):
+        return "dense", obj.dtype.str, obj.shape, obj.tobytes()
+    A = obj.core if isinstance(obj, tc.AsymHankel) else obj
+    return (type(obj).__name__, A.n, A.m, np.complex128(A.a0).tobytes(),
+            A.a.dtype.str, A.a.tobytes(), A.alpha.dtype.str, A.alpha.tobytes())
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "m.json"
+
+
+def assert_reads_as_reference(path, data: bytes):
+    path.write_bytes(data)
+    assert read_bits(tc.load_matrix, path) == read_bits(reference_load_matrix, path)
+
+
+class TestReader:
+    @given(file_texts())
+    @example('{"kind": [[1, 2]], "rows": 1, "cols": 1, "data": [[1, 2]]}')
+    @example('{"kind": "dense", "rows": [[1, 2]], "cols": 1, "data": [[1, 2]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2]], "data": [[1, 2], 3]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2], 3], "data": [[-0, 2]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "x": "]]", "data": [[1, 2]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2] ]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 2, "data": [[1, 2], [1, 2]]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2]], "k": [[1], 2]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1e308, 1e309]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1 2, 3]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[, ]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "d\\u0061ta": [[1, 2]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2]]}\n')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2]]}\n{')
+    @example('{"kind": "toeplitz", "rows": 1, "cols": 1, "first_row": [[1, 2]], '
+             '"first_col": [[1, 2], [3, 4]]}')
+    @example('{"kind": "hankel", "rows": 2, "cols": 1, "first_row": [[1, 2], [3, 4]], '
+             '"last_col": [[1, 2], [3, 4]]}')
+    @example('{}')
+    @example('[[1, 2]]')
+    def test_same_as_whole_text_loads(self, matrix_path, text):
+        assert_reads_as_reference(matrix_path, text.encode("utf-8"))
+
+    @pytest.mark.parametrize("data", [
+        b'{"kind": "dense", "rows": 1, "cols": 1, "data": [[1, 2]]}\xff',
+        b'{"kind": "dense",\r\n "rows": 1, "cols": 1, "data": [[1, 2]],\r\n "x": }',
+        b'{"kind": "dense",\r "rows": 1, "cols": 1, "data": [[1, 2]], "x": }',
+    ])
+    def test_same_bytes_errors(self, matrix_path, data):
+        assert_reads_as_reference(matrix_path, data)
+
+    def test_same_missing_file_error(self, tmp_path):
+        path = tmp_path / "nope.json"
+        assert read_bits(tc.load_matrix, path) == read_bits(reference_load_matrix, path)
+
+    def test_written_files_read_flat(self, tmp_path, monkeypatch, rng):
+        # a file as save_matrix writes it never reaches the list-per-pair parse
+        def nested(*args):
+            raise AssertionError("pair array read as nested lists")
+
+        monkeypatch.setattr("toepcert.io._parse_entries", nested)
+        T = tc.random_toeplitz(rng, 5, 7)
+        for obj in (T, tc.flip_cols(T), T.to_dense()):
+            tc.save_matrix(tmp_path / "m.json", obj)
+            assert matrix_to_text(tc.load_matrix(tmp_path / "m.json")) == matrix_to_text(obj)
+
+    def test_loose_pair_array_decoded_in_place(self, tmp_path, monkeypatch):
+        # '[[' up to a ']]' past a quote spans a key: that value is decoded
+        # as json.loads decodes it, and the whole text is not read again
+        loads = json.loads
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return loads(text)
+
+        monkeypatch.setattr("toepcert.io.json.loads", counted)
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": "toeplitz", "first_row": [[1, 2], [3, 4] ], '
+                        '"rows": 1, "cols": 2, "first_col": [[1, 2]]}', encoding="utf-8")
+        want = tc.AsymToeplitz.from_first_row_col([1 + 2j, 3 + 4j], [1 + 2j])
+        assert tc.load_matrix(path) == want
+        assert texts == ["[1, 2]"]
+
+    @pytest.mark.parametrize("last", ["", ', "data": [[1, 2]]'], ids=["no-close", "one-close"])
+    def test_hostile_brackets_stay_linear(self, tmp_path, last):
+        # every value opens '[[', and no ']]' follows or only one at the end:
+        # a reader that searched afresh from each '[[', or read each stretch
+        # up to that ']]', would rescan the rest of the text each time
+        path = tmp_path / "m.json"
+        values = ", ".join(f'"k{i}": [[1], 2]' for i in range(50_000))
+        path.write_text("{" + values + last + "}", encoding="utf-8")
+        start = time.perf_counter()
+        with pytest.raises(tc.MatrixFileError, match="kind"):
+            tc.load_matrix(path)
+        assert time.perf_counter() - start < 10.0
