@@ -271,11 +271,8 @@ class AsymToeplitz:
 
     def adjoint(self) -> "AsymToeplitz":
         """Conjugate transpose; swaps the roles of ``a`` and ``alpha``."""
-        # the fields are read-only already, so unlike _trusted no setflags runs
-        out = object.__new__(AsymToeplitz)
-        out.__dict__.update(n=self.m, m=self.n, a0=self.a0.conjugate(),
-                            a=self.alpha, alpha=self.a)
-        return out
+        return AsymToeplitz._trusted(self.m, self.n, self.a0.conjugate(),
+                                     self.alpha, self.a)
 
     def rot180(self) -> "AsymToeplitz":
         """Flip both axes (P_n A P_m); diagonals map to diagonals."""

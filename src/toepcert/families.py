@@ -76,10 +76,11 @@ def gen_isometry(rng: np.random.Generator, n: int, m: int) -> AsymToeplitz:
 
 
 # One NumPy pass fills a geometric block of m entries from the m before it.
-# On a 2-core x86-64 machine a pass cost about 8 us for products (four
-# calls) and 2.5 us for quotients (one call): as long as a Python loop takes
-# for about 50 products (0.15 us each) or 8 quotients (0.3 us each).
-# Shorter blocks use the loop.
+# On a 2-core x86-64 machine a product pass cost about 8 us (four calls), as
+# long as a Python loop takes for about 50 products (0.15 us each), so
+# shorter product blocks use the loop.  Quotient blocks of 8 or more take
+# one np.divide each, in place; shorter ones are divided down the whole tail
+# at once by np.divide.accumulate, the same ufunc loop on a second copy.
 _BLOCK_PRODUCTS = 48
 _BLOCK_QUOTIENTS = 8
 
@@ -119,10 +120,8 @@ def _geometric_products(v: np.ndarray, m: int, lam: complex) -> None:
 def _geometric_quotients(v: np.ndarray, m: int, c: complex) -> None:
     """v[i] = v[i - m] / c for m <= i < len(v), in blocks of m entries.
 
-    Short blocks are filled entry by entry in Python with NumPy's complex
-    quotient (Smith's method) on floats, since Python's own complex quotient
-    rounds differently.  Its two constants are NumPy floats, which divide
-    a NaN part by 0 without raising.
+    Short blocks are divided down the whole tail laid out m entries per
+    row, by one ``np.divide.accumulate``: the same complex-division loop.
     """
     size = len(v)
     if m >= _BLOCK_QUOTIENTS:
@@ -130,24 +129,10 @@ def _geometric_quotients(v: np.ndarray, m: int, c: complex) -> None:
             stop = min(start + m, size)
             np.divide(v[start - m:stop - m], c, out=v[start:stop])
         return
-    cr, ci = np.float64(c.real), np.float64(c.imag)
-    re, im = v.real[:m].tolist(), v.imag[:m].tolist()
-    if abs(cr) >= abs(ci):
-        rat = float(ci / cr)
-        scl = float(1.0 / (cr + ci * rat))
-        for i in range(size - m):
-            zr, zi = re[i], im[i]
-            re.append((zr + zi * rat) * scl)
-            im.append((zi - zr * rat) * scl)
-    else:
-        rat = float(cr / ci)
-        scl = float(1.0 / (ci + cr * rat))
-        for i in range(size - m):
-            zr, zi = re[i], im[i]
-            re.append((zr * rat + zi) * scl)
-            im.append((zi * rat - zr) * scl)
-    v.real[m:] = re[m:]
-    v.imag[m:] = im[m:]
+    rows = np.full((-(-size // m), m), c, dtype=CDTYPE)
+    rows[0] = v[:m]
+    np.divide.accumulate(rows, axis=0, out=rows)
+    v[m:] = rows.ravel()[m:size]
 
 
 @dataclass(frozen=True)
@@ -184,10 +169,12 @@ def gen_pair(spec: FamilySpec) -> tuple[AsymToeplitz, AsymToeplitz]:
 
     Rounding: each derived entry is rounded as NumPy's scalar complex
     product or quotient of its two operands rounds it (the product with
-    each real step rounded once, the quotient by Smith's method), whether a
-    whole slice or a Python loop over short geometric blocks builds it.  So
-    a spec's bits do not depend on its block length, wherever NumPy's
-    scalar complex arithmetic rounds each step once, as on x86-64.
+    each real step rounded once, the quotient by Smith's method, which
+    every quotient route runs as NumPy's own division loop), whether a
+    whole slice, an accumulate or a Python loop over short product blocks
+    builds it.  So a spec's bits do not depend on its block length,
+    wherever NumPy's scalar complex arithmetic rounds each step once, as on
+    x86-64.
     """
     n, m, l = spec.n, spec.m, spec.l
     actual = classify_regime(n, m, l)

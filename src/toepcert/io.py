@@ -7,7 +7,8 @@ keys, floats with 17 significant digits), so rewriting a canonical file
 reproduces it byte for byte; each vector is formatted by one ``%`` call.
 
 Reading decodes the top-level object key by key with the ``json``
-module's own scanner, and each pair array flat.  A value that starts with
+module's own scanner, and each pair array flat.  A pair key's value
+(``data``, ``first_row``, ``first_col``, ``last_col``) that starts with
 ``[[`` and holds no quote before the next ``]]`` must, once digits,
 ``-+.eE`` and whitespace are deleted, be exactly ``[[,],...,[,]]``.  It
 is then read by one ``json.loads`` with its inner brackets blanked: one
@@ -19,10 +20,12 @@ decoded as ``json.loads`` decodes it; a pair array laid out otherwise (as
 the nested-list conversion below.  Each ``]]`` is searched for once, past
 the last one found, so hostile text stays linear.
 
-Whatever the flat route refuses (a top level that is not one object, a
-skeleton mismatch, a JSON error, a non-finite or too large part, a wrong
-count or any other fault) is read again by ``json.loads(text)`` and
-:func:`parse_matrix`, and only that route writes error messages.  In
+A pair array that the flat read refuses (a skeleton mismatch, a part
+that JSON's number grammar refuses, a non-finite or too large part) is
+decoded in place as ``json.loads`` decodes it, so a malformed object is
+decoded once and refused by the checks of :func:`parse_matrix`.  Only
+text that is not one JSON object (a syntax error, trailing data, another
+top-level value) is decoded whole by ``json.loads``, for its message.  In
 nested lists a pair must be an exact ``list`` of two parts, and a part an
 exact ``int`` or ``float`` (what ``json.loads`` gives): ``true``,
 strings, ``null``, ``NaN``, ``Infinity``, integers beyond the float
@@ -55,6 +58,10 @@ _KIND_KEYS = {
     "hankel": {"cols", "first_row", "kind", "last_col", "rows"},
     "dense": {"cols", "data", "kind", "rows"},
 }
+
+
+# the keys whose values are [re, im] pair arrays
+_PAIR_KEYS = set().union(*_KIND_KEYS.values()) - {"cols", "kind", "rows"}
 
 
 class MatrixFileError(ValueError):
@@ -114,16 +121,19 @@ def _first_bad_entry(items: list, where: str) -> str:
 def _flat_pairs(value: str) -> np.ndarray | None:
     """The pair array ``value`` (``[[`` to ``]]``, no quote) read flat, or None.
 
-    None when the skeleton is not exactly ``[[,],...,[,]]`` or a part is
-    not finite; ``json.loads`` raises on what JSON's number grammar refuses
-    and ``np.fromiter`` on an integer beyond the float range.
+    None when the skeleton is not exactly ``[[,],...,[,]]``, JSON's number
+    grammar refuses a part, or a part is beyond the float range or not
+    finite.
     """
     skeleton = value.encode().translate(None, _NUMBER_CHARS)
     pairs = (len(skeleton) - 1) // 4
     if skeleton != b"[" + b"[,]," * (pairs - 1) + b"[,]]":
         return None
-    flat = json.loads("[" + value[2:-2].replace("[", " ").replace("]", " ") + "]")
-    parts = np.fromiter(flat, np.float64, count=2 * pairs)
+    try:
+        flat = json.loads("[" + value[2:-2].replace("[", " ").replace("]", " ") + "]")
+        parts = np.fromiter(flat, np.float64, count=2 * pairs)
+    except (ValueError, OverflowError):
+        return None
     return parts.view(CDTYPE) if np.isfinite(parts).all() else None
 
 
@@ -131,35 +141,38 @@ def _flat_document(text: str) -> dict | None:
     """The top-level object of ``text`` with its pair arrays read flat, or None.
 
     Keys and other values are decoded as ``json.loads`` decodes them, and
-    raise as it raises.  None when the text is not one object, or a value
-    that starts with ``[[`` and holds no quote before the next ``]]`` is
-    refused by :func:`_flat_pairs`.
+    so is a pair array that :func:`_flat_pairs` refuses, in place.  None
+    when the text is not one JSON object.
     """
     step = _OPEN(text)
     doc = {}
     close = -1  # the last ']]' found, len(text) once there is none
-    while step is not None:
-        if step.group(1):
-            return doc
-        key, i = _DECODE(text, step.end())
-        step = _COLON(text, i)
-        if step is None:
-            return None
-        i = step.end()
-        flat = text.startswith("[[", i)
-        if flat and close < i:
-            close = text.find("]]", i)
-            if close < 0:
-                close = len(text)
-        # a quote before that ']]' means the stretch spans a key: decode whole
-        if flat and close < len(text) and text.find('"', i, close) < 0:
-            value, i = _flat_pairs(text[i:close + 2]), close + 2
-            if value is None:
+    try:
+        while step is not None:
+            if step.group(1):
+                return doc
+            key, i = _DECODE(text, step.end())
+            step = _COLON(text, i)
+            if step is None:
                 return None
-        else:
-            value, i = _DECODE(text, i)
-        doc[key] = value
-        step = _NEXT(text, i)
+            i = step.end()
+            value = None
+            if key in _PAIR_KEYS and text.startswith("[[", i):
+                if close < i:
+                    close = text.find("]]", i)
+                    if close < 0:
+                        close = len(text)
+                # a quote before that ']]' means the stretch spans a key
+                if close < len(text) and text.find('"', i, close) < 0:
+                    value = _flat_pairs(text[i:close + 2])
+            if value is None:
+                value, i = _DECODE(text, i)
+            else:
+                i = close + 2
+            doc[key] = value
+            step = _NEXT(text, i)
+    except (ValueError, RecursionError):
+        pass  # a JSON error, or an integer beyond Python's digit limit
     return None
 
 
@@ -235,21 +248,17 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
     if "\r" in text:
         # newlines as text mode reads them, for the positions in JSON errors
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    doc = _flat_document(text)
+    if doc is None:
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            # JSONDecodeError, or an integer literal beyond Python's digit limit
+            raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
+        except RecursionError:
+            raise MatrixFileError(f"{path}: JSON nested too deeply") from None
     try:
-        doc = _flat_document(text)
-        if doc is not None:
-            return _build(doc, _flat_entries)
-    except (ValueError, OverflowError, RecursionError):
-        pass  # MatrixFileError included: the route below names the fault
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        # JSONDecodeError, or an integer literal beyond Python's digit limit
-        raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
-    except RecursionError:
-        raise MatrixFileError(f"{path}: JSON nested too deeply") from None
-    try:
-        return parse_matrix(doc)
+        return _build(doc, _flat_entries)
     except MatrixFileError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 

@@ -161,6 +161,14 @@ def family_specs(draw):
 @example(tc.FamilySpec(tc.Regime.R2, 96, 48, 97, lam=0.3 + 0.7j, seed=1))
 @example(tc.FamilySpec(tc.Regime.R3, 8, 8, 17, lam=-0.7 + 0.2j, seed=2))
 @example(tc.FamilySpec(tc.Regime.R2, 4000, 1, 3000, lam=2.0))
+# quotient blocks shorter than 8, down a tail that is not whole rows of m
+@example(tc.FamilySpec(tc.Regime.R3, 2, 2, 23, lam=-0.7 + 0.2j, seed=3))
+@example(tc.FamilySpec(tc.Regime.R2, 30, 5, 37, lam=0.6 - 0.5j, seed=4))
+@example(tc.FamilySpec(tc.Regime.R3, 4, 7, 52, lam=1.5 + 0.25j, seed=5))
+# |Im| > |Re|: Smith's other branch
+@example(tc.FamilySpec(tc.Regime.R3, 3, 5, 41, lam=0.2 + 0.9j, seed=6))
+# the wide row tail overflows
+@example(tc.FamilySpec(tc.Regime.R3, 2, 3, 40, lam=1e-300j))
 def test_matches_reference_gen_pair(spec):
     # every derived entry rounds as the per-entry NumPy scalar loop's did,
     # and a pair that overflows fails with the same error

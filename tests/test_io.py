@@ -434,15 +434,55 @@ class TestReader:
         assert tc.load_matrix(path) == want
         assert texts == ["[1, 2]"]
 
+    def test_malformed_object_decoded_once(self, tmp_path, monkeypatch):
+        # a malformed object is refused from its one key-by-key decode, with
+        # the whole-text reader's message; only text that is not one JSON
+        # object is decoded whole
+        body = '"kind": "dense", "rows": 1, "cols": %s, "data": %s'
+        objects = [
+            "{" + body % (1, "[[1, 2]]") + ', "x": [[1, 2]]}',
+            "{" + body % (2, "[[1, 2]]") + "}",
+            "{" + body % (1, "[[NaN, 2]]") + "}",
+            "{" + body % (1, "[[%s, 2]]" % ("9" * 401)) + "}",
+            "{" + body % (2, "[[1, 2], [3]]") + "}",
+            '{"kind": [[1, 2]], "rows": 1, "cols": 1, "data": [[1, 2]]}',
+            '{"kind": "dense", "rows": [[1, 2]], "cols": 1, "data": [[1, 2]]}',
+        ]
+        loads = json.loads
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return loads(text)
+
+        monkeypatch.setattr("toepcert.io.json.loads", counted)
+        path = tmp_path / "m.json"
+
+        def decoded_whole(text):
+            path.write_text(text, encoding="utf-8")
+            want = read_bits(reference_load_matrix, path)
+            texts.clear()
+            got = read_bits(tc.load_matrix, path)
+            assert got[0] == "error" and got == want, text
+            return text in texts
+
+        for text in objects:
+            assert not decoded_whole(text), text
+        for text in ("[1]", "{" + body % (1, "[[1, 2]]") + ",}"):
+            assert decoded_whole(text), text
+
     @pytest.mark.parametrize("last", ["", ', "data": [[1, 2]]'], ids=["no-close", "one-close"])
     def test_hostile_brackets_stay_linear(self, tmp_path, last):
         # every value opens '[[', and no ']]' follows or only one at the end:
         # a reader that searched afresh from each '[[', or read each stretch
-        # up to that ']]', would rescan the rest of the text each time
+        # up to that ']]', would rescan the rest of the text each time.  A
+        # repeated pair key reaches the ']]' search each time, and its
+        # '[[1, 2, 3]]' is refused flat and decoded in place each time
         path = tmp_path / "m.json"
-        values = ", ".join(f'"k{i}": [[1], 2]' for i in range(50_000))
-        path.write_text("{" + values + last + "}", encoding="utf-8")
-        start = time.perf_counter()
-        with pytest.raises(tc.MatrixFileError, match="kind"):
-            tc.load_matrix(path)
-        assert time.perf_counter() - start < 10.0
+        for value in ('"k{}": [[1], 2]', '"data": [[1], 2]', '"data": [[1, 2, 3]]'):
+            values = ", ".join(value.format(i) for i in range(50_000))
+            path.write_text("{" + values + last + "}", encoding="utf-8")
+            start = time.perf_counter()
+            with pytest.raises(tc.MatrixFileError, match="kind"):
+                tc.load_matrix(path)
+            assert time.perf_counter() - start < 10.0, value
