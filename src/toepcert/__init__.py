@@ -22,7 +22,7 @@ from .core import (
     flip_cols,
     flip_rows_of,
 )
-from .displacement import displacement_dense, is_toeplitz_by_displacement
+from .displacement import displacement_dense
 from .families import (
     DEGENERATE_FORMS,
     FamilySpec,
@@ -32,11 +32,7 @@ from .families import (
     perturb_to_break,
     random_toeplitz,
 )
-from .hankel import (
-    hankel_product_is_toeplitz,
-    hankel_times_toeplitz_is_hankel,
-    product_structure,
-)
+from .hankel import product_structure
 from .io import MatrixFileError, load_matrix, save_matrix
 from .isometry import IsometryCertificate, hankel_is_isometry, is_isometry
 from .product import (
@@ -72,10 +68,7 @@ __all__ = [
     "gen_degenerate",
     "gen_pair",
     "hankel_is_isometry",
-    "hankel_product_is_toeplitz",
-    "hankel_times_toeplitz_is_hankel",
     "is_isometry",
-    "is_toeplitz_by_displacement",
     "load_matrix",
     "perturb_to_break",
     "product_is_toeplitz",

@@ -5,9 +5,10 @@ is the m x m identity (orthonormal columns).  For a compact Toeplitz
 matrix this reduces to a rank-one self-match of the row parameters
 against a comparison vector (with unimodular scalar) plus one residual
 vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
-is the product identity of the pair (A*, A), decided by the product
-layer's rank-one match on half its comparison buffer, since the two
-comparison vectors coincide.  The conditions are tested in order of cost:
+is the product identity of the pair (A*, A).  Its two comparison vectors
+coincide, so half its buffer, A*'s column tail and comparison vector, is
+written by the product layer's one factor writer and decided by its
+rank-one match.  The conditions are tested in order of cost:
 the self-match, the unit modulus of its scalar and the unit norm of the
 first column (the residual's first entry) in O(n + m), then the rest of
 the residual, which a wide matrix (n < m, so of rank below m) never
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, _match, _self_pair_buffer
+from .product import RankOneOutcome, _match, _write_factor
 
 __all__ = [
     "IsometryCertificate",
@@ -209,11 +210,15 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     isometries are rejected; give it an ``atol`` above the rounding (the
     default 1e-9 is), until ROADMAP.md item 1 settles a tolerance band.
     """
-    # the product identity of the pair (A*, A), matched on half its buffer
-    cat = _self_pair_buffer(A)
-    match = _match(cat, A.m, A.m, tol)
-    w = cat[A.m:].copy()
-    wide = A.n < A.m
+    # the product identity of the pair (A*, A), matched on the half
+    # (alpha, w) of its buffer (alpha, w, w, alpha): A*'s column tail and
+    # comparison vector, from the writer of every product buffer
+    n, m = A.n, A.m
+    cat = np.empty(2 * m, dtype=CDTYPE)
+    _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat[:m], cat[m:])
+    match = _match(cat, m, m, tol)
+    w = cat[m:].copy()
+    wide = n < m
     column_norm_sq = _squared_column_norm(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)

@@ -4,10 +4,11 @@ Whether the product of an n x m and an m x l Toeplitz matrix is again
 Toeplitz reduces to one rank-one identity between four vectors read
 directly off the factors' parameters: the left column tail, the right row
 parameters, and two size-regime comparison vectors.  All four are windows
-of the factors' diagonal-value sequences, written straight into the one
-buffer that the rank-one match reduces.  The decision runs in
-O(n + m + l) and returns a certificate that can be re-verified on its own
-and cross-checked against the dense product.
+of the factors' diagonal-value sequences, written by one function, a
+factor's two at a time, straight into the one buffer that the rank-one
+match reduces; the isometry self-match uses the same writer.  The
+decision runs in O(n + m + l) and returns a certificate that can be
+re-verified on its own and cross-checked against the dense product.
 """
 
 from __future__ import annotations
@@ -58,21 +59,35 @@ def classify_regime(n: int, m: int, l: int) -> Regime:
 # comparison vectors
 # ---------------------------------------------------------------------------
 
-def _write_hat(n: int, m: int, a0: complex, a: np.ndarray, alpha: np.ndarray,
-               out: np.ndarray) -> None:
-    """Write an n x m factor's comparison values, without index 0, into ``out``.
+def _write_factor(n: int, m: int, a0: complex, a: np.ndarray, alpha: np.ndarray,
+                  tail: np.ndarray, hat: np.ndarray, flip: bool = False) -> None:
+    """Write an n x m factor's column tail and comparison vector, zeros included.
 
     With d the factor's diagonal-value sequence (``AsymToeplitz.diagonals``),
-    out[k] = d[k] for 0 <= k < n - 1: ``alpha`` read backwards and
-    conjugated, then, when m < n, the corner ``a0`` (at k = m - 1) and the
-    column tail ``a``.  Passing the adjoint's fields gives the comparison
-    values of a right factor.
+    ``tail`` gets (0, d[m], ..., d[m+n-2]), which is ``a``, and ``hat`` gets
+    (0, d[0], ..., d[n-2]): ``alpha`` read backwards and conjugated, then,
+    when m < n, the corner ``a0`` at index m and the rest of ``a``.  With
+    ``flip`` they are the vectors of P A P (``AsymToeplitz.rot180``), whose
+    d is reversed: the two trade places, each reversed behind its zero.
+    Passing the adjoint's fields writes a right factor's row parameters and
+    comparison vector.  Every entry is written, so both may be unfilled.
     """
+    if flip:
+        tail[0] = hat[0] = 0
+        hat[:0:-1] = a[1:]
+        out = tail[:0:-1]
+    else:
+        tail[:] = a
+        hat[0] = 0
+        out = hat[1:]
     h = min(n, m) - 1
     np.conjugate(alpha[m - 1:m - 1 - h:-1], out=out[:h])
     if m < n:
         out[m - 1] = a0
         out[m:] = a[1:n - m]
+        # hat[m] holds the corner as 0 + corner, which turns a negative
+        # zero into +0
+        hat[m] += 0
 
 
 def _split(cat: np.ndarray, n: int, l: int):
@@ -85,14 +100,10 @@ def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False
     """The read-only buffer ``(x, v, u, y)`` of the product identity of A B.
 
     x is A's column tail, y is B's row parameter vector, u and v the
-    comparison vectors; each is a window of its factor's diagonal values
-    behind a structural zero.  The corner values enter u (at index m) when
-    m < n and v (conjugated, at index m) when m < l, added to the zero
-    there.  A flag flips a factor to P A P (``AsymToeplitz.rot180``),
-    whose diagonal values are A's reversed: its column tail and comparison
-    vector trade places, each reversed behind its structural zero, so no
-    flipped factor is built.  Every entry is written, the structural zeros
-    too, so the buffer is allocated unfilled.
+    comparison vectors, all written by :func:`_write_factor`: (x, u) from
+    A's fields and (y, v) from those of B's adjoint.  A flag flips a factor
+    to P A P, so no flipped factor is built.  The buffer is allocated
+    unfilled.
     """
     n, m, l = A.n, A.m, B.m
     if B.n != m:
@@ -100,48 +111,9 @@ def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False
             f"inner dimensions differ: {A.shape} times {B.shape}")
     cat = np.empty(2 * (n + l), dtype=CDTYPE)
     x, v, u, y = _split(cat, n, l)
-    u[0] = v[0] = 0
-    if flip_left:
-        x[0] = 0
-        u[:0:-1] = A.a[1:]
-        _write_hat(n, m, A.a0, A.a, A.alpha, x[:0:-1])
-    else:
-        x[:] = A.a
-        _write_hat(n, m, A.a0, A.a, A.alpha, u[1:])
-    # a right factor's vectors are the left ones of its adjoint
-    if flip_right:
-        y[0] = 0
-        v[:0:-1] = B.alpha[1:]
-        _write_hat(l, m, B.a0.conjugate(), B.alpha, B.a, y[:0:-1])
-    else:
-        y[:] = B.alpha
-        _write_hat(l, m, B.a0.conjugate(), B.alpha, B.a, v[1:])
-    # a corner enters u or v as 0 + a0, which turns a negative zero into +0
-    if m < n:
-        u[m] += 0
-    if m < l:
-        v[m] += 0
+    _write_factor(n, m, A.a0, A.a, A.alpha, x, u, flip_left)
+    _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, y, v, flip_right)
     cat.setflags(write=False)
-    return cat
-
-
-def _self_pair_buffer(A: AsymToeplitz) -> np.ndarray:
-    """The first half ``(alpha, w)`` of the buffer of the pair (A*, A).
-
-    The pair's buffer ``(x, v, u, y)`` is ``(alpha, w, w, alpha)``: A*'s
-    column tail and A's row parameters are both ``alpha``, and the two
-    comparison vectors coincide.  It is this half followed by the half
-    swapped, which :func:`_match` reads from the half alone.  ``w`` is
-    written as :func:`_comparison_buffer` writes A's ``v``, and the buffer
-    is allocated unfilled.
-    """
-    n, m = A.n, A.m
-    cat = np.empty(2 * m, dtype=CDTYPE)
-    cat[:m] = A.alpha
-    cat[m] = 0
-    _write_hat(m, n, A.a0.conjugate(), A.alpha, A.a, cat[m + 1:])
-    if n < m:
-        cat[m + n] += 0
     return cat
 
 

@@ -346,5 +346,5 @@ class TestTolerance:
 
 
 def test_root_api_is_small_and_resolves():
-    assert len(tc.__all__) <= 34
+    assert len(tc.__all__) <= 31
     assert all(hasattr(tc, name) for name in tc.__all__)

@@ -212,6 +212,37 @@ def test_matches_reference_at_benchmark_shapes(n, m, shift, scale, accepted):
     assert_matches_reference(A, tc.DEFAULT_TOL)
 
 
+def test_isometry_buffers_are_written_in_full(monkeypatch):
+    """Every entry of the self-match buffer, allocated unfilled, is written.
+
+    ``numpy.empty`` returns NaN-filled arrays for the whole test, so an
+    unwritten entry would reach ``w`` or the match as NaN.  Every tall,
+    square and wide shape up to 8 x 8 is checked, as T and as H: random
+    matrices, every shift, and the matrix of negative zeros, whose
+    conjugated corner at index n of a wide ``w`` must read +0.
+    """
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    assert np.isnan(np.empty(3, dtype=complex)).all()
+    neg_zero = complex(-0.0, -0.0)
+    for n in range(1, 9):
+        for m in range(1, 9):
+            cases = [gaussian_toeplitz(n, m, 100 * n + m),
+                     tc.AsymToeplitz(n, m, neg_zero, np.full(n, neg_zero),
+                                     np.full(m, neg_zero))]
+            cases += [shift_toeplitz(n, m, k, np.exp(0.3j)) for k in range(n)]
+            for A in cases:
+                for tol in (tc.DEFAULT_TOL, EXACT):
+                    assert_matches_reference(A, tol)
+
+
 class TestUnitColumnCheck:
     # the certificate's squared norm of the full first column, corner plus
     # tail: 1 for every isometry, a necessary condition
