@@ -68,13 +68,16 @@ class Tolerance:
     when the scalar lambda is dyadic; otherwise the pivot quotient is
     rounded and exact products may be rejected, e.g. (n, m, l) = (2, 5, 2)
     with lambda = (4+i)/(-1-5i) (ROADMAP.md item 2).  ``is_isometry``
-    rejects most exact isometries, as its FFT residual is rounded (a
-    convolution, or for a matched matrix with m <= n <= 4m the first
-    column's autocorrelation; the identity's is exactly 0), and a Hankel
-    isometry follows the rounding of its stored core's residual; a band
-    for rounded quantities is ROADMAP.md item 1.  Both values must be
-    finite and non-negative: a NaN or negative threshold rejects every
-    comparison, an infinite one accepts every comparison.
+    accepts every exact shift c S with c = +-1 or +-i: a matched matrix
+    with m <= n takes the autocorrelation of its first column's nonzero
+    support [lo, hi) when hi - lo < 4m, and a support of at most one entry
+    runs no FFT, so its residual is exactly 0.  It rejects most dense exact
+    isometries, whose FFT residual (that autocorrelation, or a convolution)
+    is rounded, and a Hankel isometry follows the rounding of its stored
+    core's residual; a band for rounded quantities is ROADMAP.md item 1.
+    Both values must be finite and non-negative: a NaN or negative
+    threshold rejects every comparison, an infinite one accepts every
+    comparison.
     """
 
     atol: float = 1e-9

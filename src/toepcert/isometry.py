@@ -18,10 +18,13 @@ computed by FFT in O((n + m) log(n + m)) time and O(n + m) memory.  Once
 the self-match alpha = lam w holds, with w[k] = conj(a[n - k]), every
 column of an n x m matrix with n >= m is a twisted cyclic shift of the
 first column (Davis, *Circulant Matrices*, 1979), and the product is the
-autocorrelation of the first column's tail: one complex and one real FFT
-of about 2n points instead of three complex ones of about n + m, taken
-where that is cheaper.  FFT lengths are the smallest 2**i * 3**j * 5**k
-that hold the result.
+autocorrelation of the first column's tail.  That depends only on the
+tail's nonzero support [lo, hi), between its first and last nonzero entry:
+one complex and one real FFT of about 2 (hi - lo) points instead of three
+complex ones of about n + m, taken where that is cheaper (hi - lo < 4m).
+A tail with at most one nonzero entry, as every shift's, needs no FFT, so
+its residual is exact; a longer support's is rounded.  FFT lengths are the
+smallest 2**i * 3**j * 5**k that hold the result.
 """
 
 from __future__ import annotations
@@ -64,7 +67,8 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None,
+def isometry_residual(A: AsymToeplitz,
+                      _column: tuple[float, np.ndarray] | None = None,
                       _self_match: tuple[complex, np.ndarray] | None = None) -> np.ndarray:
     """First-row defect vector of A* A - I_m.
 
@@ -76,18 +80,22 @@ def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None,
     expression rather than read off the FFT; the corner's terms are added
     outside the FFT, so a scaled identity's residual is exact.
 
-    :func:`is_isometry` passes the self-match's scalar and comparison
-    vector (lam, w), with lam = 0 when both sides vanish.  Then A0* a is
-    read off the autocorrelation of ``a`` when that is cheaper (m <= n
-    <= 4m) and A lies within rounding of the matrix whose row parameters
-    are exactly lam w: c**(1/2) ||alpha - lam w||, which must not exceed
-    16 eps (c + 1), bounds by Cauchy-Schwarz how far the two residuals differ.
+    :func:`is_isometry` passes c with the moduli of ``a`` from the same pass
+    (``_column``), and the self-match's scalar and comparison vector (lam, w),
+    with lam = 0 when both sides vanish.  Then A0* a is read off the
+    autocorrelation of ``a``'s nonzero support [lo, hi) when that is cheaper
+    (m <= n and hi - lo < 4m) and A lies within rounding of the matrix whose
+    row parameters are exactly lam w: c**(1/2) ||alpha - lam w||, which must
+    not exceed 16 eps (c + 1), bounds by Cauchy-Schwarz how far the two
+    residuals differ.  A tail with at most one nonzero entry, as a shift's,
+    has no FFT to round, so its residual is exact.
     """
     n, m = A.n, A.m
-    if _column_norm_sq is None:
-        _column_norm_sq = _squared_column_norm(A)
-    if _self_match is not None and _autocorrelation_fits(A, _column_norm_sq, *_self_match):
-        r = _autocorrelation_term(A.a, _self_match[0], n, m)
+    column_norm_sq, modulus = _column_modulus(A) if _column is None else _column
+    lo, hi = _support(modulus)
+    if _self_match is not None and _autocorrelation_fits(A, column_norm_sq, hi - lo,
+                                                         *_self_match):
+        r = _autocorrelation_term(A.a[lo:hi], _self_match[0], n, m)
     else:
         r = _convolution_term(A)
     # conj(a0) a, cut or padded to m entries, is added before a0 alpha
@@ -95,7 +103,7 @@ def isometry_residual(A: AsymToeplitz, _column_norm_sq: float | None = None,
     r[1:k] += np.conj(A.a0) * A.a[1:k]
     r += A.a0 * A.alpha
     # the FFT's entry 0 is sum |a|**2; half the column's defect replaces it
-    r[0] = (_column_norm_sq - 1.0) / 2.0
+    r[0] = (column_norm_sq - 1.0) / 2.0
     return r
 
 
@@ -119,48 +127,81 @@ def _convolution_term(A: AsymToeplitz) -> np.ndarray:
 _EPS = float(np.finfo(float).eps)
 
 
-def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, lam: complex,
-                          w: np.ndarray) -> bool:
+def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
+                          lam: complex, w: np.ndarray) -> bool:
     """Whether :func:`_autocorrelation_term` may stand in for A0* a.
 
-    It costs one complex and one real FFT of about 2n points against three
-    complex ones of about n + m, and pays from m >= n / 4 on (measured).
-    It is exact for alpha = lam w, and A0* a is linear in alpha with
-    ||a|| <= c**(1/2), so the drift bound keeps the two within rounding.
+    ``width`` = hi - lo is the length of ``a``'s nonzero support [lo, hi).
+    The autocorrelation costs one complex and one real FFT of about
+    2 width points against three complex ones of about n + m, and pays for
+    width < 4m (measured on dense columns, where width = n - 1, so that is
+    n <= 4m).  A width of at most 1, as a shift's, needs no FFT, so the
+    term is exactly 0; a dense column's is rounded, and ROADMAP.md item 1
+    is the band for that.  The route is exact for alpha = lam w, and A0* a
+    is linear in alpha with ||a|| <= c**(1/2), so the drift bound keeps the
+    two within rounding.
     """
-    n, m = A.n, A.m
-    if not m <= n <= 4 * m:
+    if not (A.m <= A.n and width < 4 * A.m):
         return False
     drift = float(np.linalg.norm(A.alpha - lam * w))
     return math.sqrt(column_norm_sq) * drift <= 16 * _EPS * (column_norm_sq + 1.0)
 
 
-def _autocorrelation_term(a: np.ndarray, lam: complex, n: int, m: int) -> np.ndarray:
+def _autocorrelation_term(support: np.ndarray, lam: complex, n: int, m: int) -> np.ndarray:
     """A0* a for n >= m and alpha = lam w, from the autocorrelation of ``a``.
 
     With R[k] = sum_i conj(a[i + k]) a[i], the entries of A0* a below the
     diagonal sum to conj(R[j]) and those above it, alpha[j - i] =
-    lam conj(a[n - j + i]), to lam R[n - j].  R is the real FFT of the
-    power spectrum |fft(a)|**2 at a length of at least 2n - 1, which does
-    not wrap lags below n.  Entry 0 is left at 0.
+    lam conj(a[n - j + i]), to lam R[n - j].  R depends only on ``support``
+    = a[lo:hi], the stretch between a's first and last nonzero entry, and
+    R[k] = 0 exactly for every lag k >= hi - lo.  The lower lags are the
+    real FFT of the power spectrum |fft(support)|**2 at a length of at least
+    2 (hi - lo) - 1, which does not wrap them.  With hi - lo <= 1 every lag
+    from 1 on is zero and no FFT runs, so a shift's term is exactly 0; a
+    longer support's is rounded.  Entry 0 is left at 0.
     """
-    size = _fft_length(2 * n - 1)
-    spectrum = np.fft.fft(a, size)
+    r = np.zeros(m, dtype=CDTYPE)
+    width = len(support)
+    if width <= 1:
+        return r
+    size = _fft_length(2 * width - 1)
+    spectrum = np.fft.fft(support, size)
     power = spectrum.real * spectrum.real
     power += spectrum.imag * spectrum.imag
-    R = np.fft.rfft(power)
-    r = np.empty(m, dtype=CDTYPE)
-    r[0] = 0
-    np.conjugate(R[1:m], out=r[1:])
+    # lags 0 .. size // 2, of which only those below width are read; the
+    # inverse transform's 1 / size is a real factor inside the FFT
+    R = np.fft.rfft(power, norm="forward")
+    low = min(m, width)
+    np.conjugate(R[1:low], out=r[1:low])
     if lam:
-        r[1:] += lam * R[n - 1:n - m:-1]
-    r[1:] /= size
+        # r[j] takes lam R[n - j], which is zero unless n - j < width
+        j = max(1, n - width + 1)
+        r[j:] += lam * R[n - j:n - m:-1]
     return r
 
 
-def _squared_column_norm(A: AsymToeplitz) -> float:
-    """|a0|**2 + sum |a|**2, the squared norm of A's first column."""
-    return abs(A.a0) ** 2 + float(np.sum(np.abs(A.a) ** 2))
+def _column_modulus(A: AsymToeplitz) -> tuple[float, np.ndarray]:
+    """|a0|**2 + sum |a|**2, the squared norm of A's first column, and the
+    moduli |a| it is summed from, which locate ``a``'s nonzero support."""
+    modulus = np.abs(A.a)
+    return abs(A.a0) ** 2 + float(np.sum(modulus ** 2)), modulus
+
+
+def _support(modulus: np.ndarray) -> tuple[int, int]:
+    """[lo, hi), the stretch from the first to the last nonzero modulus.
+
+    ``a[0]`` is a structural zero, so a tail whose entries 1 and n - 1 are
+    nonzero, as every dense one, spans [1, n) without a scan.  An all-zero
+    tail gives (0, 0).
+    """
+    n = len(modulus)
+    if n > 1 and modulus[1] and modulus[-1]:
+        return 1, n
+    nonzero = modulus != 0
+    lo = int(nonzero.argmax())
+    if not nonzero[lo]:
+        return 0, 0
+    return lo, n - int(nonzero[::-1].argmax())
 
 
 @dataclass(frozen=True)
@@ -202,13 +243,18 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     tests run in order of cost, each only when the ones before it pass: the
     self-match, then |abs(lam) - 1| and the residual's entry 0,
     |column_norm_sq - 1| / 2, then the FFT for the rest of the residual,
-    which reads the matched scalar to take the shorter route where it can.
-    A wide matrix (n < m) is rejected before the FFT: A* A has rank at most
-    n < m, so it is never the identity.
-    Agrees with the dense oracle on A* A - I_m.  The residual is an FFT
-    result and carries rounding, so under ``Tolerance(0, 0)`` most exact
-    isometries are rejected; give it an ``atol`` above the rounding (the
-    default 1e-9 is), until ROADMAP.md item 1 settles a tolerance band.
+    which reads the matched scalar and the first column's nonzero support
+    [lo, hi) to take the shorter route where it can: the autocorrelation of
+    that support when hi - lo < 4m.  A wide matrix (n < m) is rejected
+    before the FFT: A* A has rank at most n < m, so it is never the identity.
+    Agrees with the dense oracle on A* A - I_m.  A first column with at most
+    one nonzero entry below the corner, as every shift's, runs no FFT, so an
+    exact shift c S with |c|**2 = 1 in floating point (c = +-1, +-i) gets
+    a residual of exactly 0 and is accepted under ``Tolerance(0, 0)``.  A
+    longer support's residual is an FFT result and carries rounding, so
+    under ``Tolerance(0, 0)`` most dense exact isometries are rejected; give
+    it an ``atol`` above the rounding (the default 1e-9 is), until
+    ROADMAP.md item 1 settles a tolerance band.
     """
     # the product identity of the pair (A*, A), matched on the half
     # (alpha, w) of its buffer (alpha, w, w, alpha): A*'s column tail and
@@ -219,7 +265,8 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
     match = _match(cat, m, m, tol)
     w = cat[m:].copy()
     wide = n < m
-    column_norm_sq = _squared_column_norm(A)
+    # the moduli of the column's tail locate its support if the residual runs
+    column_norm_sq, modulus = _column_modulus(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
     # a scalar off the unit circle rejects whatever the residual, whose norm
@@ -229,7 +276,7 @@ def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertif
             or abs(column_norm_sq - 1.0) / 2.0 > tol.atol or wide):
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     lam = match.lam if match.is_proportional else 0.0
-    residual = isometry_residual(A, column_norm_sq, (lam, w))
+    residual = isometry_residual(A, (column_norm_sq, modulus), (lam, w))
     residual_norm = float(np.max(np.abs(residual)))
     return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
                                residual_norm, column_norm_sq)

@@ -569,13 +569,32 @@ def both_zero_toeplitz(n: int, m: int, rng: np.random.Generator) -> tc.AsymToepl
     return tc.AsymToeplitz(n, m, c[0], a, np.zeros(m))
 
 
+def banded_toeplitz(n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
+    """A matched unit first column that is nonzero only on a random window
+    [lo, hi), with zeros before and after it, and alpha = lam w."""
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo + 1, n + 1))
+    column = np.zeros(n, dtype=complex)
+    re, im = rng.standard_normal((2, hi - lo))
+    column[lo:hi] = re + 1j * im
+    column /= np.linalg.norm(column)
+    a = column.copy()
+    a[0] = 0
+    return matched_with_column(complex(column[0]), a, m, np.exp(2j * np.pi * rng.random()))
+
+
 def route_case(kind: str, n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
-    """A generated isometry (n >= m), a both-zero match, or a matched unit
-    column, exact or drifted to a quarter or 4 times the route bound."""
+    """A generated isometry (n >= m), a shift by a power of i (n >= m), a
+    both-zero match, a banded unit column, or a matched unit column, exact
+    or drifted to a quarter or 4 times the route bound."""
     if kind == "generated":
         return gen_isometry(rng, n, m)
+    if kind == "shift":
+        return shift_toeplitz(n, m, int(rng.integers(0, n - m + 1)), 1j ** int(rng.integers(4)))
     if kind == "both-zero":
         return both_zero_toeplitz(n, m, rng)
+    if kind == "banded":
+        return banded_toeplitz(n, m, rng)
     A = matched_toeplitz(n, m, rng, unit=True)
     ratio = {"matched": 0.0, "quarter": 0.25, "quadruple": 4.0}[kind]
     return drifted(A, ratio, rng) if ratio else A
@@ -601,17 +620,20 @@ def route_shapes(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(route_shapes(),
-       st.sampled_from(("generated", "matched", "both-zero", "quarter", "quadruple")),
+       st.sampled_from(("generated", "matched", "both-zero", "banded", "quarter",
+                        "quadruple")),
        st.integers(0, 2**32 - 1))
 def test_route_matches_reference(shape, kind, seed):
     """Certificates on either residual route equal the reference's.
 
-    Generated isometries, exactly matched unit columns, both-zero matches
-    and matched matrices drifted to 1/4 and 4 times the route bound, under
-    every tolerance: ``w``, ``match`` and ``column_norm_sq`` bit for bit, the
-    residual norm within rounding and the verdict outside that band (all in
-    :func:`assert_matches_reference`); the residual also agrees with the
-    public, always-convolving ``isometry_residual``.
+    Generated isometries, exactly matched unit columns, both-zero matches,
+    banded unit columns, whose short support takes the autocorrelation on
+    tall shapes too, and matched matrices drifted to 1/4 and 4 times the
+    route bound, under every tolerance: ``w``, ``match`` and
+    ``column_norm_sq`` bit for bit, the residual norm within rounding and
+    the verdict outside that band (all in :func:`assert_matches_reference`);
+    the residual also agrees with the public, always-convolving
+    ``isometry_residual``.
     """
     n, m = shape
     if kind == "generated" and n < m:
@@ -622,21 +644,45 @@ def test_route_matches_reference(shape, kind, seed):
         cert = tc.is_isometry(A, tol)
         if cert.residual_norm is not None:
             lam = cert.lam if cert.match.is_proportional else 0.0
-            routed = isometry_residual(A, cert.column_norm_sq, (lam, cert.w))
+            routed = isometry_residual(A, _self_match=(lam, cert.w))
             exact = isometry_residual(A)
             assert np.max(np.abs(routed - exact)) <= isometry_rounding_bound(A)
 
 
-# FFT lengths 125, 625 and 2000, whose radix-5 passes round a constant
-# spectrum's other bins away from 0
+# sizes beyond test_exact_shifts_accepted_exactly's n <= 39, at tall and
+# square shapes
 @pytest.mark.parametrize("n", [63, 313, 1000])
 def test_identity_residual_is_exact(n):
     # the corner's terms stay out of the FFT: the identity's column tail is
-    # zero, so its residual is exactly 0 on the autocorrelation route
+    # zero, so the autocorrelation route runs no FFT and its residual is 0
     for m in (n, -(-n // 4)):
         for cert in (tc.is_isometry(tc.AsymToeplitz.eye(n, m), EXACT),
                      tc.hankel_is_isometry(tc.flip_cols(tc.AsymToeplitz.eye(n, m)), EXACT)):
             assert cert.accepted and cert.residual_norm == 0.0
+
+
+def test_exact_shifts_accepted_exactly():
+    """Every exact isometry c S, a power of i times a shift, is accepted under
+    ``Tolerance(0, 0)`` with a residual of exactly 0.
+
+    Its first column has one nonzero entry, so the residual needs no FFT.
+    All 42,640 shifts by k <= n - m with 1 <= m <= n <= 39 and c in
+    {1, -1, i, -i} are decided as T, and a seeded eighth of them as H.
+    """
+    rng = np.random.default_rng(21)
+    shifts = 0
+    for c in (1.0, -1.0, 1j, -1j):
+        for n in range(1, 40):
+            for m in range(1, n + 1):
+                for k in range(n - m + 1):
+                    A = shift_toeplitz(n, m, k, c)
+                    certs = [tc.is_isometry(A, EXACT)]
+                    if rng.random() < 0.125:
+                        certs.append(tc.hankel_is_isometry(tc.flip_cols(A), EXACT))
+                    for cert in certs:
+                        assert cert.accepted and cert.residual_norm == 0.0, (n, m, k, c)
+                    shifts += 1
+    assert shifts == 42640
 
 
 def count_routes(monkeypatch) -> dict:
@@ -653,25 +699,30 @@ def count_routes(monkeypatch) -> dict:
 
 
 @pytest.mark.parametrize("n, m, kind, route", [
-    # the autocorrelation where it pays, up to n = 4m, prime n included
+    # the autocorrelation where it pays, while the column's nonzero support
+    # is shorter than 4m: a dense one up to n = 4m, prime n included
     *((n, m, "generated", "autocorrelation")
       for n, m in ((1, 1), (2, 2), (8, 2), (31, 31), (97, 25), (200, 50), (211, 190))),
     (64, 40, "quarter", "autocorrelation"),
     (40, 40, "both-zero", "autocorrelation"),
+    # tall shapes with a short support: a shift's is at most one entry, and
+    # the both-zero column is nonzero only on its first n - m + 1 entries
+    (2304, 16, "shift", "autocorrelation"),
+    (97, 20, "both-zero", "autocorrelation"),
     # the convolution above the route bound, for wide and for tall shapes
     (64, 40, "quadruple", "convolution"),
     (40, 40, "quadruple", "convolution"),
     (20, 60, "matched", "convolution"),
     (3, 4, "matched", "convolution"),
     *((n, m, "generated", "convolution") for n, m in ((9, 2), (201, 50), (2304, 16))),
-    (97, 20, "both-zero", "convolution"),
+    (120, 20, "both-zero", "convolution"),
 ])
 def test_route_selection(monkeypatch, n, m, kind, route):
     A = route_case(kind, n, m, np.random.default_rng(n * m))
     counts = count_routes(monkeypatch)
     certs = (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A)))
     accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
-    assert accepted is (kind == "generated" or (kind == "both-zero" and n == m))
+    assert accepted is (kind in ("generated", "shift") or (kind == "both-zero" and n == m))
     assert all(cert.accepted is accepted for cert in certs)
     if n < m:
         # a wide matrix is rejected before either route
