@@ -99,14 +99,20 @@ DEFAULT_TOL = Tolerance()
 
 def as_cvector(x, length: int | None = None, name: str = "vector") -> np.ndarray:
     """Coerce to a read-only 1-D complex array, checking finiteness."""
+    v = _cvector(x, length, name)
+    v.setflags(write=False)
+    return v
+
+
+def _cvector(x, length: int | None, name: str) -> np.ndarray:
+    """The checked copy of ``x`` that :func:`as_cvector` returns, still writable."""
     v = np.array(x, dtype=CDTYPE)
     if v.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if length is not None and len(v) != length:
         raise DimensionMismatch(f"{name} must have length {length}, got {len(v)}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
-    v.setflags(write=False)
     return v
 
 
@@ -172,16 +178,20 @@ class AsymToeplitz:
     @classmethod
     def from_first_row_col(cls, first_row, first_col) -> "AsymToeplitz":
         """Build from the literal first row and first column (shared corner)."""
-        row = as_cvector(first_row, name="first_row")
-        col = as_cvector(first_col, name="first_col")
-        if row[0] != col[0]:
+        alpha = _cvector(first_row, None, "first_row")
+        a = _cvector(first_col, None, "first_col")
+        if alpha[0] != a[0]:
             raise ValueError(
-                f"first_row[0] = {row[0]} and first_col[0] = {col[0]} must agree")
-        a = np.concatenate([np.zeros(1, dtype=CDTYPE), col[1:]])
-        alpha = np.concatenate([np.zeros(1, dtype=CDTYPE), np.conj(row[1:])])
-        # both vectors passed as_cvector and are nonempty (row[0] above), so
-        # the derived fields already meet every check of __post_init__
-        return cls._trusted(len(col), len(row), complex(col[0]), a, alpha)
+                f"first_row[0] = {alpha[0]} and first_col[0] = {a[0]} must agree")
+        a0 = complex(a[0])
+        # one copy per vector: the column becomes a and the conjugated row
+        # alpha, each with its structural zero written over the corner.  Both
+        # passed as_cvector's checks and are nonempty (alpha[0] above), so the
+        # fields already meet every check of __post_init__
+        a[0] = 0
+        np.conjugate(alpha, out=alpha)
+        alpha[0] = 0
+        return cls._trusted(len(a), len(alpha), a0, a, alpha)
 
     @classmethod
     def from_dense(cls, M, tol: Tolerance = DEFAULT_TOL) -> "AsymToeplitz":

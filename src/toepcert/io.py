@@ -6,28 +6,30 @@ column, dense files the row-major entries.  Writing is canonical (sorted
 keys, floats with 17 significant digits), so rewriting a canonical file
 reproduces it byte for byte; each vector is formatted by one ``%`` call.
 
-Reading decodes the top-level object key by key with the ``json``
-module's own scanner, and each pair array flat.  A pair key's value
-(``data``, ``first_row``, ``first_col``, ``last_col``) that starts with
-``[[`` and holds no quote before the next ``]]`` must, once digits,
-``-+.eE`` and whitespace are deleted, be exactly ``[[,],...,[,]]``.  It
-is then read by one ``json.loads`` with its inner brackets blanked: one
-flat list of ``int`` and ``float`` parts, no list per pair, since JSON's
-number grammar admits nothing else there.  One NumPy call converts it and
-the parts are checked for overflow and finiteness.  Every other value is
-decoded as ``json.loads`` decodes it; a pair array laid out otherwise (as
-``python -m json.tool`` writes it) thus arrives as nested lists and takes
-the nested-list conversion below.  Each ``]]`` is searched for once, past
-the last one found, so hostile text stays linear.
+Reading decodes the whole text once, with every ``], [`` blanked to a
+comma and three spaces (a replacement of the same length, which
+``str.replace`` makes in one pass), so a pair array as written,
+``[[1, 2], [3, 4]]``, arrives as one run of parts, ``[[1, 2, 3, 4]]``,
+with no Python list per pair.  From
+the decoded object the reader rebuilds the skeleton that the text must
+have once digits, ``-+.eE`` and whitespace are deleted (a pair array of k
+pairs gives ``[[,],...,[,]]``, a dimension nothing, a kind its letters,
+as in ``{"kind":"dns","rows":,"cols":,"data":[[,]]}``) and compares it
+with the text's own.  They are equal only if every blanked ``], [``
+stood between two pairs of a pair array and no pair, string, key,
+escape, literal or repeated key was changed or hidden, so the decoded
+values are those of one ``json.loads`` of the text.  One NumPy call then
+converts each pair array (``data``, ``first_row``, ``first_col``,
+``last_col``) from its runs, and its parts are checked for overflow and
+finiteness.  A pair array laid out as ``python -m json.tool`` writes it
+holds no ``], [`` and takes the same route, one run per pair.  Any other
+text (a key of no kind, a value of another type, a skeleton mismatch,
+an overflowing or non-finite part, text that is not one JSON object) is
+decoded again, as it stands, by ``json.loads`` and read by the checks
+of :func:`parse_matrix`, so it is refused with their message.
 
-A pair array that the flat read refuses (a skeleton mismatch, a part
-that JSON's number grammar refuses, a non-finite or too large part) is
-decoded in place as ``json.loads`` decodes it, so a malformed object is
-decoded once and refused by the checks of :func:`parse_matrix`.  Only
-text that is not one JSON object (a syntax error, trailing data, another
-top-level value) is decoded whole by ``json.loads``, for its message.  In
-nested lists a pair must be an exact ``list`` of two parts, and a part an
-exact ``int`` or ``float`` (what ``json.loads`` gives): ``true``,
+In nested lists a pair must be an exact ``list`` of two parts, and a
+part an exact ``int`` or ``float`` (what ``json.loads`` gives): ``true``,
 strings, ``null``, ``NaN``, ``Infinity``, integers beyond the float
 range, list subclasses and ``numpy.float64`` are rejected, and the message
 names the first bad position, as in ``'first_row[3]'``.  Either way each
@@ -43,7 +45,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import re
 from itertools import chain
 from pathlib import Path
 
@@ -68,14 +69,8 @@ class MatrixFileError(ValueError):
     """Malformed or inconsistent matrix file."""
 
 
-_DECODE = json.JSONDecoder().raw_decode
-# the object's opening brace, the comma after a value and the colon after a
-# key, each with its whitespace, up to the next key's quote; group 1 is the
-# closing brace at the end of the text
-_OPEN = re.compile(r'[ \t\n\r]*\{[ \t\n\r]*(?:(?=")|(\}[ \t\n\r]*\Z))').match
-_NEXT = re.compile(r'[ \t\n\r]*(?:,[ \t\n\r]*(?=")|(\}[ \t\n\r]*\Z))').match
-_COLON = re.compile(r'[ \t\n\r]*:[ \t\n\r]*').match
-# deleted from a pair array to leave its skeleton of brackets and commas
+# deleted from the text and from the skeleton rebuilt from its decoded
+# object before the two are compared
 _NUMBER_CHARS = b"0123456789-+.eE \t\n\r"
 
 
@@ -118,66 +113,51 @@ def _first_bad_entry(items: list, where: str) -> str:
             return f"'{where}[{pos}]' contains a non-finite number"
 
 
-def _flat_pairs(value: str) -> np.ndarray | None:
-    """The pair array ``value`` (``[[`` to ``]]``, no quote) read flat, or None.
+def _decoded(text: str) -> dict | None:
+    """The object of ``text`` from one decode with ``], [`` blanked, or None.
 
-    None when the skeleton is not exactly ``[[,],...,[,]]``, JSON's number
-    grammar refuses a part, or a part is beyond the float range or not
-    finite.
+    Each pair array becomes a complex array.  None when the blanked text
+    is not a JSON object whose keys all belong to some kind, whose ``kind``
+    names a kind, dimensions are ints and pair arrays lists of runs; when
+    the text's skeleton differs from the one rebuilt from the object; or
+    when a part is beyond the float range or not finite.
     """
-    skeleton = value.encode().translate(None, _NUMBER_CHARS)
-    pairs = (len(skeleton) - 1) // 4
-    if skeleton != b"[" + b"[,]," * (pairs - 1) + b"[,]]":
-        return None
     try:
-        flat = json.loads("[" + value[2:-2].replace("[", " ").replace("]", " ") + "]")
-        parts = np.fromiter(flat, np.float64, count=2 * pairs)
-    except (ValueError, OverflowError):
-        return None
-    return parts.view(CDTYPE) if np.isfinite(parts).all() else None
-
-
-def _flat_document(text: str) -> dict | None:
-    """The top-level object of ``text`` with its pair arrays read flat, or None.
-
-    Keys and other values are decoded as ``json.loads`` decodes them, and
-    so is a pair array that :func:`_flat_pairs` refuses, in place.  None
-    when the text is not one JSON object.
-    """
-    step = _OPEN(text)
-    doc = {}
-    close = -1  # the last ']]' found, len(text) once there is none
-    try:
-        while step is not None:
-            if step.group(1):
-                return doc
-            key, i = _DECODE(text, step.end())
-            step = _COLON(text, i)
-            if step is None:
-                return None
-            i = step.end()
-            value = None
-            if key in _PAIR_KEYS and text.startswith("[[", i):
-                if close < i:
-                    close = text.find("]]", i)
-                    if close < 0:
-                        close = len(text)
-                # a quote before that ']]' means the stretch spans a key
-                if close < len(text) and text.find('"', i, close) < 0:
-                    value = _flat_pairs(text[i:close + 2])
-            if value is None:
-                value, i = _DECODE(text, i)
-            else:
-                i = close + 2
-            doc[key] = value
-            step = _NEXT(text, i)
+        doc = json.loads(text.replace("], [", ",   "))
     except (ValueError, RecursionError):
-        pass  # a JSON error, or an integer beyond Python's digit limit
-    return None
+        return None  # a JSON error, or an integer beyond Python's digit limit
+    if type(doc) is not dict:
+        return None
+    skeleton = []
+    counts = {}
+    for key, value in doc.items():
+        if key in _PAIR_KEYS and type(value) is list and set(map(type, value)) <= {list}:
+            # count // 2 pairs: the part an odd count leaves over shows in the text
+            count = counts[key] = sum(map(len, value))
+            skeleton.append('"%s":[%s]' % (key, ("[,]," * (count // 2))[:-1]))
+        elif key in ("rows", "cols") and type(value) is int:
+            skeleton.append('"%s":' % key)
+        elif key == "kind" and type(value) is str and value in _KIND_KEYS:
+            skeleton.append('"kind":"%s"' % value)
+        else:
+            return None
+    expected = ("{%s}" % ",".join(skeleton)).encode().translate(None, _NUMBER_CHARS)
+    if text.encode().translate(None, _NUMBER_CHARS) != expected:
+        return None
+    # every part is now a JSON number, an int or a float
+    for key, count in counts.items():
+        try:
+            parts = np.fromiter(chain.from_iterable(doc[key]), np.float64, count=count)
+        except OverflowError:
+            return None
+        if not np.isfinite(parts).all():
+            return None
+        doc[key] = parts.view(CDTYPE)
+    return doc
 
 
 def _flat_entries(items, count: int, where: str) -> np.ndarray:
-    """A pair array read flat when its count holds, else :func:`_parse_entries`."""
+    """A pair array from :func:`_decoded` when its count holds, else :func:`_parse_entries`."""
     if type(items) is np.ndarray and len(items) == count:
         return items
     return _parse_entries(items, count, where)
@@ -248,7 +228,7 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
     if "\r" in text:
         # newlines as text mode reads them, for the positions in JSON errors
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    doc = _flat_document(text)
+    doc = _decoded(text)
     if doc is None:
         try:
             doc = json.loads(text)

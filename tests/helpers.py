@@ -412,9 +412,9 @@ def reference_parse_entries(items, count: int, where: str) -> np.ndarray:
 def reference_load_matrix(path):
     """``io.load_matrix`` as one ``json.loads`` of the whole text, then ``parse_matrix``.
 
-    The reader before pair arrays were read flat.  The flat route must
-    return the same bits, the sign of zero included, or raise the same
-    ``MatrixFileError`` text.
+    The reader's one decode with ``], [`` blanked must return the same
+    bits, the sign of zero included, or raise the same ``MatrixFileError``
+    text.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")

@@ -208,6 +208,23 @@ class TestFromFirstRowCol:
         assert not np.array_equal(A.first_col(), col)
 
 
+    @given(st.integers(1, 12), st.integers(1, 12), st.data())
+    @settings(max_examples=300)
+    def test_fields_bit_identical_to_concatenated_copies(self, n, m, data):
+        # the fields written in place over one copy per vector are, bit for
+        # bit, the zero-prefixed concatenations of the checked vectors
+        part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+        row = np.array(data.draw(st.lists(part, min_size=2 * m, max_size=2 * m))).view(complex)
+        col = np.array(data.draw(st.lists(part, min_size=2 * n, max_size=2 * n))).view(complex)
+        col[0] = row[0]
+        A = tc.AsymToeplitz.from_first_row_col(row, col)
+        zero = np.zeros(1, dtype=complex)
+        assert A.a.tobytes() == np.concatenate([zero, col[1:]]).tobytes()
+        assert A.alpha.tobytes() == np.concatenate([zero, np.conj(row[1:])]).tobytes()
+        assert np.complex128(A.a0).tobytes() == col[:1].tobytes()
+
+
 class TestAdjoint:
     def test_involution(self, rng):
         A = tc.random_toeplitz(rng, 5, 3)

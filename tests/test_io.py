@@ -1,5 +1,6 @@
 import json
 import re
+import statistics
 import time
 
 import numpy as np
@@ -390,6 +391,11 @@ class TestReader:
              '"last_col": [[1, 2], [3, 4]]}')
     @example('{}')
     @example('[[1, 2]]')
+    @example('{"kind": "toep], [litz", "rows": 1, "cols": 1, "first_row": [[1, 2]], '
+             '"first_col": [[1, 2]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 2, "data": [[[1, 2], [3, 4]]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 1, "data": [[1e999, 2]]}')
+    @example('{"kind": "dense", "rows": 1, "cols": 3, "data": [[1, 2], [3, 4],[5, 6]]}')
     def test_same_as_whole_text_loads(self, matrix_path, text):
         assert_reads_as_reference(matrix_path, text.encode("utf-8"))
 
@@ -416,9 +422,9 @@ class TestReader:
             tc.save_matrix(tmp_path / "m.json", obj)
             assert matrix_to_text(tc.load_matrix(tmp_path / "m.json")) == matrix_to_text(obj)
 
-    def test_loose_pair_array_decoded_in_place(self, tmp_path, monkeypatch):
-        # '[[' up to a ']]' past a quote spans a key: that value is decoded
-        # as json.loads decodes it, and the whole text is not read again
+    @staticmethod
+    def counted_loads(monkeypatch):
+        """The texts passed to the reader's ``json.loads``, in call order."""
         loads = json.loads
         texts = []
 
@@ -427,57 +433,66 @@ class TestReader:
             return loads(text)
 
         monkeypatch.setattr("toepcert.io.json.loads", counted)
-        path = tmp_path / "m.json"
-        path.write_text('{"kind": "toeplitz", "first_row": [[1, 2], [3, 4] ], '
-                        '"rows": 1, "cols": 2, "first_col": [[1, 2]]}', encoding="utf-8")
-        want = tc.AsymToeplitz.from_first_row_col([1 + 2j, 3 + 4j], [1 + 2j])
-        assert tc.load_matrix(path) == want
-        assert texts == ["[1, 2]"]
+        return texts
 
-    def test_malformed_object_decoded_once(self, tmp_path, monkeypatch):
-        # a malformed object is refused from its one key-by-key decode, with
-        # the whole-text reader's message; only text that is not one JSON
-        # object is decoded whole
+    def test_valid_files_decoded_once(self, tmp_path, monkeypatch, rng):
+        # a file as save_matrix writes it, as python -m json.tool lays it
+        # out, or with loose brackets and mixed separators is read from one
+        # decode of its whole text
+        T = tc.random_toeplitz(rng, 5, 7)
+        written = [matrix_to_text(obj) for obj in (T, tc.flip_cols(T), T.to_dense())]
+        texts = written + [json.dumps(json.loads(text), indent=4) for text in written] + [
+            '{"kind": "toeplitz", "first_row": [[1, 2], [3, 4] ], '
+            '"rows": 1, "cols": 2, "first_col": [[1, 2]]}',
+            '{"kind": "dense", "rows": 1, "cols": 3, "data": [[1, 2], [3, 4],[5, 6]]}']
+        decoded = self.counted_loads(monkeypatch)
+        path = tmp_path / "m.json"
+        for text in texts:
+            path.write_text(text, encoding="utf-8")
+            want = read_bits(reference_load_matrix, path)
+            decoded.clear()
+            got = read_bits(tc.load_matrix, path)
+            assert got[0] != "error" and got == want, text
+            assert len(decoded) == 1, text
+
+    def test_malformed_object_decoded_at_most_twice(self, tmp_path, monkeypatch):
+        # a malformed file is refused, with the whole-text reader's message,
+        # after at most two decodes, each of the whole text (as it stands or
+        # with '], [' blanked) and none of a single value
         body = '"kind": "dense", "rows": 1, "cols": %s, "data": %s'
-        objects = [
+        texts = [
             "{" + body % (1, "[[1, 2]]") + ', "x": [[1, 2]]}',
             "{" + body % (2, "[[1, 2]]") + "}",
             "{" + body % (1, "[[NaN, 2]]") + "}",
+            "{" + body % (1, "[[1e999, 2]]") + "}",
             "{" + body % (1, "[[%s, 2]]" % ("9" * 401)) + "}",
             "{" + body % (2, "[[1, 2], [3]]") + "}",
+            "{" + body % (2, "[[1, 2, 3], [4]]") + "}",
+            "{" + body % (1, "[[1, 2]]") + ', "data": [[1, 2, 3]]}',
+            "{" + body % (1, "[[1, 2]]") + ",}",
+            '{"kind": "a], [b", "rows": 1, "cols": 1, "data": [[1, 2]]}',
             '{"kind": [[1, 2]], "rows": 1, "cols": 1, "data": [[1, 2]]}',
             '{"kind": "dense", "rows": [[1, 2]], "cols": 1, "data": [[1, 2]]}',
+            "[1]",
         ]
-        loads = json.loads
-        texts = []
-
-        def counted(text):
-            texts.append(text)
-            return loads(text)
-
-        monkeypatch.setattr("toepcert.io.json.loads", counted)
+        decoded = self.counted_loads(monkeypatch)
         path = tmp_path / "m.json"
-
-        def decoded_whole(text):
+        for text in texts:
             path.write_text(text, encoding="utf-8")
             want = read_bits(reference_load_matrix, path)
-            texts.clear()
+            decoded.clear()
             got = read_bits(tc.load_matrix, path)
             assert got[0] == "error" and got == want, text
-            return text in texts
-
-        for text in objects:
-            assert not decoded_whole(text), text
-        for text in ("[1]", "{" + body % (1, "[[1, 2]]") + ",}"):
-            assert decoded_whole(text), text
+            assert 1 <= len(decoded) <= 2, text
+            assert set(decoded) <= {text, text.replace("], [", ",   ")}, text
 
     @pytest.mark.parametrize("last", ["", ', "data": [[1, 2]]'], ids=["no-close", "one-close"])
     def test_hostile_brackets_stay_linear(self, tmp_path, last):
         # every value opens '[[', and no ']]' follows or only one at the end:
         # a reader that searched afresh from each '[[', or read each stretch
         # up to that ']]', would rescan the rest of the text each time.  A
-        # repeated pair key reaches the ']]' search each time, and its
-        # '[[1, 2, 3]]' is refused flat and decoded in place each time
+        # repeated pair key with an odd part count, '[[1, 2, 3]]', must not
+        # cost a Python-level step per value either
         path = tmp_path / "m.json"
         for value in ('"k{}": [[1], 2]', '"data": [[1], 2]', '"data": [[1, 2, 3]]'):
             values = ", ".join(value.format(i) for i in range(50_000))
@@ -486,3 +501,20 @@ class TestReader:
             with pytest.raises(tc.MatrixFileError, match="kind"):
                 tc.load_matrix(path)
             assert time.perf_counter() - start < 10.0, value
+
+
+def test_load_matrix_scales_near_linearly(tmp_path):
+    # median time at 4096 over median at 512: 8 for linear cost, 64 for
+    # quadratic; single timings are noisy, so the repeats are interleaved
+    rng = np.random.default_rng(5)
+    paths = [tmp_path / f"{n}.json" for n in (512, 4096)]
+    for path, n in zip(paths, (512, 4096)):
+        tc.save_matrix(path, tc.random_toeplitz(rng, n, n))
+    times = [[], []]
+    for _ in range(9):
+        for path, spent in zip(paths, times):
+            start = time.perf_counter()
+            tc.load_matrix(path)
+            spent.append(time.perf_counter() - start)
+    small, large = (statistics.median(spent) for spent in times)
+    assert large / small < 24
