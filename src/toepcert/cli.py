@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -87,6 +88,22 @@ def _check_dense_size(what: str, *shapes: tuple[int, int]) -> None:
                 f"{MAX_DENSE_ENTRIES} entries")
 
 
+def _overflow_shift(X: np.ndarray, Y: np.ndarray) -> int:
+    """The k for which X @ Y / 2^k cannot overflow in the dense oracle.
+
+    With every part of X below 2^ex and of Y below 2^ey, each part of an
+    entry of X @ Y is below 2^(ex + ey + 1) m, and the oracle's differences
+    and moduli of neighbouring entries at most four times that.  k is 0
+    when that stays below 2^1024, the float64 overflow threshold.  Scaling a
+    factor by a power of two is exact short of underflow, so the oracle
+    takes the same decisions on the scaled factors once ``atol`` is scaled
+    by the same power.
+    """
+    ex, ey = (math.frexp(max(float(np.max(np.abs(M.real))),
+                             float(np.max(np.abs(M.imag)))))[1] for M in (X, Y))
+    return max(0, ex + ey + X.shape[1].bit_length() + 3 - 1024)
+
+
 def _as_structured(obj, tol: Tolerance, name: str):
     """Promote a dense operand to its compact form, Toeplitz first."""
     if not isinstance(obj, np.ndarray):
@@ -131,9 +148,16 @@ def _cmd_product(args) -> int:
     oracle_agrees = None
     if args.oracle:
         _check_dense_size("--oracle", left.shape, right.shape, (left.n, right.m))
-        dense = dense_mul(left.to_dense(), right.to_dense())
-        dense_ok = (dense_is_toeplitz(dense, tol) if product_kind == "toeplitz"
-                    else dense_is_hankel(dense, tol))
+        X, Y = left.to_dense(), right.to_dense()
+        shift = _overflow_shift(X, Y)
+        oracle_tol = tol
+        if shift:
+            X = X * 2.0 ** -(shift // 2)
+            Y = Y * 2.0 ** -(shift - shift // 2)
+            oracle_tol = Tolerance(atol=math.ldexp(tol.atol, -shift), rtol=tol.rtol)
+        dense = dense_mul(X, Y)
+        dense_ok = (dense_is_toeplitz(dense, oracle_tol) if product_kind == "toeplitz"
+                    else dense_is_hankel(dense, oracle_tol))
         oracle_agrees = dense_ok == structured
 
     verdict = {
@@ -215,8 +239,11 @@ def _cmd_displacement(args) -> int:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser by name.
+
+    Built once per process; parsing leaves them unchanged.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=1e-9, metavar="T",
                         help="comparison tolerance, used as both atol and rtol "
@@ -277,13 +304,30 @@ def _build_parser() -> argparse.ArgumentParser:
                             "dense matrix file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_displacement)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv`` once when it starts with a subcommand name.
+
+    Argparse's subcommand action parses the rest with that subcommand's
+    parser and copies the result back, so calling that parser directly
+    gives the same namespace in one parse.  Every other argv, and one that
+    leaves an argument over, goes through the top-level parser, so every
+    message and exit code is the top-level parser's own.
+    """
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:

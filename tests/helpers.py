@@ -9,11 +9,13 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, strategies as st
 
 import toepcert as tc
+from toepcert import cli
 from toepcert.core import CDTYPE, as_dense
 from toepcert.families import SpecificationError, _fill
 from toepcert.io import MatrixFileError, parse_matrix
@@ -474,3 +476,16 @@ def reference_matrix_to_text(obj) -> str:
                 f'  "kind": "dense",\n'
                 f'  "rows": {M.shape[0]}\n')
     return "{\n" + body + "}\n"
+
+
+def reference_main(argv) -> int:
+    """``cli.main`` with every argv parsed by the top-level parser.
+
+    Argparse's subcommand action parses what follows the subcommand name
+    with that subcommand's parser, and the top-level parser reports what it
+    leaves over; the command then runs as in ``main``.  ``main`` must give
+    the same exit code, stdout and stderr for every argv.
+    """
+    parser, _ = cli._build_parser()
+    with mock.patch.object(cli, "_parse", parser.parse_args):
+        return cli.main(argv)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import toepcert as tc
 from toepcert import cli
 from toepcert.cli import main
-from helpers import EXACT, nonzero_fill, unit_isometry_dense
+from helpers import EXACT, nonzero_fill, reference_main, unit_isometry_dense
 
 
 def run(capsys, *argv):
@@ -159,6 +160,53 @@ class TestProduct:
                                   tc.AsymToeplitz.eye(3, 2))
         code, out = run(capsys, "product", fa, fb)
         assert code == 0 and isinstance(out, str) and "yes" in out
+
+
+def _scaled(T: tc.AsymToeplitz, power: int) -> tc.AsymToeplitz:
+    s = 2.0 ** power
+    return tc.AsymToeplitz(T.n, T.m, T.a0 * s, T.a * s, T.alpha * s)
+
+
+class TestOracleOverflow:
+    """``--oracle`` on finite files whose dense product overflows float64.
+
+    Each factor is scaled by 2^power, which is exact, so the exit code must
+    be the one at scale 1, with nothing on stderr: no overflow warning and
+    no input error.
+    """
+
+    @pytest.mark.parametrize("regime,n,m,l", [
+        (tc.Regime.R1, 3, 5, 4), (tc.Regime.R2, 6, 3, 5), (tc.Regime.R2, 7, 3, 8),
+        (tc.Regime.R3, 2, 4, 7), (tc.Regime.R4, 8, 4, 3)])
+    @pytest.mark.parametrize("power", [520, 600, 1000])
+    @pytest.mark.parametrize("kinds", ["TT", "HT"])
+    def test_exit_code_as_at_scale_one(self, tmp_path, capsys, regime, n, m, l, power,
+                                       kinds):
+        pair = tc.gen_pair(tc.FamilySpec(regime, n, m, l, lam=0.5 + 1j, seed=n + l))
+        for (A, B), expected in ((pair, 0), (tc.perturb_to_break(pair, EXACT), 1)):
+            codes = []
+            for k in (0, power):
+                left = _scaled(A, k) if kinds == "TT" else tc.flip_rows_of(_scaled(A, k))
+                fa, fb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+                tc.save_matrix(fa, left)
+                tc.save_matrix(fb, _scaled(B, k))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    codes.append(main(["product", fa, fb, "--oracle"]))
+                assert capsys.readouterr().err == ""
+            assert codes == [expected, expected]
+
+    def test_fresh_process_stderr_empty(self, tmp_path):
+        pair = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 3, 5, seed=1))
+        runs = []
+        for k in (0, 520):
+            fa, fb = str(tmp_path / f"a{k}.json"), str(tmp_path / f"b{k}.json")
+            tc.save_matrix(fa, _scaled(pair[0], k))
+            tc.save_matrix(fb, _scaled(pair[1], k))
+            proc = subprocess.run([sys.executable, "-m", "toepcert", "product", fa, fb,
+                                   "--oracle", "--json"], capture_output=True, text=True)
+            runs.append((proc.returncode, proc.stderr, json.loads(proc.stdout)["oracle_agrees"]))
+        assert runs[1] == runs[0] == (0, "", True)
 
 
 class TestGenerate:
@@ -453,8 +501,9 @@ class TestParserReuse:
         [["isometry", "{near}", "--tol", "1e-3"], ["isometry", "{near}"]],
         [["isometry", "--tol", "abc", "{near}"], ["isometry", "{near}"]],
         [["--help"], ["product", "{a}", "{b}", "--json"]],
+        [["product", "{a}", "{b}", "--bogus"], ["product", "{a}", "{b}"]],
     ], ids=["oracle-json-then-text", "tol-then-default", "usage-error-then-valid",
-            "help-then-valid"])
+            "help-then-valid", "leftover-then-valid"])
     def test_consecutive_calls_match_fresh_process(self, paths, capsys, sequence):
         argvs = [[arg.format(**paths) for arg in argv] for argv in sequence]
         parser = cli._build_parser()
@@ -472,6 +521,94 @@ class TestParserReuse:
         assert in_process == fresh
         # the two calls of each sequence differ, so a leak would show
         assert in_process[0] != in_process[1]
+
+
+class TestParseParity:
+    """``main`` parses a leading subcommand with that subcommand's own parser.
+
+    Every argv must give the exit code, stdout and stderr that the
+    top-level parser's one parse gives (``reference_main``): valid calls,
+    help, usage errors, leftovers and abbreviations alike.
+    """
+
+    CORPUS = [
+        ["check", "{t}"],
+        ["check", "{t}", "--json", "--tol", "1e-3"],
+        ["product", "{a}", "{b}"],
+        ["product", "{a}", "{b}", "--oracle", "--json"],
+        ["product", "--json", "{a}", "{b}"],
+        ["isometry", "{t}"],
+        ["isometry", "{t}", "--tol=1e-3"],
+        ["displacement", "{t}"],
+        ["generate", "--regime", "r2", "-n", "6", "-m", "3", "-l", "5",
+         "--out-a", "{out_a}", "--out-b", "{out_b}"],
+        ["check", "-h"],
+        ["product", "-h"],
+        ["product", "{a}", "{b}", "--help"],
+        ["isometry", "-h"],
+        ["displacement", "-h"],
+        ["generate", "-h"],
+        ["-h"],
+        ["--help"],
+        [],
+        ["frobnicate", "{t}"],
+        ["Check", "{t}"],
+        ["--tol", "1", "check", "{t}"],
+        ["product", "{a}"],
+        ["product"],
+        ["check"],
+        ["check", "{t}", "--tol", "abc"],
+        ["check", "{t}", "--tol"],
+        ["product", "{a}", "{b}", "--bogus"],
+        ["product", "{a}", "{b}", "extra"],
+        ["product", "{a}", "{b}", "--", "--bogus"],
+        ["product", "{a}", "{b}", "--oracle=1"],
+        ["check", "--", "{t}"],
+        ["check", "--"],
+        ["product", "{a}", "{b}", "--js"],
+        ["product", "{a}", "{b}", "--or", "--j"],
+        ["generate", "--regime", "r9", "-n", "6", "-m", "3", "-l", "5",
+         "--out-a", "{out_a}", "--out-b", "{out_b}"],
+        ["generate", "--regime", "r2"],
+        ["generate", "--regime", "r2", "-n", "six", "-m", "3", "-l", "5",
+         "--out-a", "{out_a}", "--out-b", "{out_b}"],
+        ["isometry", "{missing}"],
+    ]
+
+    @pytest.fixture
+    def paths(self, tmp_path, monkeypatch):
+        # argparse wraps help to $COLUMNS
+        monkeypatch.setenv("COLUMNS", "80")
+        A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R1, 3, 5, 4, lam=2.0, seed=1))
+        paths = {name: str(tmp_path / f"{name}.json")
+                 for name in ("a", "b", "t", "out_a", "out_b", "missing")}
+        tc.save_matrix(paths["a"], A)
+        tc.save_matrix(paths["b"], B)
+        tc.save_matrix(paths["t"], tc.AsymToeplitz.eye(4, 3))
+        return paths
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=[" ".join(a) or "empty" for a in CORPUS])
+    def test_same_as_top_level_parse(self, paths, capsys, argv):
+        argv = [arg.format(**paths) for arg in argv]
+        results = []
+        for run_main in (main, reference_main):
+            code = run_main(list(argv))
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("argv", [
+        ["product", "{a}", "{b}", "--json"], ["check", "--", "{t}"],
+        ["generate", "--regime", "r2", "-n", "6", "-m", "3", "-l", "5",
+         "--out-a", "{out_a}", "--out-b", "{out_b}"]])
+    def test_valid_call_skips_top_level_parser(self, paths, capsys, monkeypatch, argv):
+        parser, _ = cli._build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("top-level parser called")
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        assert main([arg.format(**paths) for arg in argv]) == 0
 
 
 class TestHarness:

@@ -1,3 +1,4 @@
+import itertools
 import statistics
 import time
 from dataclasses import replace
@@ -449,15 +450,22 @@ def _float_tails(rng, n, m):
     (hankel_times_toeplitz_is_hankel, lambda A, B: (tc.flip_rows_of(A), B)),
 ], ids=["toeplitz", "hankel", "hankel_toeplitz"])
 def test_product_predicates_scale_near_linearly(decide, flip):
-    # median time at 4096 over median at 512: 8 for linear cost, 64 for
-    # quadratic; single timings are noisy, so the repeats are interleaved
-    pairs = [flip(*tc.gen_pair(tc.FamilySpec(tc.Regime.R2, n, n // 2, n, seed=n)))
-             for n in (512, 4096)]
-    times = [[], []]
-    for _ in range(9):
-        for (left, right), spent in zip(pairs, times):
-            start = time.perf_counter()
-            assert decide(left, right) is not None
-            spent.append(time.perf_counter() - start)
-    small, large = (statistics.median(spent) for spent in times)
-    assert large / small < 24
+    # median time at 4096 over median at 512, for the largest dimension with
+    # the others in the ratios of each regime's shape: 8 for linear cost, 64
+    # for quadratic; single timings are noisy, so the repeats are interleaved
+    shapes = {tc.Regime.R1: (1, 2, 1), tc.Regime.R2: (2, 1, 2),
+              tc.Regime.R3: (1, 2, 4), tc.Regime.R4: (4, 2, 1)}
+    for (regime, shape), broken in itertools.product(shapes.items(), (False, True)):
+        pairs = []
+        for size in (512, 4096):
+            n, m, l = (k * size // max(shape) for k in shape)
+            pair = tc.gen_pair(tc.FamilySpec(regime, n, m, l, seed=size))
+            pairs.append(flip(*(tc.perturb_to_break(pair) if broken else pair)))
+        times = [[], []]
+        for _ in range(9):
+            for (left, right), spent in zip(pairs, times):
+                start = time.perf_counter()
+                assert (decide(left, right) is None) == broken, (regime, broken)
+                spent.append(time.perf_counter() - start)
+        small, large = (statistics.median(spent) for spent in times)
+        assert large / small < 24, (regime, broken, large / small)
