@@ -34,7 +34,7 @@ from .families import (
 )
 from .hankel import product_structure
 from .io import MatrixFileError, load_matrix, save_matrix
-from .isometry import IsometryCertificate, hankel_is_isometry, is_isometry
+from .isometry import IsometryCertificate, is_isometry
 from .product import (
     ProductCertificate,
     RankOneOutcome,
@@ -67,7 +67,6 @@ __all__ = [
     "flip_rows_of",
     "gen_degenerate",
     "gen_pair",
-    "hankel_is_isometry",
     "is_isometry",
     "load_matrix",
     "perturb_to_break",

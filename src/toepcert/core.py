@@ -67,14 +67,8 @@ class Tolerance:
     exact equality.  Product decisions on Gaussian-integer input meet it
     when the scalar lambda is dyadic; otherwise the pivot quotient is
     rounded and exact products may be rejected, e.g. (n, m, l) = (2, 5, 2)
-    with lambda = (4+i)/(-1-5i) (ROADMAP.md item 2).  ``is_isometry``
-    accepts every exact shift c S with c = +-1 or +-i: a matched matrix
-    with m <= n takes the autocorrelation of its first column's nonzero
-    support [lo, hi) when hi - lo < 4m, and a support of at most one entry
-    runs no FFT, so its residual is exactly 0.  It rejects most dense exact
-    isometries, whose FFT residual (that autocorrelation, or a convolution)
-    is rounded, and a Hankel isometry follows the rounding of its stored
-    core's residual; a band for rounded quantities is ROADMAP.md item 1.
+    with lambda = (4+i)/(-1-5i) (ROADMAP.md item 2).  Which isometries
+    ``Tolerance(0, 0)`` accepts is stated in :mod:`toepcert.isometry`.
     Both values must be finite and non-negative: a NaN or negative
     threshold rejects every comparison, an infinite one accepts every
     comparison.
@@ -201,14 +195,7 @@ class AsymToeplitz:
         are read from row 0 and column 0.  Raises :class:`StructureError`
         at the first violating position (row-major scan).
         """
-        M = as_dense(M)
-        bad = _first_break(M, tol, hankel=False)
-        if bad is not None:
-            i, j = bad
-            raise StructureError(
-                f"not Toeplitz: entry ({i}, {j}) = {M[i, j]} differs from "
-                f"entry ({i - 1}, {j - 1}) = {M[i - 1, j - 1]}",
-                row=i, col=j)
+        M = _structured_dense(M, tol, hankel=False)
         return cls.from_first_row_col(M[0, :], M[:, 0])
 
     @classmethod
@@ -345,14 +332,7 @@ class AsymHankel:
 
         Raises :class:`StructureError` at the first anti-diagonal violation.
         """
-        M = as_dense(M)
-        bad = _first_break(M, tol, hankel=True)
-        if bad is not None:
-            i, j = bad
-            raise StructureError(
-                f"not Hankel: entry ({i}, {j}) = {M[i, j]} differs from "
-                f"entry ({i - 1}, {j + 1}) = {M[i - 1, j + 1]}",
-                row=i, col=j)
+        M = _structured_dense(M, tol, hankel=True)
         # the column flip M P_m is the Toeplitz core: row 0 reversed, last column
         return cls(AsymToeplitz.from_first_row_col(M[0, ::-1], M[:, -1]))
 
@@ -384,6 +364,21 @@ def dense_mul(X, Y) -> np.ndarray:
         raise DimensionMismatch(
             f"inner dimensions differ: {X.shape} times {Y.shape}")
     return X @ Y
+
+
+def _structured_dense(M, tol: Tolerance, hankel: bool) -> np.ndarray:
+    """M as a dense array, or :class:`StructureError` at its first break
+    (:func:`_first_break`), named with the entry it differs from."""
+    M = as_dense(M)
+    bad = _first_break(M, tol, hankel)
+    if bad is not None:
+        i, j = bad
+        k = j + 1 if hankel else j - 1
+        raise StructureError(
+            f"not {'Hankel' if hankel else 'Toeplitz'}: entry ({i}, {j}) = {M[i, j]} "
+            f"differs from entry ({i - 1}, {k}) = {M[i - 1, k]}",
+            row=i, col=j)
+    return M
 
 
 def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool) -> tuple[int, int] | None:

@@ -1,30 +1,57 @@
 """Isometry certification for compact Toeplitz and Hankel matrices.
 
 An n x m matrix is an isometry when its conjugate transpose times itself
-is the m x m identity (orthonormal columns).  For a compact Toeplitz
-matrix this reduces to a rank-one self-match of the row parameters
-against a comparison vector (with unimodular scalar) plus one residual
-vector equation.  A* A = I needs A* A to be Toeplitz, so the self-match
-is the product identity of the pair (A*, A).  Its two comparison vectors
-coincide, so half its buffer, A*'s column tail and comparison vector, is
-written by the product layer's one factor writer and decided by its
-rank-one match.  The conditions are tested in order of cost:
-the self-match, the unit modulus of its scalar and the unit norm of the
-first column (the residual's first entry) in O(n + m), then the rest of
-the residual, which a wide matrix (n < m, so of rank below m) never
-reaches.  Neither A* A nor A is formed.  The residual's one
-matrix-vector product is a convolution of the adjoint's diagonal values,
-computed by FFT in O((n + m) log(n + m)) time and O(n + m) memory.  Once
-the self-match alpha = lam w holds, with w[k] = conj(a[n - k]), every
-column of an n x m matrix with n >= m is a twisted cyclic shift of the
-first column (Davis, *Circulant Matrices*, 1979), and the product is the
-autocorrelation of the first column's tail.  That depends only on the
-tail's nonzero support [lo, hi), between its first and last nonzero entry:
-one complex and one real FFT of about 2 (hi - lo) points instead of three
-complex ones of about n + m, taken where that is cheaper (hi - lo < 4m).
-A tail with at most one nonzero entry, as every shift's, needs no FFT, so
-its residual is exact; a longer support's is rounded.  FFT lengths are the
-smallest 2**i * 3**j * 5**k that hold the result.
+is the m x m identity (orthonormal columns).  A compact Hankel matrix
+H = C P_m is decided on its stored core C, since H* H = P_m C* C P_m is
+the identity exactly when C* C is.  For a compact Toeplitz matrix A,
+A* A = I needs A* A to be Toeplitz, so the product identity of the pair
+(A*, A) must hold.  Its two comparison vectors coincide, so it is a
+rank-one self-match alpha = lam w of the row parameters against one
+comparison vector w, with w[k] = conj(a[n - k]).  Half the pair's buffer,
+A*'s column tail and comparison vector, is written by the product layer's
+one factor writer and decided by its rank-one match.  What is left is the
+residual, the first row of A* A - I_m.  Neither A* A nor A is formed.
+
+The conditions are tested in order of cost, each only when the ones before
+it pass; a failure of one of the first four rejects with no residual
+computed:
+
+1. the self-match, in O(n + m);
+2. |lam| = 1 within ``tol.atol`` when the match is proportional (lam = 0
+   when both sides vanish);
+3. the residual's entry 0, (c - 1) / 2 for c the squared norm of the first
+   column, within ``tol.atol``;
+4. n >= m: a wide matrix (n < m) has A* A of rank at most n < m, so it is
+   never the identity;
+5. the rest of the residual, within ``tol.atol``.
+
+The residual's one matrix-vector product is A0* a, with A0 = A - a0 I_{n,m}
+the corner-free part; the corner's terms are added outside any FFT, so a
+scaled identity's residual is exact.  It has two routes:
+
+- convolution, for any A: one FFT convolution of A0*'s diagonal values
+  with a, three complex FFTs of about n + m points, in O((n + m) log(n + m))
+  time and O(n + m) memory;
+- autocorrelation: once alpha = lam w, every column of an n x m matrix with
+  n >= m is a twisted cyclic shift of the first column (Davis, *Circulant
+  Matrices*, 1979), and A0* a is read off the autocorrelation of the first
+  column's tail a.  That depends only on the tail's nonzero support
+  [lo, hi), the stretch between its first and last nonzero entry: one
+  complex and one real FFT of about 2 (hi - lo) points.
+
+The decision takes the autocorrelation when m <= n and hi - lo < 4m, where
+it is the cheaper (measured on dense columns, where hi - lo = n - 1, so
+that is n <= 4m), and when A lies within rounding of the matrix whose row
+parameters are exactly lam w: c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1).
+A0* a is linear in alpha and ||a|| <= c**(1/2), so by Cauchy-Schwarz that
+bound keeps the two routes' residuals within rounding of each other.
+Otherwise it convolves, as the public :func:`isometry_residual` always does.
+A support of at most one entry, as every shift's, needs no FFT, so its
+residual is exactly 0 and an exact shift c S with c = +-1 or +-i is
+accepted under ``Tolerance(0, 0)``.  A longer support's residual is an FFT
+result and carries rounding, so ``Tolerance(0, 0)`` rejects most dense
+exact isometries; a band for rounded quantities is ROADMAP.md item 1.  FFT
+lengths are the smallest 2**i * 3**j * 5**k that hold the result.
 """
 
 from __future__ import annotations
@@ -67,35 +94,22 @@ def _fft_length(target: int) -> int:
     return best
 
 
-def isometry_residual(A: AsymToeplitz,
-                      _column: tuple[float, np.ndarray] | None = None,
-                      _self_match: tuple[complex, np.ndarray] | None = None) -> np.ndarray:
+def isometry_residual(A: AsymToeplitz, _matched: tuple | None = None) -> np.ndarray:
     """First-row defect vector of A* A - I_m.
 
-    Zero (along with the rank-one self-match) exactly when A is an
-    isometry.  The term A0* a, with A0 = A - a0 I_{n,m} the corner-free
-    part, is a Toeplitz matrix-vector product, computed by FFT as a
-    convolution of A0*'s diagonal values with ``a``.  Entry 0 is
-    (c - 1) / 2 for c the squared norm of A's first column, set from that
-    expression rather than read off the FFT; the corner's terms are added
-    outside the FFT, so a scaled identity's residual is exact.
-
-    :func:`is_isometry` passes c with the moduli of ``a`` from the same pass
-    (``_column``), and the self-match's scalar and comparison vector (lam, w),
-    with lam = 0 when both sides vanish.  Then A0* a is read off the
-    autocorrelation of ``a``'s nonzero support [lo, hi) when that is cheaper
-    (m <= n and hi - lo < 4m) and A lies within rounding of the matrix whose
-    row parameters are exactly lam w: c**(1/2) ||alpha - lam w||, which must
-    not exceed 16 eps (c + 1), bounds by Cauchy-Schwarz how far the two
-    residuals differ.  A tail with at most one nonzero entry, as a shift's,
-    has no FFT to round, so its residual is exact.
+    Zero, along with the rank-one self-match, exactly when A is an
+    isometry.  Entry 0 is (c - 1) / 2 for c the squared norm of A's first
+    column, set from that expression rather than read off the FFT.  The
+    public call convolves.  :func:`is_isometry` passes ``_matched`` =
+    (c, |a|, lam, w) from its own passes, with lam = 0 when both sides of
+    the match vanish, so the route rule reads the support of ``a`` with no
+    second pass over it.
     """
     n, m = A.n, A.m
-    column_norm_sq, modulus = _column_modulus(A) if _column is None else _column
+    column_norm_sq, modulus, lam, w = _matched or (*_column_modulus(A), None, None)
     lo, hi = _support(modulus)
-    if _self_match is not None and _autocorrelation_fits(A, column_norm_sq, hi - lo,
-                                                         *_self_match):
-        r = _autocorrelation_term(A.a[lo:hi], _self_match[0], n, m)
+    if _matched is not None and _autocorrelation_fits(A, column_norm_sq, hi - lo, lam, w):
+        r = _autocorrelation_term(A.a[lo:hi], lam, n, m)
     else:
         r = _convolution_term(A)
     # conj(a0) a, cut or padded to m entries, is added before a0 alpha
@@ -129,18 +143,8 @@ _EPS = float(np.finfo(float).eps)
 
 def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
                           lam: complex, w: np.ndarray) -> bool:
-    """Whether :func:`_autocorrelation_term` may stand in for A0* a.
-
-    ``width`` = hi - lo is the length of ``a``'s nonzero support [lo, hi).
-    The autocorrelation costs one complex and one real FFT of about
-    2 width points against three complex ones of about n + m, and pays for
-    width < 4m (measured on dense columns, where width = n - 1, so that is
-    n <= 4m).  A width of at most 1, as a shift's, needs no FFT, so the
-    term is exactly 0; a dense column's is rounded, and ROADMAP.md item 1
-    is the band for that.  The route is exact for alpha = lam w, and A0* a
-    is linear in alpha with ||a|| <= c**(1/2), so the drift bound keeps the
-    two within rounding.
-    """
+    """Whether :func:`_autocorrelation_term` may stand in for A0* a, by the
+    module's route rule for a support of length ``width`` = hi - lo."""
     if not (A.m <= A.n and width < 4 * A.m):
         return False
     drift = float(np.linalg.norm(A.alpha - lam * w))
@@ -148,17 +152,14 @@ def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
 
 
 def _autocorrelation_term(support: np.ndarray, lam: complex, n: int, m: int) -> np.ndarray:
-    """A0* a for n >= m and alpha = lam w, from the autocorrelation of ``a``.
+    """A0* a for n >= m and alpha = lam w, from ``support`` = a[lo:hi].
 
     With R[k] = sum_i conj(a[i + k]) a[i], the entries of A0* a below the
     diagonal sum to conj(R[j]) and those above it, alpha[j - i] =
-    lam conj(a[n - j + i]), to lam R[n - j].  R depends only on ``support``
-    = a[lo:hi], the stretch between a's first and last nonzero entry, and
-    R[k] = 0 exactly for every lag k >= hi - lo.  The lower lags are the
-    real FFT of the power spectrum |fft(support)|**2 at a length of at least
-    2 (hi - lo) - 1, which does not wrap them.  With hi - lo <= 1 every lag
-    from 1 on is zero and no FFT runs, so a shift's term is exactly 0; a
-    longer support's is rounded.  Entry 0 is left at 0.
+    lam conj(a[n - j + i]), to lam R[n - j].  R[k] = 0 exactly for every
+    lag k >= hi - lo; the lower lags are the real FFT of the power spectrum
+    |fft(support)|**2 at a length of at least 2 (hi - lo) - 1, which does
+    not wrap them.  Entry 0 is left at 0.
     """
     r = np.zeros(m, dtype=CDTYPE)
     width = len(support)
@@ -212,14 +213,9 @@ class IsometryCertificate:
     corner at index n when the matrix is ``wide`` (n < m).  ``match`` is
     the rank-one self-match of the row parameters against ``w``, or ``None``
     when it fails.  ``column_norm_sq`` is the squared norm of the first
-    column.  Acceptance requires the match to be degenerate or unimodular
-    and the residual to vanish.  ``residual_norm`` is ``None`` when the
-    verdict was decided without it: when the match failed, when its scalar's
-    modulus is off 1 by more than ``tol.atol``, when
-    |column_norm_sq - 1| / 2, the residual's entry 0, exceeds ``tol.atol``,
-    or when the matrix is wide, since A* A then has rank at most n < m.
-    For a Hankel matrix H = C P_m it describes the stored core C, since
-    H* H = P_m C* C P_m.
+    column.  ``residual_norm`` is ``None`` when a test before the residual
+    decided the verdict.  For a Hankel matrix H = C P_m it describes the
+    stored core C.
     """
 
     accepted: bool
@@ -234,58 +230,37 @@ class IsometryCertificate:
         return None if self.match is None else self.match.lam
 
 
-def is_isometry(A: AsymToeplitz, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
-    """Certify whether A* A equals the identity, without forming A* A.
+def is_isometry(M: AsymToeplitz | AsymHankel,
+                tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
+    """Certify whether M* M equals the identity, without forming M* M.
 
-    Accepts iff the rank-one self-match of the row parameters against the
-    comparison vector ``w`` holds with |lam| = 1 (or degenerates to zero on
-    both sides) and the residual vector vanishes, all within ``tol``.  The
-    tests run in order of cost, each only when the ones before it pass: the
-    self-match, then |abs(lam) - 1| and the residual's entry 0,
-    |column_norm_sq - 1| / 2, then the FFT for the rest of the residual,
-    which reads the matched scalar and the first column's nonzero support
-    [lo, hi) to take the shorter route where it can: the autocorrelation of
-    that support when hi - lo < 4m.  A wide matrix (n < m) is rejected
-    before the FFT: A* A has rank at most n < m, so it is never the identity.
-    Agrees with the dense oracle on A* A - I_m.  A first column with at most
-    one nonzero entry below the corner, as every shift's, runs no FFT, so an
-    exact shift c S with |c|**2 = 1 in floating point (c = +-1, +-i) gets
-    a residual of exactly 0 and is accepted under ``Tolerance(0, 0)``.  A
-    longer support's residual is an FFT result and carries rounding, so
-    under ``Tolerance(0, 0)`` most dense exact isometries are rejected; give
-    it an ``atol`` above the rounding (the default 1e-9 is), until
-    ROADMAP.md item 1 settles a tolerance band.
+    ``M`` is a compact Toeplitz or Hankel matrix.  Accepts iff the
+    self-match holds with |lam| = 1 (or degenerates to zero on both sides)
+    and the residual vanishes, all within ``tol``, tested in the order the
+    module docstring gives.  Agrees with the dense oracle on M* M - I_m.
     """
+    A = M.core if isinstance(M, AsymHankel) else M
     # the product identity of the pair (A*, A), matched on the half
-    # (alpha, w) of its buffer (alpha, w, w, alpha): A*'s column tail and
-    # comparison vector, from the writer of every product buffer
+    # (alpha, w) of its buffer (alpha, w, w, alpha)
     n, m = A.n, A.m
     cat = np.empty(2 * m, dtype=CDTYPE)
     _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat[:m], cat[m:])
     match = _match(cat, m, m, tol)
     w = cat[m:].copy()
     wide = n < m
-    # the moduli of the column's tail locate its support if the residual runs
     column_norm_sq, modulus = _column_modulus(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
-    # a scalar off the unit circle rejects whatever the residual, whose norm
-    # is at least its entry 0, |column_norm_sq - 1| / 2; a wide matrix has
-    # rank at most n < m, so its A* A is never the identity
     if ((match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol)
             or abs(column_norm_sq - 1.0) / 2.0 > tol.atol or wide):
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     lam = match.lam if match.is_proportional else 0.0
-    residual = isometry_residual(A, (column_norm_sq, modulus), (lam, w))
+    residual = isometry_residual(A, (column_norm_sq, modulus, lam, w))
     residual_norm = float(np.max(np.abs(residual)))
     return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
                                residual_norm, column_norm_sq)
 
 
 def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
-    """Certify whether a compact Hankel matrix has orthonormal columns.
-
-    H = C P_m for its stored core C, so H* H = P_m C* C P_m, which is the
-    identity exactly when C* C is; the certificate describes C.
-    """
+    """:func:`is_isometry` of a compact Hankel matrix, decided on its core."""
     return is_isometry(H.core, tol)

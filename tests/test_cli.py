@@ -9,6 +9,8 @@ import pytest
 import toepcert as tc
 from toepcert import cli
 from toepcert.cli import main
+from toepcert.families import gen_isometry
+from toepcert.isometry import hankel_is_isometry
 from helpers import EXACT, nonzero_fill, reference_main, unit_isometry_dense
 
 
@@ -372,6 +374,33 @@ class TestIsometry:
         f = tmp_path / "m.json"
         f.write_text("[]", encoding="utf-8")
         assert main(["isometry", str(f)]) == 2
+
+    @pytest.mark.parametrize("flip", [tc.flip_cols, tc.flip_rows_of])
+    def test_hankel_file_same_as_hankel_is_isometry(self, tmp_path, capsys, flip):
+        # one call decides both compact kinds; a Hankel file's JSON is
+        # that of hankel_is_isometry's certificate
+        rng = np.random.default_rng(5)
+        cases = [tc.AsymToeplitz.from_dense(unit_isometry_dense()),
+                 tc.AsymToeplitz(40, 24, 0.0, np.eye(40)[3] * 1j, np.zeros(24)),
+                 gen_isometry(rng, 33, 20), tc.random_toeplitz(rng, 6, 9)]
+        for A in cases:
+            f = tmp_path / "h.json"
+            tc.save_matrix(f, flip(A))
+            cert = hankel_is_isometry(tc.load_matrix(f))
+            expected = json.dumps({"accepted": cert.accepted,
+                                   "lambda": None if cert.lam is None
+                                   else [cert.lam.real, cert.lam.imag],
+                                   "residual_norm": cert.residual_norm,
+                                   "column_norm_sq": cert.column_norm_sq}, sort_keys=True)
+            assert main(["isometry", str(f)]) == (0 if cert.accepted else 1)
+            assert capsys.readouterr().out == expected + "\n"
+
+    def test_dense_kind_is_one_error_line(self, tmp_path, capsys):
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, unit_isometry_dense())
+        assert assert_input_error(capsys, "isometry", str(f)) == (
+            "error: isometry check needs a toeplitz or hankel file; "
+            "convert the dense file first (see 'check')\n")
 
 
 class TestHostileFiles:

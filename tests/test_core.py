@@ -285,6 +285,21 @@ class TestFlips:
         with pytest.raises(tc.StructureError):
             tc.AsymHankel.from_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
 
+    def test_from_dense_names_both_entries(self):
+        # the first break and the entry before it on its anti-diagonal (or
+        # diagonal), as one message for either kind
+        for cls, M, message, position in (
+                (tc.AsymHankel, [[1, 2, 3], [2, 3, 4], [3, 5, 5]],
+                 "not Hankel: entry (2, 1) = (5+0j) differs from entry (1, 2) = (4+0j)",
+                 (2, 1)),
+                (tc.AsymToeplitz, [[1, 2, 3], [4, 1, 2], [5, 4, 7j]],
+                 "not Toeplitz: entry (2, 2) = 7j differs from entry (1, 1) = (1+0j)",
+                 (2, 2))):
+            with pytest.raises(tc.StructureError) as exc:
+                cls.from_dense(np.array(M))
+            assert str(exc.value) == message
+            assert (exc.value.row, exc.value.col) == position
+
 
 class TestDenseOracles:
     def test_identity_product_collapses(self):
@@ -363,5 +378,5 @@ class TestTolerance:
 
 
 def test_root_api_is_small_and_resolves():
-    assert len(tc.__all__) <= 31
+    assert len(tc.__all__) <= 30
     assert all(hasattr(tc, name) for name in tc.__all__)

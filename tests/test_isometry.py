@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 import toepcert as tc
 from toepcert import isometry
 from toepcert.families import gen_isometry
-from toepcert.isometry import _fft_length, isometry_residual
+from toepcert.isometry import (
+    _column_modulus,
+    _fft_length,
+    hankel_is_isometry,
+    isometry_residual,
+)
 from toepcert.product import _match
 from helpers import (
     CORNER_SHAPES,
@@ -149,7 +154,7 @@ def assert_matches_reference(A, tol):
     against the reference; returns the Hankel matrix and its certificate."""
     # H = C P_m is decided on its stored core C = P_n A P_m
     H = tc.flip_rows_of(A)
-    hankel = tc.hankel_is_isometry(H, tol)
+    hankel = hankel_is_isometry(H, tol)
     for cert, ref, core in ((tc.is_isometry(A, tol), reference_is_isometry(A, tol), A),
                             (hankel, reference_is_isometry(H.core, tol), H.core)):
         assert cert.wide == ref.wide
@@ -418,7 +423,7 @@ def test_self_match_equals_full_buffer_match(n, m, seed, scale_exp, kind):
                                              A.alpha + noise * scale * 2.0 ** k))
         for B in cases:
             full = _match(full_self_pair_buffer(B), m, m, tol)
-            for cert in (tc.is_isometry(B, tol), tc.hankel_is_isometry(tc.flip_cols(B), tol)):
+            for cert in (tc.is_isometry(B, tol), hankel_is_isometry(tc.flip_cols(B), tol)):
                 assert (cert.match is None) == (full is None)
                 if full is not None:
                     assert lam_bits(cert.lam) == lam_bits(full.lam)
@@ -447,7 +452,7 @@ def test_no_residual_after_failed_match(monkeypatch):
                               for k in range(max(n - m + 1, 0), n))
     assert any(A.n < A.m for A in candidates)
     for A in candidates:
-        for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
+        for cert in (tc.is_isometry(A), hankel_is_isometry(tc.flip_cols(A))):
             assert cert.accepted is False
             assert cert.residual_norm is None
 
@@ -468,7 +473,7 @@ def test_no_residual_for_wide_matrix(monkeypatch):
                     candidates.append(matched_with_column(column[0], a, m, lam))
     for A in candidates:
         for tol in TOLS:
-            for cert in (tc.is_isometry(A, tol), tc.hankel_is_isometry(tc.flip_cols(A), tol)):
+            for cert in (tc.is_isometry(A, tol), hankel_is_isometry(tc.flip_cols(A), tol)):
                 assert cert.wide and cert.match is not None
                 assert cert.column_norm_sq == 1.0
                 assert cert.accepted is False
@@ -489,7 +494,7 @@ def test_no_residual_after_column_norm_off_one(monkeypatch):
     for c in (0.5, 2.0, 1 + 1e-6, 2j):
         candidates.extend(fitting_shifts(c))
     for A in candidates:
-        for cert in (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A))):
+        for cert in (tc.is_isometry(A), hankel_is_isometry(tc.flip_cols(A))):
             assert cert.accepted is False
             assert cert.residual_norm is None
             assert cert.match is not None
@@ -510,7 +515,7 @@ def test_residual_runs_for_column_norm_within_atol(monkeypatch):
     candidates = fitting_shifts(1 + 1e-12)
     for A in candidates:
         H = tc.flip_cols(A)
-        for cert, M in ((tc.is_isometry(A), A), (tc.hankel_is_isometry(H), H)):
+        for cert, M in ((tc.is_isometry(A), A), (hankel_is_isometry(H), H)):
             assert cert.residual_norm is not None
             assert cert.accepted == (dense_defect(M) <= tc.DEFAULT_TOL.atol)
     assert len(calls) == 2 * len(candidates)
@@ -537,7 +542,7 @@ def test_no_residual_after_lambda_off_unit_circle(monkeypatch):
                 a0 = np.sqrt(1.0 - np.sum(np.abs(a) ** 2))
                 cases.append((tc.AsymToeplitz(n, m, a0, a, alpha), tol))
     for A, tol in cases:
-        for cert in (tc.is_isometry(A, tol), tc.hankel_is_isometry(tc.flip_cols(A), tol)):
+        for cert in (tc.is_isometry(A, tol), hankel_is_isometry(tc.flip_cols(A), tol)):
             assert cert.accepted is False
             assert cert.residual_norm is None
             assert cert.match is not None and cert.match.is_proportional
@@ -644,7 +649,7 @@ def test_route_matches_reference(shape, kind, seed):
         cert = tc.is_isometry(A, tol)
         if cert.residual_norm is not None:
             lam = cert.lam if cert.match.is_proportional else 0.0
-            routed = isometry_residual(A, _self_match=(lam, cert.w))
+            routed = isometry_residual(A, (*_column_modulus(A), lam, cert.w))
             exact = isometry_residual(A)
             assert np.max(np.abs(routed - exact)) <= isometry_rounding_bound(A)
 
@@ -657,7 +662,7 @@ def test_identity_residual_is_exact(n):
     # zero, so the autocorrelation route runs no FFT and its residual is 0
     for m in (n, -(-n // 4)):
         for cert in (tc.is_isometry(tc.AsymToeplitz.eye(n, m), EXACT),
-                     tc.hankel_is_isometry(tc.flip_cols(tc.AsymToeplitz.eye(n, m)), EXACT)):
+                     hankel_is_isometry(tc.flip_cols(tc.AsymToeplitz.eye(n, m)), EXACT)):
             assert cert.accepted and cert.residual_norm == 0.0
 
 
@@ -678,7 +683,7 @@ def test_exact_shifts_accepted_exactly():
                     A = shift_toeplitz(n, m, k, c)
                     certs = [tc.is_isometry(A, EXACT)]
                     if rng.random() < 0.125:
-                        certs.append(tc.hankel_is_isometry(tc.flip_cols(A), EXACT))
+                        certs.append(hankel_is_isometry(tc.flip_cols(A), EXACT))
                     for cert in certs:
                         assert cert.accepted and cert.residual_norm == 0.0, (n, m, k, c)
                     shifts += 1
@@ -720,7 +725,7 @@ def count_routes(monkeypatch) -> dict:
 def test_route_selection(monkeypatch, n, m, kind, route):
     A = route_case(kind, n, m, np.random.default_rng(n * m))
     counts = count_routes(monkeypatch)
-    certs = (tc.is_isometry(A), tc.hankel_is_isometry(tc.flip_cols(A)))
+    certs = (tc.is_isometry(A), hankel_is_isometry(tc.flip_cols(A)))
     accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
     assert accepted is (kind in ("generated", "shift") or (kind == "both-zero" and n == m))
     assert all(cert.accepted is accepted for cert in certs)
@@ -756,31 +761,54 @@ def test_hankel_isometry_builds_no_flipped_core(monkeypatch):
 
     monkeypatch.setattr(tc.AsymToeplitz, "rot180", refuse)
     for H, ref in cases:
-        cert = tc.hankel_is_isometry(H)
+        cert = hankel_is_isometry(H)
         assert cert.accepted == ref.accepted
         assert bits(cert.w) == bits(ref.w)
+
+
+@pytest.mark.parametrize("tol", [tc.DEFAULT_TOL, EXACT], ids=["default", "exact"])
+@pytest.mark.parametrize("flip", [tc.flip_cols, tc.flip_rows_of])
+def test_is_isometry_takes_either_kind(flip, tol):
+    # is_isometry decides a Hankel matrix on its stored core, as
+    # hankel_is_isometry does: the same certificate, bit for bit
+    rng = np.random.default_rng(11)
+    cases = []
+    for n, m in ((37, 10), (64, 48), (50, 50), (9, 9), (3, 7), (40, 53)):
+        cases += [shift_toeplitz(n, m, 0, 1.0), shift_toeplitz(n, m, min(2, n - 1), 1j),
+                  gaussian_toeplitz(n, m, seed=n * m), both_zero_toeplitz(n, m, rng)]
+        if m <= n:
+            cases.append(gen_isometry(rng, n, m))
+    certs = [(tc.is_isometry(flip(A), tol), hankel_is_isometry(flip(A), tol)) for A in cases]
+    assert {cert.accepted for cert, _ in certs} == {True, False}
+    assert {cert.wide for cert, _ in certs} == {True, False}
+    for cert, ref in certs:
+        assert (cert.accepted, cert.wide, cert.match) == (ref.accepted, ref.wide, ref.match)
+        assert bits(cert.w) == bits(ref.w)
+        assert bits(cert.lam) == bits(ref.lam)
+        assert bits(cert.residual_norm) == bits(ref.residual_norm)
+        assert bits(cert.column_norm_sq) == bits(ref.column_norm_sq)
 
 
 class TestHankelIsometry:
     def test_row_flipped_unit_example(self):
         H = tc.flip_rows_of(unit_example())
-        cert = tc.hankel_is_isometry(H, TOL)
+        cert = hankel_is_isometry(H, TOL)
         assert cert.accepted
         assert dense_defect(H.to_dense()) <= 1e-12
 
     def test_zero_rejected(self):
         H = tc.flip_cols(tc.AsymToeplitz.zero(3, 2))
-        assert not tc.hankel_is_isometry(H, TOL).accepted
+        assert not hankel_is_isometry(H, TOL).accepted
 
     def test_flipped_scalar_one(self):
         H = tc.flip_cols(tc.AsymToeplitz(1, 1, 1.0, [0], [0]))
-        assert tc.hankel_is_isometry(H, TOL).accepted
+        assert hankel_is_isometry(H, TOL).accepted
 
     def test_oracle_equivalence(self, rng):
         for _ in range(200):
             n, m = rng.integers(1, 6, size=2)
             H = tc.flip_cols(tc.random_toeplitz(rng, n, m))
-            structured = tc.hankel_is_isometry(H, TOL).accepted
+            structured = hankel_is_isometry(H, TOL).accepted
             dense = np.max(np.abs(H.to_dense().conj().T @ H.to_dense()
                                   - np.eye(m))) <= 1e-9
             assert structured == dense
