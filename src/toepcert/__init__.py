@@ -32,7 +32,6 @@ from .families import (
     perturb_to_break,
     random_toeplitz,
 )
-from .hankel import product_structure
 from .io import MatrixFileError, load_matrix, save_matrix
 from .isometry import IsometryCertificate, is_isometry
 from .product import (
@@ -71,7 +70,6 @@ __all__ = [
     "load_matrix",
     "perturb_to_break",
     "product_is_toeplitz",
-    "product_structure",
     "random_toeplitz",
     "save_matrix",
 ]

@@ -174,14 +174,16 @@ class AsymToeplitz:
         """Build from the literal first row and first column (shared corner)."""
         alpha = _cvector(first_row, None, "first_row")
         a = _cvector(first_col, None, "first_col")
+        if not (len(alpha) and len(a)):
+            raise ValueError("first_row and first_col must both be nonempty")
         if alpha[0] != a[0]:
             raise ValueError(
                 f"first_row[0] = {alpha[0]} and first_col[0] = {a[0]} must agree")
         a0 = complex(a[0])
         # one copy per vector: the column becomes a and the conjugated row
         # alpha, each with its structural zero written over the corner.  Both
-        # passed as_cvector's checks and are nonempty (alpha[0] above), so the
-        # fields already meet every check of __post_init__
+        # passed as_cvector's checks and are nonempty, so the fields already
+        # meet every check of __post_init__
         a[0] = 0
         np.conjugate(alpha, out=alpha)
         alpha[0] = 0
@@ -305,6 +307,10 @@ class AsymHankel:
     """
 
     core: AsymToeplitz
+
+    def __post_init__(self):
+        if not isinstance(self.core, AsymToeplitz):
+            raise TypeError(f"core must be an AsymToeplitz, got {type(self.core).__name__}")
 
     @property
     def n(self) -> int:

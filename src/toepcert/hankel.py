@@ -1,20 +1,16 @@
-"""Product-structure decisions for Hankel factors, by flip reduction.
+"""The Hankel product names kept beside :func:`~toepcert.product.product_is_toeplitz`.
 
-Every compact Hankel matrix is a flipped Toeplitz matrix and the flip is
-an involution, so Hankel product questions reduce to the Toeplitz product
-identity, which also checks the inner dimensions.  A Hankel factor stored
-as H = C P_m has the row-flip decomposition H = P_n A with A = P_n C P_m,
-whose diagonal values are C's in reverse order.  So the decisions read
-the stored core C through reversed slices: A's column tail and comparison
-vector are C's comparison vector and column tail, reversed behind their
-structural zeros, and no flipped core is built.
-:func:`product_structure` decides any pair of Toeplitz/Hankel factor kinds.
+:func:`~toepcert.product.product_is_toeplitz` decides any pair of compact
+Toeplitz/Hankel factor kinds.  The two Hankel decisions stay as one-line
+calls to it because the benchmark calls and traces them by these names,
+and :func:`product_structure` adds the kind label that the command line
+reports.
 """
 
 from __future__ import annotations
 
 from .core import DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import ProductCertificate, _certify, product_is_toeplitz
+from .product import ProductCertificate, product_is_toeplitz
 
 __all__ = ["hankel_product_is_toeplitz", "hankel_times_toeplitz_is_hankel",
            "product_structure"]
@@ -22,38 +18,22 @@ __all__ = ["hankel_product_is_toeplitz", "hankel_times_toeplitz_is_hankel",
 
 def hankel_product_is_toeplitz(H1: AsymHankel, H2: AsymHankel,
                                tol: Tolerance = DEFAULT_TOL) -> ProductCertificate | None:
-    """Decide whether the product of two Hankel matrices is Toeplitz.
-
-    With H1 = A P_m (stored core) and H2 = P_m B (row-flip core), the inner
-    flips cancel: H1 H2 = A B, so the Toeplitz identity of (A, B) decides.
-    """
-    return _certify(H1.core, H2.core, tol, flip_right=True)
+    """Decide whether the product of two Hankel matrices is Toeplitz."""
+    return product_is_toeplitz(H1, H2, tol)
 
 
 def hankel_times_toeplitz_is_hankel(H: AsymHankel, B: AsymToeplitz,
                                     tol: Tolerance = DEFAULT_TOL) -> ProductCertificate | None:
-    """Decide whether a Hankel-times-Toeplitz product is Hankel.
-
-    With H = P_n A (row-flip core), H B = P_n (A B) is a row flip of the
-    Toeplitz-or-not product, so H B is Hankel exactly when A B is Toeplitz.
-    """
-    return _certify(H.core, B, tol, flip_left=True)
+    """Decide whether a Hankel-times-Toeplitz product is Hankel."""
+    return product_is_toeplitz(H, B, tol)
 
 
 def product_structure(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel,
                       tol: Tolerance = DEFAULT_TOL) -> tuple[str, ProductCertificate | None]:
-    """Decide whether a product of compact Toeplitz/Hankel factors keeps structure.
+    """Decide a product of compact factors, with the name of the structure asked.
 
-    Returns ``(kind, certificate)``.  The product of two factors of the
-    same kind is asked to be Toeplitz (``kind == "toeplitz"``), of mixed
-    kinds to be Hankel (``kind == "hankel"``); the certificate is ``None``
-    when it is not.
+    Returns ``(kind, product_is_toeplitz(left, right, tol))``: ``kind`` is
+    "toeplitz" for factors of the same kind and "hankel" for mixed kinds.
     """
-    if isinstance(left, AsymHankel):
-        if isinstance(right, AsymHankel):
-            return "toeplitz", hankel_product_is_toeplitz(left, right, tol)
-        return "hankel", hankel_times_toeplitz_is_hankel(left, right, tol)
-    if isinstance(right, AsymHankel):
-        # A (C P_l) = (A C) P_l is Hankel exactly when A C is Toeplitz
-        return "hankel", product_is_toeplitz(left, right.core, tol)
-    return "toeplitz", product_is_toeplitz(left, right, tol)
+    mixed = isinstance(left, AsymHankel) != isinstance(right, AsymHankel)
+    return ("hankel" if mixed else "toeplitz"), product_is_toeplitz(left, right, tol)

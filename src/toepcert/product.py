@@ -1,4 +1,4 @@
-"""Product-structure certification for compact Toeplitz factor pairs.
+"""Product-structure certification for compact Toeplitz and Hankel factor pairs.
 
 Whether the product of an n x m and an m x l Toeplitz matrix is again
 Toeplitz reduces to one rank-one identity between four vectors read
@@ -9,6 +9,20 @@ factor's two at a time, straight into the one buffer that the rank-one
 match reduces; the isometry self-match uses the same writer.  The
 decision runs in O(n + m + l) and returns a certificate that can be
 re-verified on its own and cross-checked against the dense product.
+
+Hankel factors reduce to that identity by flips read off the factors'
+types.  A compact Hankel matrix is stored as H = C P, with C Toeplitz and
+P the exchange matrix of its size.  The flip rot180(C) = P C P reverses
+C's diagonal values, so its vectors are C's read through reversed slices
+and no flipped factor is built.  A product of two factors of the same kind
+is asked to be Toeplitz, of mixed kinds to be Hankel, and a row or column
+flip of a matrix is Hankel exactly when the matrix is Toeplitz:
+
+* T B and T (C P) = (T C) P take the identity of (T, B) and of (T, C);
+* (C P) B = P rot180(C) B takes that of (rot180(C), B): the left core
+  is flipped;
+* (C1 P)(C2 P) = C1 rot180(C2) takes that of (C1, rot180(C2)): the right
+  core is flipped.
 """
 
 from __future__ import annotations
@@ -21,6 +35,7 @@ import numpy as np
 from .core import (
     CDTYPE,
     DEFAULT_TOL,
+    AsymHankel,
     AsymToeplitz,
     DimensionMismatch,
     Tolerance,
@@ -95,26 +110,30 @@ def _split(cat: np.ndarray, n: int, l: int):
     return cat[:n], cat[n:n + l], cat[n + l:2 * n + l], cat[2 * n + l:]
 
 
-def _comparison_buffer(A: AsymToeplitz, B: AsymToeplitz, flip_left: bool = False,
-                       flip_right: bool = False) -> np.ndarray:
-    """The read-only buffer ``(x, v, u, y)`` of the product identity of A B.
+def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel):
+    """The read-only buffer ``(x, v, u, y)`` of a product identity and its ``(n, m, l)``.
 
-    x is A's column tail, y is B's row parameter vector, u and v the
-    comparison vectors, all written by :func:`_write_factor`: (x, u) from
-    A's fields and (y, v) from those of B's adjoint.  A flag flips a factor
-    to P A P, so no flipped factor is built.  The buffer is allocated
-    unfilled.
+    The identity is that of the Toeplitz pair (A, B) that the module
+    docstring reduces the factors to: each factor, or a Hankel factor's
+    stored core, flipped where the two kinds require it.  x is A's column
+    tail, y is B's row parameter vector, u and v the comparison vectors,
+    all written by :func:`_write_factor`: (x, u) from A's fields and (y, v)
+    from those of B's adjoint.  The buffer is allocated unfilled.
     """
+    hankel_left = isinstance(left, AsymHankel)
+    hankel_right = isinstance(right, AsymHankel)
+    A = left.core if hankel_left else left
+    B = right.core if hankel_right else right
     n, m, l = A.n, A.m, B.m
     if B.n != m:
         raise DimensionMismatch(
             f"inner dimensions differ: {A.shape} times {B.shape}")
     cat = np.empty(2 * (n + l), dtype=CDTYPE)
     x, v, u, y = _split(cat, n, l)
-    _write_factor(n, m, A.a0, A.a, A.alpha, x, u, flip_left)
-    _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, y, v, flip_right)
+    _write_factor(n, m, A.a0, A.a, A.alpha, x, u, hankel_left and not hankel_right)
+    _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, y, v, hankel_left and hankel_right)
     cat.setflags(write=False)
-    return cat
+    return cat, n, m, l
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +250,13 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
 # the product decision
 # ---------------------------------------------------------------------------
 
-def comparison_vectors(A: AsymToeplitz, B: AsymToeplitz):
-    """The four vectors whose rank-one match decides Toeplitzness of A B.
+def comparison_vectors(A: AsymToeplitz | AsymHankel, B: AsymToeplitz | AsymHankel):
+    """The four vectors whose rank-one match decides the product A B.
 
     Returns ``(x, y, u, v, regime)``, read-only views of the buffer that
-    :func:`product_is_toeplitz` matches.  Each vector is a window of its
-    factor's diagonal values d (``AsymToeplitz.diagonals``, length
-    rows + columns - 1) behind a structural zero:
+    :func:`product_is_toeplitz` matches.  For Toeplitz A and B, each vector
+    is a window of its factor's diagonal values d (``AsymToeplitz.diagonals``,
+    length rows + columns - 1) behind a structural zero:
 
     * x = (0, d_A[m], ..., d_A[m+n-2]), A's column tail;
     * u = (0, d_A[0], ..., d_A[n-2]);
@@ -247,23 +266,24 @@ def comparison_vectors(A: AsymToeplitz, B: AsymToeplitz):
     So u holds A's corner d_A[m-1] at index m when m < n, and v B's
     conjugated corner d_B[l-1] at index m when m < l.  The flip P A P of a
     factor reverses d, so its x and u are A's u and x with their tails
-    reversed (and likewise y and v).
+    reversed (and likewise y and v): Hankel factors give the vectors of
+    their stored cores, flipped as the module docstring says.
     """
-    cat = _comparison_buffer(A, B)
-    n, m, l = A.n, A.m, B.m
+    cat, n, m, l = _comparison_buffer(A, B)
     x, v, u, y = _split(cat, n, l)
     return x, y, u, v, classify_regime(n, m, l)
 
 
 @dataclass(frozen=True)
 class ProductCertificate:
-    """Witness that a compact Toeplitz product is itself Toeplitz.
+    """Witness that a product of compact factors keeps structure.
 
     Records the rank-one identity x (x) y == u (x) v that makes every
-    interior displacement entry of the product vanish.  When proportional,
-    x = lam * u and v = conj(lam) * y entrywise (this convention is used
-    uniformly across regimes).  ``k`` and ``k_prime`` are the block counts
-    k*m < n <= (k+1)*m and k'*m < l <= (k'+1)*m.
+    interior displacement entry of the flip-reduced Toeplitz pair's product
+    vanish.  When proportional, x = lam * u and v = conj(lam) * y entrywise
+    (this convention is used uniformly across regimes).  ``k`` and
+    ``k_prime`` are the block counts k*m < n <= (k+1)*m and
+    k'*m < l <= (k'+1)*m.
     """
 
     regime: Regime
@@ -285,26 +305,20 @@ class ProductCertificate:
         return check is not None and check.is_proportional == self.outcome.is_proportional
 
 
-def product_is_toeplitz(A: AsymToeplitz, B: AsymToeplitz,
+def product_is_toeplitz(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel,
                         tol: Tolerance = DEFAULT_TOL) -> ProductCertificate | None:
-    """Decide whether the product A B is Toeplitz, in O(n + m + l).
+    """Decide whether the product of two compact factors keeps structure, in O(n + m + l).
 
-    Returns a :class:`ProductCertificate` when it is, ``None`` when it is
-    not.  Zero factors are accepted (the zero product is Toeplitz) with a
-    degenerate certificate.  Agrees with the dense diagonal-constancy
-    oracle on the realized product.
+    Each factor is an :class:`AsymToeplitz` or an :class:`AsymHankel`.  The
+    product of two factors of the same kind is asked to be Toeplitz, of
+    mixed kinds to be Hankel, through the flips of the module docstring.
+    Returns a :class:`ProductCertificate` of the flip-reduced pair when it
+    is, ``None`` when it is not; its vectors are read-only views of one
+    buffer.  Zero factors are accepted (the zero product is structured)
+    with a degenerate certificate.  Agrees with the dense oracle on the
+    realized product.
     """
-    return _certify(A, B, tol)
-
-
-def _certify(A: AsymToeplitz, B: AsymToeplitz, tol: Tolerance, flip_left: bool = False,
-             flip_right: bool = False) -> ProductCertificate | None:
-    """:func:`product_is_toeplitz` on the factors, each flipped to P A P on request.
-
-    The certificate's vectors are read-only views of one buffer.
-    """
-    cat = _comparison_buffer(A, B, flip_left, flip_right)
-    n, m, l = A.n, A.m, B.m
+    cat, n, m, l = _comparison_buffer(left, right)
     outcome = _match(cat, n, l, tol)
     if outcome is None:
         return None

@@ -174,8 +174,8 @@ def test_rot180_reverses_both_axes(n, m, seed, scale_exp):
 
 class TestFromFirstRowCol:
     @pytest.mark.parametrize("row, col, error, message", [
-        ([], [1], IndexError, "index 0 is out of bounds for axis 0 with size 0"),
-        ([1], [], IndexError, "index 0 is out of bounds for axis 0 with size 0"),
+        ([], [1], ValueError, "first_row and first_col must both be nonempty"),
+        ([1], [], ValueError, "first_row and first_col must both be nonempty"),
         ([[1, 2], [3, 4]], [1, 2], ValueError,
          "first_row must be one-dimensional, got shape (2, 2)"),
         ([1, 2], [[1], [3]], ValueError,
@@ -184,6 +184,7 @@ class TestFromFirstRowCol:
         ([1, 2], [1, np.inf], ValueError, "first_col contains non-finite entries"),
         ([1, 2], [2, 3], ValueError,
          "first_row[0] = (1+0j) and first_col[0] = (2+0j) must agree"),
+        ([], [], ValueError, "first_row and first_col must both be nonempty"),
     ])
     def test_rejects_with_same_error(self, row, col, error, message):
         with pytest.raises(error) as info:
@@ -300,6 +301,23 @@ class TestFlips:
             assert str(exc.value) == message
             assert (exc.value.row, exc.value.col) == position
 
+    def test_hankel_core_must_be_toeplitz(self, rng):
+        A = tc.random_toeplitz(rng, 3, 4)
+        for core, name in ((np.eye(2), "ndarray"), (tc.flip_cols(A), "AsymHankel")):
+            with pytest.raises(TypeError) as exc:
+                tc.AsymHankel(core)
+            assert str(exc.value) == f"core must be an AsymToeplitz, got {name}"
+
+    def test_hankel_builders_keep_their_cores(self, rng, tmp_path):
+        A = tc.random_toeplitz(rng, 5, 3)
+        assert tc.flip_cols(A).core is A
+        assert tc.flip_rows_of(A).core == A.rot180()
+        for H in (tc.flip_cols(A), tc.flip_rows_of(A)):
+            assert tc.AsymHankel.from_dense(H.to_dense(), EXACT) == H
+            tc.save_matrix(tmp_path / "h.json", H)
+            loaded = tc.load_matrix(tmp_path / "h.json")
+            assert type(loaded) is tc.AsymHankel and loaded == H
+
 
 class TestDenseOracles:
     def test_identity_product_collapses(self):
@@ -378,5 +396,5 @@ class TestTolerance:
 
 
 def test_root_api_is_small_and_resolves():
-    assert len(tc.__all__) <= 30
+    assert len(tc.__all__) <= 29
     assert all(hasattr(tc, name) for name in tc.__all__)

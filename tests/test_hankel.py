@@ -7,8 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepcert as tc
-from toepcert import product
-from toepcert.hankel import hankel_product_is_toeplitz, hankel_times_toeplitz_is_hankel
+from toepcert import hankel, product
+from toepcert.hankel import (
+    hankel_product_is_toeplitz,
+    hankel_times_toeplitz_is_hankel,
+    product_structure,
+)
 from helpers import (
     CORNER_SHAPES,
     EXACT,
@@ -138,15 +142,37 @@ class TestProductStructure:
             if broken:
                 pair = tc.perturb_to_break(pair, EXACT)
             left, right = factors_of(kinds, *pair)
-            kind, cert = tc.product_structure(left, right, EXACT)
+            kind, cert = product_structure(left, right, EXACT)
             assert kind == expected
             dense = tc.dense_mul(left.to_dense(), right.to_dense())
             assert (cert is not None) == oracle(dense, EXACT) == (not broken)
 
     def test_toeplitz_times_hankel_dimension_mismatch(self):
         with pytest.raises(tc.DimensionMismatch):
-            tc.product_structure(tc.AsymToeplitz.eye(3, 5),
-                                 tc.flip_cols(tc.AsymToeplitz.eye(4, 2)))
+            product_structure(tc.AsymToeplitz.eye(3, 5),
+                              tc.flip_cols(tc.AsymToeplitz.eye(4, 2)))
+
+    def test_hankel_names_decide_through_product_is_toeplitz(self, monkeypatch):
+        # the benchmark's self-test flips hankel-large verdicts by patching
+        # hankel.product_is_toeplitz, so each Hankel name must look it up
+        # there, call it once and return its result
+        A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 2, 5, seed=7))
+        calls = []
+
+        def recording(left, right, tol):
+            calls.append((left, right, tol))
+            return calls[-1]
+
+        monkeypatch.setattr(hankel, "product_is_toeplitz", recording)
+        for decide, (left, right) in (
+                (hankel_product_is_toeplitz, factors_of("HH", A, B)),
+                (hankel_times_toeplitz_is_hankel, factors_of("HT", A, B)),
+                (lambda *pair: product_structure(*pair)[1], factors_of("TH", A, B))):
+            calls.clear()
+            result = decide(left, right, EXACT)
+            assert len(calls) == 1
+            assert result is calls[0]
+            assert calls[0][0] is left and calls[0][1] is right and calls[0][2] is EXACT
 
 
 class TestFlipAlgebra:
@@ -238,15 +264,23 @@ def test_product_structure_matches_flipped_core_route(n, m, l, seed, scale_exp, 
     Generated pairs are accepted, broken and random ones mostly rejected;
     zero-corner factors carry negative zeros in the corner and in the
     structural zeros, which the certificate must reproduce exactly.
+    ``product_is_toeplitz`` takes the same factors and gives the same
+    certificate, and ``comparison_vectors`` of the pair are its vectors.
     """
     A, B = _pair(source, n, m, l, seed, scale_exp)
     for kinds in KINDS:
         left, right = factors_of(kinds, A, B)
         for tol in TOLS:
-            kind, cert = tc.product_structure(left, right, tol)
+            kind, cert = product_structure(left, right, tol)
             want_kind, want = reference_product_structure(left, right, tol)
             assert kind == want_kind
             assert_same_certificate(cert, want, tol)
+            assert_same_certificate(tc.product_is_toeplitz(left, right, tol), want, tol)
+            if want is not None:
+                *vectors, regime = product.comparison_vectors(left, right)
+                assert regime is want.regime
+                for name, vec in zip("xyuv", vectors):
+                    assert vec.tobytes() == getattr(want, name).tobytes(), name
 
 
 @pytest.mark.parametrize("n, m, l", [(8, 1 << 16, 8)] + [(n, m, n) for n, m in CORNER_SHAPES])
@@ -261,7 +295,7 @@ def test_hankel_decisions_build_no_flipped_core(monkeypatch, n, m, l):
 
     monkeypatch.setattr(tc.AsymToeplitz, "rot180", refuse)
     for (left, right), want in zip(cases, expected):
-        cert = tc.product_structure(left, right, EXACT)[1]
+        cert = product_structure(left, right, EXACT)[1]
         assert cert is not None
         assert_same_certificate(cert, want, EXACT)
 
@@ -269,7 +303,7 @@ def test_hankel_decisions_build_no_flipped_core(monkeypatch, n, m, l):
 @pytest.mark.parametrize("kinds", KINDS)
 def test_certificate_vectors_read_only(kinds):
     A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 2, 5, seed=7))
-    cert = tc.product_structure(*factors_of(kinds, A, B), EXACT)[1]
+    cert = product_structure(*factors_of(kinds, A, B), EXACT)[1]
     for name in "xyuv":
         with pytest.raises(ValueError):
             getattr(cert, name)[1] = 9
@@ -330,7 +364,7 @@ def test_unfilled_buffers_are_written_in_full(monkeypatch):
         for kinds in KINDS:
             left, right = factors_of(kinds, A, B)
             for tol in TOLS:
-                kind, cert = tc.product_structure(left, right, tol)
+                kind, cert = product_structure(left, right, tol)
                 want_kind, want = reference_product_structure(left, right, tol)
                 assert kind == want_kind
                 assert_same_certificate(cert, want, tol)
