@@ -5,12 +5,10 @@ is the m x m identity (orthonormal columns).  A compact Hankel matrix
 H = C P_m is decided on its stored core C, since H* H = P_m C* C P_m is
 the identity exactly when C* C is.  For a compact Toeplitz matrix A,
 A* A = I needs A* A to be Toeplitz, so the product identity of the pair
-(A*, A) must hold.  Its two comparison vectors coincide, so it is a
-rank-one self-match alpha = lam w of the row parameters against one
-comparison vector w, with w[k] = conj(a[n - k]).  Half the pair's buffer,
-A*'s column tail and comparison vector, is written by the product layer's
-one factor writer and decided by its rank-one match.  What is left is the
-residual, the first row of A* A - I_m.  Neither A* A nor A is formed.
+(A*, A) must hold: a rank-one self-match alpha = lam w of the row
+parameters against one comparison vector w, w[k] = conj(a[n - k]), written
+and matched by the product layer.  What is left is the residual, the first
+row of A* A - I_m.  Neither A* A nor A is formed.
 
 The conditions are tested in order of cost, each only when the ones before
 it pass; a failure of one of the first four rejects with no residual
@@ -19,8 +17,9 @@ computed:
 1. the self-match, in O(n + m);
 2. |lam| = 1 within ``tol.atol`` when the match is proportional (lam = 0
    when both sides vanish);
-3. the residual's entry 0, (c - 1) / 2 for c the squared norm of the first
-   column, within ``tol.atol``;
+3. the residual's entry 0, (c - 1) / 2, within ``tol.atol``, for c the
+   first column's squared norm, one dot a0.real**2 + a0.imag**2 +
+   vdot(a, a).real;
 4. n >= m: a wide matrix (n < m) has A* A of rank at most n < m, so it is
    never the identity;
 5. the rest of the residual, within ``tol.atol``.
@@ -30,28 +29,32 @@ the corner-free part; the corner's terms are added outside any FFT, so a
 scaled identity's residual is exact.  It has two routes:
 
 - convolution, for any A: one FFT convolution of A0*'s diagonal values
-  with a, three complex FFTs of about n + m points, in O((n + m) log(n + m))
-  time and O(n + m) memory;
+  with a, three complex FFTs of about n + m points, O((n + m) log(n + m));
 - autocorrelation: once alpha = lam w, every column of an n x m matrix with
   n >= m is a twisted cyclic shift of the first column (Davis, *Circulant
-  Matrices*, 1979), and A0* a is read off the autocorrelation of the first
-  column's tail a.  That depends only on the tail's nonzero support
-  [lo, hi), the stretch between its first and last nonzero entry: one
+  Matrices*, 1979), and A0* a is read off the autocorrelation of the tail's
+  nonzero support a[lo:hi], from its first to its last nonzero entry: one
   complex and one real FFT of about 2 (hi - lo) points.
 
 The decision takes the autocorrelation when m <= n and hi - lo < 4m, where
 it is the cheaper (measured on dense columns, where hi - lo = n - 1, so
 that is n <= 4m), and when A lies within rounding of the matrix whose row
-parameters are exactly lam w: c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1).
-A0* a is linear in alpha and ||a|| <= c**(1/2), so by Cauchy-Schwarz that
-bound keeps the two routes' residuals within rounding of each other.
-Otherwise it convolves, as the public :func:`isometry_residual` always does.
-A support of at most one entry, as every shift's, needs no FFT, so its
-residual is exactly 0 and an exact shift c S with c = +-1 or +-i is
-accepted under ``Tolerance(0, 0)``.  A longer support's residual is an FFT
-result and carries rounding, so ``Tolerance(0, 0)`` rejects most dense
-exact isometries; a band for rounded quantities is ROADMAP.md item 1.  FFT
-lengths are the smallest 2**i * 3**j * 5**k that hold the result.
+parameters are exactly lam w: c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1),
+the drift's norm taken by the same dot as c.  A0* a is linear in alpha and
+||a|| <= c**(1/2), so by Cauchy-Schwarz that bound keeps the two routes'
+residuals within rounding of each other.  Otherwise it convolves, as the
+public :func:`isometry_residual` always does.  FFT lengths are the smallest
+2**i * 3**j * 5**k that hold the result.
+
+c is exact whenever every square and partial sum is, as for Gaussian
+integers times 2**k with parts below 2**20, and otherwise within a 2n-term
+sum's rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+ch. 4); OpenBLAS splits a long dot across threads, so the last bits of an
+inexact c can depend on ``OPENBLAS_NUM_THREADS``.  ``Tolerance(0, 0)``
+accepts an exact isometry whose residual holds no FFT result: a single
+column (m = 1), such as (1 + i, 1 - i) / 2, or a tail support of at most
+one entry, as every shift c S with c = +-1 or +-i has.  It rejects most
+dense exact isometries; a band for rounded quantities is ROADMAP.md item 1.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, _match, _write_factor
+from .product import RankOneOutcome, _match, _toeplitz_form, _write_factor
 
 __all__ = [
     "IsometryCertificate",
@@ -99,15 +102,13 @@ def isometry_residual(A: AsymToeplitz, _matched: tuple | None = None) -> np.ndar
 
     Zero, along with the rank-one self-match, exactly when A is an
     isometry.  Entry 0 is (c - 1) / 2 for c the squared norm of A's first
-    column, set from that expression rather than read off the FFT.  The
-    public call convolves.  :func:`is_isometry` passes ``_matched`` =
-    (c, |a|, lam, w) from its own passes, with lam = 0 when both sides of
-    the match vanish, so the route rule reads the support of ``a`` with no
-    second pass over it.
+    column, not the FFT's value.  The public call convolves.
+    :func:`is_isometry` passes ``_matched`` = (c, lam, w), with lam = 0
+    when both sides of the match vanish.
     """
     n, m = A.n, A.m
-    column_norm_sq, modulus, lam, w = _matched or (*_column_modulus(A), None, None)
-    lo, hi = _support(modulus)
+    column_norm_sq, lam, w = _matched or (_column_norm_sq(A), None, None)
+    lo, hi = _support(A.a)
     if _matched is not None and _autocorrelation_fits(A, column_norm_sq, hi - lo, lam, w):
         r = _autocorrelation_term(A.a[lo:hi], lam, n, m)
     else:
@@ -116,7 +117,6 @@ def isometry_residual(A: AsymToeplitz, _matched: tuple | None = None) -> np.ndar
     k = min(n, m)
     r[1:k] += np.conj(A.a0) * A.a[1:k]
     r += A.a0 * A.alpha
-    # the FFT's entry 0 is sum |a|**2; half the column's defect replaces it
     r[0] = (column_norm_sq - 1.0) / 2.0
     return r
 
@@ -138,17 +138,15 @@ def _convolution_term(A: AsymToeplitz) -> np.ndarray:
     return conv[n - 1:n + m - 1]
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
                           lam: complex, w: np.ndarray) -> bool:
     """Whether :func:`_autocorrelation_term` may stand in for A0* a, by the
-    module's route rule for a support of length ``width`` = hi - lo."""
+    module's route rule for a support of length ``width`` = hi - lo (16 eps = 2**-48)."""
     if not (A.m <= A.n and width < 4 * A.m):
         return False
-    drift = float(np.linalg.norm(A.alpha - lam * w))
-    return math.sqrt(column_norm_sq) * drift <= 16 * _EPS * (column_norm_sq + 1.0)
+    drift = A.alpha - lam * w
+    drift_sq = float(np.vdot(drift, drift).real)
+    return math.sqrt(column_norm_sq * drift_sq) <= 2.0 ** -48 * (column_norm_sq + 1.0)
 
 
 def _autocorrelation_term(support: np.ndarray, lam: complex, n: int, m: int) -> np.ndarray:
@@ -181,24 +179,20 @@ def _autocorrelation_term(support: np.ndarray, lam: complex, n: int, m: int) -> 
     return r
 
 
-def _column_modulus(A: AsymToeplitz) -> tuple[float, np.ndarray]:
-    """|a0|**2 + sum |a|**2, the squared norm of A's first column, and the
-    moduli |a| it is summed from, which locate ``a``'s nonzero support."""
-    modulus = np.abs(A.a)
-    return abs(A.a0) ** 2 + float(np.sum(modulus ** 2)), modulus
+def _column_norm_sq(A: AsymToeplitz) -> float:
+    """|a0|**2 + sum |a|**2, the squared norm of A's first column, by one dot."""
+    # a product, not ** 2, so that a corner beyond 2**512 gives inf, not OverflowError
+    return float(A.a0.real * A.a0.real + A.a0.imag * A.a0.imag + np.vdot(A.a, A.a).real)
 
 
-def _support(modulus: np.ndarray) -> tuple[int, int]:
-    """[lo, hi), the stretch from the first to the last nonzero modulus.
-
-    ``a[0]`` is a structural zero, so a tail whose entries 1 and n - 1 are
-    nonzero, as every dense one, spans [1, n) without a scan.  An all-zero
-    tail gives (0, 0).
-    """
-    n = len(modulus)
-    if n > 1 and modulus[1] and modulus[-1]:
+def _support(a: np.ndarray) -> tuple[int, int]:
+    """[lo, hi), the stretch from the first to the last nonzero entry of the
+    tail ``a``, or (0, 0) if there is none.  ``a[0]`` is a structural zero,
+    so a tail nonzero at 1 and n - 1, as every dense one, needs no scan."""
+    n = len(a)
+    if n > 1 and a[1] and a[-1]:
         return 1, n
-    nonzero = modulus != 0
+    nonzero = a != 0
     lo = int(nonzero.argmax())
     if not nonzero[lo]:
         return 0, 0
@@ -239,23 +233,22 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
     and the residual vanishes, all within ``tol``, tested in the order the
     module docstring gives.  Agrees with the dense oracle on M* M - I_m.
     """
-    A = M.core if isinstance(M, AsymHankel) else M
-    # the product identity of the pair (A*, A), matched on the half
-    # (alpha, w) of its buffer (alpha, w, w, alpha)
+    A, _ = _toeplitz_form(M)
+    # the pair (A*, A) is matched on the half (alpha, w) of its buffer (alpha, w, w, alpha)
     n, m = A.n, A.m
     cat = np.empty(2 * m, dtype=CDTYPE)
     _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat[:m], cat[m:])
     match = _match(cat, m, m, tol)
     w = cat[m:].copy()
     wide = n < m
-    column_norm_sq, modulus = _column_modulus(A)
+    column_norm_sq = _column_norm_sq(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
     if ((match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol)
             or abs(column_norm_sq - 1.0) / 2.0 > tol.atol or wide):
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     lam = match.lam if match.is_proportional else 0.0
-    residual = isometry_residual(A, (column_norm_sq, modulus, lam, w))
+    residual = isometry_residual(A, (column_norm_sq, lam, w))
     residual_norm = float(np.max(np.abs(residual)))
     return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
                                residual_norm, column_norm_sq)

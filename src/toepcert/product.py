@@ -110,6 +110,15 @@ def _split(cat: np.ndarray, n: int, l: int):
     return cat[:n], cat[n:n + l], cat[n + l:2 * n + l], cat[2 * n + l:]
 
 
+def _toeplitz_form(M: AsymToeplitz | AsymHankel) -> tuple[AsymToeplitz, bool]:
+    """M, or a Hankel M's stored core, and whether M is Hankel; TypeError otherwise."""
+    if isinstance(M, AsymHankel):
+        return M.core, True
+    if not isinstance(M, AsymToeplitz):
+        raise TypeError(f"expected an AsymToeplitz or AsymHankel, got {type(M).__name__}")
+    return M, False
+
+
 def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel):
     """The read-only buffer ``(x, v, u, y)`` of a product identity and its ``(n, m, l)``.
 
@@ -120,10 +129,8 @@ def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | As
     all written by :func:`_write_factor`: (x, u) from A's fields and (y, v)
     from those of B's adjoint.  The buffer is allocated unfilled.
     """
-    hankel_left = isinstance(left, AsymHankel)
-    hankel_right = isinstance(right, AsymHankel)
-    A = left.core if hankel_left else left
-    B = right.core if hankel_right else right
+    A, hankel_left = _toeplitz_form(left)
+    B, hankel_right = _toeplitz_form(right)
     n, m, l = A.n, A.m, B.m
     if B.n != m:
         raise DimensionMismatch(

@@ -305,7 +305,8 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     """
     x, y, w, v, _ = reference_comparison_vectors(A.adjoint(), A)
     wide = A.n < A.m
-    column_norm_sq = float(abs(A.a0) ** 2 + np.sum(np.abs(A.a) ** 2))
+    column_norm_sq = float(A.a0.real * A.a0.real + A.a0.imag * A.a0.imag
+                           + np.vdot(A.a, A.a).real)
     match = reference_rank_one_equal(x, y, w, v, tol)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -394,6 +395,29 @@ class TestIsometry:
                                    "column_norm_sq": cert.column_norm_sq}, sort_keys=True)
             assert main(["isometry", str(f)]) == (0 if cert.accepted else 1)
             assert capsys.readouterr().out == expected + "\n"
+
+    def test_exact_long_column_independent_of_blas_threads(self, tmp_path):
+        # a 2**18 x 1 column of (1 + 2i, 1 + i, 2) times 2**-10 in the counts
+        # 2**17, 2**16, 2**16, each turned by a power of i and conjugated at
+        # random: every square is a multiple of 2**-20 and they sum to exactly
+        # 1, so however OpenBLAS splits the dot, c and the verdict are exact
+        rng = np.random.default_rng(26)
+        n = 1 << 18
+        column = np.repeat([1 + 2j, 1 + 1j, 2], [n // 2, n // 4, n // 4]) * 2.0**-10
+        column *= np.array([1, 1j, -1, -1j])[rng.integers(0, 4, n)]
+        column = np.where(rng.integers(0, 2, n) == 1, column, column.conj())
+        rng.shuffle(column)
+        f = tmp_path / "long.json"
+        tc.save_matrix(f, tc.AsymToeplitz.from_first_row_col(column[:1], column))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-m", "toepcert", "isometry", str(f),
+                                   "--tol", "0"], capture_output=True, text=True, env=env)
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["column_norm_sq"] == 1.0
 
     def test_dense_kind_is_one_error_line(self, tmp_path, capsys):
         f = tmp_path / "m.json"

@@ -1,6 +1,7 @@
 import bisect
 import statistics
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ import toepcert as tc
 from toepcert import isometry
 from toepcert.families import gen_isometry
 from toepcert.isometry import (
-    _column_modulus,
     _fft_length,
     hankel_is_isometry,
     isometry_residual,
@@ -263,8 +263,49 @@ class TestUnitColumnCheck:
     def test_scalar_one(self):
         assert tc.is_isometry(tc.AsymToeplitz(1, 1, 1.0, [0], [0]), TOL).column_norm_sq == 1.0
 
+    @pytest.mark.parametrize("flip", [None, tc.flip_cols, tc.flip_rows_of])
+    def test_dyadic_column_is_exact(self, flip):
+        # |1/2 + i/2|**2 + |1/2 - i/2|**2 is exactly 1; a modulus (hypot)
+        # rounds sqrt(1/2) and its square sums to 1 + 2**-52
+        A = tc.AsymToeplitz(2, 1, 0.5 + 0.5j, [0, 0.5 - 0.5j], [0])
+        cert = tc.is_isometry(flip(A) if flip else A, EXACT)
+        assert cert.accepted and cert.column_norm_sq == 1.0 and cert.residual_norm == 0.0
+
+    @pytest.mark.parametrize("a0, tail", [(1e200, 0.0), (1e200j, 0.0), (0.0, 1e200)])
+    def test_overflowing_column_is_inf(self, a0, tail):
+        # a part beyond 2**512 squares to inf, a corner's as well as a tail's:
+        # rejected, with no OverflowError
+        cert = tc.is_isometry(tc.AsymToeplitz(2, 2, a0, [0, tail], [0, 0]))
+        assert cert.column_norm_sq == np.inf and not cert.accepted
+
+
+@settings(deadline=None)
+@with_shapes
+def test_column_norm_is_exact_on_dyadic_gaussian_integers(n, m, seed, scale_exp):
+    """Every square and partial sum of a Gaussian-integer column with parts
+    below 2**20, times 2**scale_exp, is a float, so ``column_norm_sq`` is the
+    exact sum, as T and as either Hankel, whose core's column is summed."""
+    rng = np.random.default_rng(seed)
+    bound = 1 << int(rng.integers(1, 21))
+    re, im = np.ldexp(rng.integers(1 - bound, bound, size=(2, n + m - 1)), scale_exp)
+    vals = re + 1j * im
+    A = tc.AsymToeplitz(n, m, vals[0], np.concatenate([[0], vals[1:n]]),
+                        np.concatenate([[0], vals[n:]]))
+    for M in (A, tc.flip_cols(A), tc.flip_rows_of(A)):
+        core = M.core if isinstance(M, tc.AsymHankel) else M
+        exact = sum(Fraction(z.real) ** 2 + Fraction(z.imag) ** 2
+                    for z in (core.a0, *core.a[1:]))
+        assert tc.is_isometry(M, EXACT).column_norm_sq == exact
+
 
 class TestIsIsometry:
+    @pytest.mark.parametrize("M", [np.eye(2), [[1, 0], [0, 1]], None],
+                             ids=["ndarray", "list", "None"])
+    def test_other_arguments_are_type_errors(self, M):
+        with pytest.raises(TypeError, match="AsymToeplitz or AsymHankel, got "
+                           + type(M).__name__):
+            tc.is_isometry(M)
+
     def test_unit_example_accepted(self):
         cert = tc.is_isometry(unit_example(), TOL)
         assert cert.accepted
@@ -649,7 +690,7 @@ def test_route_matches_reference(shape, kind, seed):
         cert = tc.is_isometry(A, tol)
         if cert.residual_norm is not None:
             lam = cert.lam if cert.match.is_proportional else 0.0
-            routed = isometry_residual(A, (*_column_modulus(A), lam, cert.w))
+            routed = isometry_residual(A, (cert.column_norm_sq, lam, cert.w))
             exact = isometry_residual(A)
             assert np.max(np.abs(routed - exact)) <= isometry_rounding_bound(A)
 

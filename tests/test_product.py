@@ -290,6 +290,17 @@ class TestComparisonVectors:
 
 
 class TestProductIsToeplitz:
+    @pytest.mark.parametrize("other", [np.eye(2), [[1, 0], [0, 1]], None],
+                             ids=["ndarray", "list", "None"])
+    @pytest.mark.parametrize("decide", [tc.product_is_toeplitz, comparison_vectors])
+    def test_other_factors_are_type_errors(self, decide, other):
+        # either position; the message names the kinds taken and the one given
+        factor = tc.AsymToeplitz.eye(2, 2)
+        for left, right in ((other, factor), (factor, other), (other, tc.flip_cols(factor))):
+            with pytest.raises(TypeError, match="AsymToeplitz or AsymHankel, got "
+                               + type(other).__name__):
+                decide(left, right)
+
     def test_worked_example(self):
         Ad, Bd = product_example_dense()
         A = tc.AsymToeplitz.from_dense(Ad)
