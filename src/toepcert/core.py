@@ -324,11 +324,6 @@ class AsymHankel:
     def shape(self) -> tuple[int, int]:
         return self.core.shape
 
-    def entry(self, i: int, j: int) -> complex:
-        if not (0 <= i < self.n and 0 <= j < self.m):
-            raise IndexError(f"index ({i}, {j}) out of range for {self.n}x{self.m}")
-        return self.core.entry(i, self.m - 1 - j)
-
     def to_dense(self) -> np.ndarray:
         return self.core.to_dense()[:, ::-1]
 

@@ -88,14 +88,20 @@ def _parse_entries(items, count: int, where: str) -> np.ndarray:
     # list; NumPy alone would also convert bools and numeric strings
     if (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
             and set(map(type, chain.from_iterable(items))) <= {int, float}):
-        try:
-            parts = np.fromiter(chain.from_iterable(items), np.float64, count=2 * count)
-        except OverflowError:
-            pass
-        else:
-            if np.isfinite(parts).all():
-                return parts.view(CDTYPE)
+        if (entries := _complex_parts(items, 2 * count)) is not None:
+            return entries
     raise MatrixFileError(_first_bad_entry(items, where))
+
+
+def _complex_parts(runs: list, count: int) -> np.ndarray | None:
+    """The complex array of the ``count`` int or float parts in the lists
+    ``runs``, read as [re, im] pairs in one pass, or None when a part is
+    beyond the float range or not finite."""
+    try:
+        parts = np.fromiter(chain.from_iterable(runs), np.float64, count=count)
+    except OverflowError:
+        return None
+    return parts.view(CDTYPE) if np.isfinite(parts).all() else None
 
 
 def _first_bad_entry(items: list, where: str) -> str:
@@ -146,13 +152,9 @@ def _decoded(text: str) -> dict | None:
         return None
     # every part is now a JSON number, an int or a float
     for key, count in counts.items():
-        try:
-            parts = np.fromiter(chain.from_iterable(doc[key]), np.float64, count=count)
-        except OverflowError:
+        doc[key] = _complex_parts(doc[key], count)
+        if doc[key] is None:
             return None
-        if not np.isfinite(parts).all():
-            return None
-        doc[key] = parts.view(CDTYPE)
     return doc
 
 

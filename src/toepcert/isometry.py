@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CDTYPE, DEFAULT_TOL, AsymHankel, AsymToeplitz, Tolerance
-from .product import RankOneOutcome, _match, _toeplitz_form, _write_factor
+from .product import RankOneOutcome, _self_match, _toeplitz_form
 
 __all__ = [
     "IsometryCertificate",
@@ -234,13 +234,8 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
     module docstring gives.  Agrees with the dense oracle on M* M - I_m.
     """
     A, _ = _toeplitz_form(M)
-    # the pair (A*, A) is matched on the half (alpha, w) of its buffer (alpha, w, w, alpha)
-    n, m = A.n, A.m
-    cat = np.empty(2 * m, dtype=CDTYPE)
-    _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat[:m], cat[m:])
-    match = _match(cat, m, m, tol)
-    w = cat[m:].copy()
-    wide = n < m
+    match, w = _self_match(A, tol)
+    wide = A.n < A.m
     column_norm_sq = _column_norm_sq(A)
     if match is None:
         return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
@@ -255,5 +250,6 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
 
 
 def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
-    """:func:`is_isometry` of a compact Hankel matrix, decided on its core."""
+    """:func:`is_isometry` of a compact Hankel matrix, decided on its core;
+    kept only for the benchmark (``bench/``), which calls and traces it."""
     return is_isometry(H.core, tol)

@@ -6,9 +6,10 @@ directly off the factors' parameters: the left column tail, the right row
 parameters, and two size-regime comparison vectors.  All four are windows
 of the factors' diagonal-value sequences, written by one function, a
 factor's two at a time, straight into the one buffer that the rank-one
-match reduces; the isometry self-match uses the same writer.  The
-decision runs in O(n + m + l) and returns a certificate that can be
-re-verified on its own and cross-checked against the dense product.
+match reduces; the isometry self-match, :func:`_self_match`, uses the
+same writer and match.  The decision runs in O(n + m + l) and returns a
+certificate that can be re-verified on its own and cross-checked against
+the dense product.
 
 Hankel factors reduce to that identity by flips read off the factors'
 types.  A compact Hankel matrix is stored as H = C P, with C Toeplitz and
@@ -251,6 +252,15 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
             and defect_y <= tol.threshold(max(max_yp, scale * max_y))):
         return RankOneOutcome(lam)
     return None
+
+
+def _self_match(A: AsymToeplitz, tol: Tolerance) -> tuple[RankOneOutcome | None, np.ndarray]:
+    """The match of the pair (A*, A), made on the half (alpha, w) of its self
+    pair buffer (alpha, w, w, alpha), and an owned copy of w."""
+    n, m = A.n, A.m
+    cat = np.empty(2 * m, dtype=CDTYPE)
+    _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat[:m], cat[m:])
+    return _match(cat, m, m, tol), cat[m:].copy()
 
 
 # ---------------------------------------------------------------------------

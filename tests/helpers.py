@@ -218,14 +218,25 @@ def reference_comparison_vectors(A: tc.AsymToeplitz, B: tc.AsymToeplitz):
     return A.a, B.alpha, u, v, classify_regime(n, m, l)
 
 
-def reference_product_structure(left, right, tol=tc.DEFAULT_TOL):
-    """``hankel.product_structure`` through built flipped cores.
+def factors_of(kinds, A, B):
+    """The factor pair of the given kinds ("TT", "HH", "HT" or "TH") whose
+    decision is that of A B."""
+    return {"TT": (A, B),
+            "HH": (tc.flip_cols(A), tc.flip_rows_of(B)),
+            "HT": (tc.flip_rows_of(A), B),
+            "TH": (A, tc.flip_cols(B))}[kinds]
 
-    A Hankel factor's row-flip core is built as its stored core's
-    ``rot180``, the four vectors come from
+
+def reference_product_structure(left, right, tol=tc.DEFAULT_TOL):
+    """The structure asked of a product and its certificate, through built flipped cores.
+
+    Returns ``(kind, certificate)``: ``kind`` is "toeplitz" for factors of
+    the same kind and "hankel" for mixed kinds, as the command line
+    reports it.  A Hankel factor's row-flip core is built as its stored
+    core's ``rot180``, the four vectors come from
     :func:`reference_comparison_vectors` and the match from
-    :func:`reference_rank_one_equal`.  The decision must give the same
-    certificate, vectors and scalar bit for bit.
+    :func:`reference_rank_one_equal`.  ``product_is_toeplitz`` must give
+    the same certificate, vectors and scalar bit for bit.
     """
     if isinstance(left, tc.AsymHankel):
         if isinstance(right, tc.AsymHankel):

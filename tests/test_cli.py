@@ -12,7 +12,14 @@ from toepcert import cli
 from toepcert.cli import main
 from toepcert.families import gen_isometry
 from toepcert.isometry import hankel_is_isometry
-from helpers import EXACT, nonzero_fill, reference_main, unit_isometry_dense
+from helpers import (
+    EXACT,
+    factors_of,
+    nonzero_fill,
+    reference_main,
+    reference_product_structure,
+    unit_isometry_dense,
+)
 
 
 def run(capsys, *argv):
@@ -61,10 +68,12 @@ class TestCheck:
 
     def test_structured_kind_short_circuits(self, tmp_path, capsys, rng):
         f = tmp_path / "m.json"
-        tc.save_matrix(f, tc.random_toeplitz(rng, 3, 4))
-        code, verdict = run(capsys, "check", str(f))
-        assert code == 0
-        assert verdict == {"structure": "toeplitz", "via": "direct"}
+        A = tc.random_toeplitz(rng, 3, 4)
+        for M, structure in ((A, "toeplitz"), (tc.flip_cols(A), "hankel")):
+            tc.save_matrix(f, M)
+            code, verdict = run(capsys, "check", str(f))
+            assert code == 0
+            assert verdict == {"structure": structure, "via": "direct"}
 
     def test_malformed_file(self, tmp_path, capsys):
         f = tmp_path / "m.json"
@@ -157,6 +166,33 @@ class TestProduct:
         tc.save_matrix(fa, tc.AsymToeplitz.eye(3, 5))
         tc.save_matrix(fb, tc.AsymToeplitz.eye(4, 2))
         assert main(["product", str(fa), str(fb)]) == 2
+
+    @pytest.mark.parametrize("kinds", ["TT", "TH", "HT", "HH"])
+    def test_product_kind_is_reference_kind(self, tmp_path, capsys, kinds):
+        # factors of the same kind ask for a Toeplitz product, mixed kinds
+        # for a Hankel one, whether the pair is certified or broken
+        pair = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 3, 5, lam=2.0, seed=4,
+                                         a_free=[1.0, 2.0], b_free=[3.0, 1j],
+                                         a0=1.0, b0=1.0))
+        for A, B in (pair, tc.perturb_to_break(pair, EXACT)):
+            left, right = factors_of(kinds, A, B)
+            kind, cert = reference_product_structure(left, right, EXACT)
+            fa, fb = self._write_pair(tmp_path, left, right)
+            code, verdict = run(capsys, "product", fa, fb, "--tol", "0", "--oracle", "--json")
+            assert verdict["product"] == kind
+            assert verdict["structured"] is (cert is not None)
+            assert verdict["oracle_agrees"] is True
+            assert code == (0 if cert is not None else 1)
+
+    def test_oracle_disagreement_exits_three(self, tmp_path, capsys, monkeypatch):
+        # the oracle's verdict is flipped, so the structured "yes" disagrees
+        fa, fb = self._write_pair(tmp_path, tc.AsymToeplitz.eye(3, 5),
+                                  tc.AsymToeplitz.eye(5, 4))
+        monkeypatch.setattr(cli, "dense_is_toeplitz", lambda M, tol: False)
+        assert main(["product", fa, fb, "--oracle", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["oracle_agrees"] is False
+        assert captured.err == "structured verdict disagrees with the dense oracle\n"
 
     def test_human_readable_default(self, tmp_path, capsys):
         fa, fb = self._write_pair(tmp_path, tc.AsymToeplitz.eye(2, 3),
@@ -418,6 +454,28 @@ class TestIsometry:
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["column_norm_sq"] == 1.0
+
+    @pytest.mark.parametrize("flip", [None, tc.flip_cols, tc.flip_rows_of],
+                             ids=["T", "flip_cols", "flip_rows_of"])
+    @pytest.mark.parametrize("a0, tail", [(1e200, 0.0), (1e200j, 0.0), (0.0, 1e200)],
+                             ids=["corner", "imaginary-corner", "tail"])
+    def test_overflowing_column_norm_is_null(self, tmp_path, capsys, flip, a0, tail):
+        # the first column's squares overflow to inf, which strict JSON
+        # cannot carry: the norm is reported as null.  The tail entry also
+        # stands in the first row, so that the core that flip_rows_of's
+        # Hankel file is decided on, A's rot180, has it in its first column
+        A = tc.AsymToeplitz(2, 2, a0, [0, tail], [0, tail])
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, A if flip is None else flip(A))
+        assert main(["isometry", str(f)]) == 1
+        out = capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError(f"not JSON: {name}")
+
+        verdict = json.loads(out, parse_constant=refuse)
+        assert verdict["accepted"] is False
+        assert verdict["column_norm_sq"] is None and verdict["residual_norm"] is None
 
     def test_dense_kind_is_one_error_line(self, tmp_path, capsys):
         f = tmp_path / "m.json"

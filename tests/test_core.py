@@ -318,6 +318,17 @@ class TestFlips:
             loaded = tc.load_matrix(tmp_path / "h.json")
             assert type(loaded) is tc.AsymHankel and loaded == H
 
+    def test_compact_kinds_equal_no_other_type(self, rng):
+        # a Hankel matrix never equals its Toeplitz core, nor either one a
+        # dense array, a list or None: __eq__ leaves other types to Python
+        # (and a dense array's == to NumPy)
+        A = tc.random_toeplitz(rng, 3, 3)
+        H = tc.flip_cols(A)
+        for M, other in ((A, H), (H, A)):
+            for value in (other, A.to_dense(), A.to_dense().tolist(), None):
+                assert M.__eq__(value) is NotImplemented
+            assert M != other and M != A.to_dense().tolist() and M != None  # noqa: E711
+
 
 class TestDenseOracles:
     def test_identity_product_collapses(self):
@@ -350,6 +361,14 @@ class TestDenseOracles:
     def test_dimension_mismatch(self):
         with pytest.raises(tc.DimensionMismatch):
             tc.dense_mul(np.eye(2, 3), np.eye(2, 3))
+        # each operand must be 2-D, nonempty and finite
+        bad = {"2-D and nonempty": (np.ones(3), np.ones((0, 2))),
+               "non-finite": (np.array([[1.0, np.nan]]), np.array([[np.inf], [1.0]]))}
+        for message, operands in bad.items():
+            for X in operands:
+                for pair in ((X, np.eye(2)), (np.eye(2), X)):
+                    with pytest.raises(ValueError, match=message):
+                        tc.dense_mul(*pair)
 
 
 class TestShiftIdentityAlgebra:

@@ -246,6 +246,9 @@ class TestGenDegenerate:
             tc.gen_degenerate("col_band_b", 2, 3, 5)
         with pytest.raises(tc.SpecificationError):
             tc.gen_degenerate("no_such_form", 2, 3, 2)
+        for dims in ((0, 3, 2), (2, 0, 2), (2, 3, -1)):
+            with pytest.raises(tc.SpecificationError, match="positive"):
+                tc.gen_degenerate("lambda_zero", *dims)
 
 
 class TestPerturbToBreak:
@@ -281,6 +284,9 @@ class TestPerturbToBreak:
         pair = tc.gen_degenerate("row_band_a", 3, 5, 4, seed=9)
         with pytest.raises(ValueError):
             tc.perturb_to_break(pair)
+        A, _ = tc.gen_pair(tc.FamilySpec(tc.Regime.R1, 3, 5, 4, seed=9))
+        with pytest.raises(tc.DimensionMismatch, match="inner dimensions"):
+            tc.perturb_to_break((A, tc.AsymToeplitz.eye(4, 4)))
 
     def test_completeness_sweep(self, rng):
         for seed in range(60):

@@ -115,8 +115,10 @@ class TestRankOneEqual:
         assert rank_one_equal([0, 0], [0, 1], [0, 1], [0, 1], EXACT) is None
 
     def test_dimension_error(self):
-        with pytest.raises(tc.DimensionMismatch):
+        with pytest.raises(tc.DimensionMismatch, match="x and xp"):
             rank_one_equal([0, 1], [0, 1], [0, 1, 2], [0, 1], EXACT)
+        with pytest.raises(tc.DimensionMismatch, match="y and yp"):
+            rank_one_equal([0, 1], [0, 1], [0, 1], [0, 1, 2], EXACT)
 
     @pytest.mark.parametrize("vector", [1.0, [[1, 2], [3, 4]], [[1, 2, 3, 4]]])
     def test_rejects_vectors_that_are_not_one_dimensional(self, vector):
