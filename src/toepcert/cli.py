@@ -230,7 +230,11 @@ def _cmd_displacement(args) -> int:
     obj = load_matrix(args.file)
     _check_dense_size("displacement", obj.shape)
     dense = obj if isinstance(obj, np.ndarray) else obj.to_dense()
-    sys.stdout.write(matrix_to_text(displacement_dense(dense)))
+    # an overflowing difference is refused by matrix_to_text's non-finite
+    # check, with one error line, so NumPy stays quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        displacement = displacement_dense(dense)
+    sys.stdout.write(matrix_to_text(displacement))
     return EXIT_TRUE
 
 

@@ -144,7 +144,8 @@ def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
     module's route rule for a support of length ``width`` = hi - lo (16 eps = 2**-48)."""
     if not (A.m <= A.n and width < 4 * A.m):
         return False
-    drift = A.alpha - lam * w
+    drift = lam * w
+    np.subtract(A.alpha, drift, out=drift)
     drift_sq = float(np.vdot(drift, drift).real)
     return math.sqrt(column_norm_sq * drift_sq) <= 2.0 ** -48 * (column_norm_sq + 1.0)
 
@@ -244,7 +245,7 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
         return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
     lam = match.lam if match.is_proportional else 0.0
     residual = isometry_residual(A, (column_norm_sq, lam, w))
-    residual_norm = float(np.max(np.abs(residual)))
+    residual_norm = float(np.maximum.reduce(np.abs(residual)))
     return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
                                residual_norm, column_norm_sq)
 

@@ -76,8 +76,9 @@ def classify_regime(n: int, m: int, l: int) -> Regime:
 # ---------------------------------------------------------------------------
 
 def _write_factor(n: int, m: int, a0: complex, a: np.ndarray, alpha: np.ndarray,
-                  tail: np.ndarray, hat: np.ndarray, flip: bool = False) -> None:
-    """Write an n x m factor's column tail and comparison vector, zeros included.
+                  cat: np.ndarray, t: int, c: int, flip: bool = False) -> None:
+    """Write an n x m factor's column tail and comparison vector, zeros included,
+    to ``tail = cat[t:t + n]`` and ``hat = cat[c:c + n]``.
 
     With d the factor's diagonal-value sequence (``AsymToeplitz.diagonals``),
     ``tail`` gets (0, d[m], ..., d[m+n-2]), which is ``a``, and ``hat`` gets
@@ -86,42 +87,44 @@ def _write_factor(n: int, m: int, a0: complex, a: np.ndarray, alpha: np.ndarray,
     ``flip`` they are the vectors of P A P (``AsymToeplitz.rot180``), whose
     d is reversed: the two trade places, each reversed behind its zero.
     Passing the adjoint's fields writes a right factor's row parameters and
-    comparison vector.  Every entry is written, so both may be unfilled.
+    comparison vector.  Every entry is written, so ``cat`` may be unfilled;
+    each window is written through one view of it.  The corner, hat[m], is
+    written as corner + 0j, which turns a negative zero into +0.
     """
+    h = (n if n < m else m) - 1
     if flip:
-        tail[0] = hat[0] = 0
-        hat[:0:-1] = a[1:]
-        out = tail[:0:-1]
+        # a[k] lands at hat[n - k], and entry k of the unflipped hat at
+        # tail[n - k], which is cat[end - k + 1]
+        end = t + n - 1
+        cat[t] = cat[c] = 0j
+        cat[c + n - 1:c:-1] = a[1:]
+        np.conjugate(alpha[m - 1:m - 1 - h:-1], cat[end:end - h:-1])
+        if m < n:
+            # the flipped factor's corner, a[n - m]
+            cat[c + m] = a[n - m] + 0j
+            cat[end - m + 1] = a0
+            cat[end - m:t:-1] = a[1:n - m]
     else:
-        tail[:] = a
-        hat[0] = 0
-        out = hat[1:]
-    h = min(n, m) - 1
-    np.conjugate(alpha[m - 1:m - 1 - h:-1], out=out[:h])
-    if m < n:
-        out[m - 1] = a0
-        out[m:] = a[1:n - m]
-        # hat[m] holds the corner as 0 + corner, which turns a negative
-        # zero into +0
-        hat[m] += 0
-
-
-def _split(cat: np.ndarray, n: int, l: int):
-    """The views (x, v, u, y) of a comparison buffer of an n x m by m x l product."""
-    return cat[:n], cat[n:n + l], cat[n + l:2 * n + l], cat[2 * n + l:]
+        cat[t:t + n] = a
+        cat[c] = 0j
+        np.conjugate(alpha[m - 1:m - 1 - h:-1], cat[c + 1:c + 1 + h])
+        if m < n:
+            cat[c + m] = a0 + 0j
+            cat[c + m + 1:c + n] = a[1:n - m]
 
 
 def _toeplitz_form(M: AsymToeplitz | AsymHankel) -> tuple[AsymToeplitz, bool]:
     """M, or a Hankel M's stored core, and whether M is Hankel; TypeError otherwise."""
+    if isinstance(M, AsymToeplitz):
+        return M, False
     if isinstance(M, AsymHankel):
         return M.core, True
-    if not isinstance(M, AsymToeplitz):
-        raise TypeError(f"expected an AsymToeplitz or AsymHankel, got {type(M).__name__}")
-    return M, False
+    raise TypeError(f"expected an AsymToeplitz or AsymHankel, got {type(M).__name__}")
 
 
 def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel):
-    """The read-only buffer ``(x, v, u, y)`` of a product identity and its ``(n, m, l)``.
+    """The buffer ``cat = (x, v, u, y)`` of a product identity, its four
+    read-only views and ``(n, m, l)``, as ``cat, x, v, u, y, n, m, l``.
 
     The identity is that of the Toeplitz pair (A, B) that the module
     docstring reduces the factors to: each factor, or a Hankel factor's
@@ -137,11 +140,11 @@ def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | As
         raise DimensionMismatch(
             f"inner dimensions differ: {A.shape} times {B.shape}")
     cat = np.empty(2 * (n + l), dtype=CDTYPE)
-    x, v, u, y = _split(cat, n, l)
-    _write_factor(n, m, A.a0, A.a, A.alpha, x, u, hankel_left and not hankel_right)
-    _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, y, v, hankel_left and hankel_right)
+    _write_factor(n, m, A.a0, A.a, A.alpha, cat, 0, n + l, hankel_left and not hankel_right)
+    _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, cat, 2 * n + l, n,
+                  hankel_left and hankel_right)
     cat.setflags(write=False)
-    return cat, n, m, l
+    return cat, cat[:n], cat[n:n + l], cat[n + l:2 * n + l], cat[2 * n + l:], n, m, l
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +214,8 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
 
     x and xp have length p >= 1, y and yp length q >= 1.  One modulus and
     one segmented maximum give the zero tests, the pivot and the operand
-    scales; a second pair, over half as many entries, gives the defects.
+    scales; a second pair, over half as many entries, gives the defects,
+    whose moduli overwrite the first half of the first.
     A scaled side's scale is |lam| max|xp| (and |lam| max|y|), which
     differs from max|lam xp_i| only by rounding, so the verdict can differ
     from that of separate reductions only for a defect within a few ulps
@@ -230,27 +234,39 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
     else:
         xp, y, mags_xp = cat[s:s + p], cat[s + p:], mags[s:s + p]
         max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
+    atol = tol.atol
+    # filled in as product_is_toeplitz fills a certificate, with no
+    # frozen-dataclass __init__
+    outcome = object.__new__(RankOneOutcome)
     if lam is None:
-        zero = (max_x <= tol.atol, max_y <= tol.atol, max_xp <= tol.atol, max_yp <= tol.atol)
+        zero = (max_x <= atol, max_y <= atol, max_xp <= atol, max_yp <= atol)
         lhs_zero = zero[0] or zero[1]
         rhs_zero = zero[2] or zero[3]
         if lhs_zero and rhs_zero:
-            return RankOneOutcome(None, tuple(name for name, z in zip(_NAMES, zero) if z))
+            outcome.__dict__.update(
+                lam=None, vanished=tuple(name for name, z in zip(_NAMES, zero) if z))
+            return outcome
         if lhs_zero != rhs_zero:
             return None
-        pivot = int(mags_xp.argmax())
+        pivot = mags_xp.argmax()
         lam = complex(cat[pivot] / xp[pivot])
     # buf holds the scaled sides (lam xp, conj(lam) y), then the defects
     # (x - lam xp, yp - conj(lam) y) in their place
     buf = np.empty(s, dtype=CDTYPE)
-    np.multiply(lam, xp, out=buf[:p])
-    np.multiply(lam.conjugate(), y, out=buf[p:])
-    np.subtract(cat[:s], buf, out=buf)
-    defect_x, defect_y = np.maximum.reduceat(np.abs(buf), (0, p)).tolist()
+    np.multiply(lam, xp, buf[:p])
+    np.multiply(lam.conjugate(), y, buf[p:])
+    np.subtract(cat[:s], buf, buf)
+    defect_x, defect_y = np.maximum.reduceat(np.abs(buf, mags[:s]), (0, p)).tolist()
+    # Tolerance.threshold of max(max_x, |lam| max_xp) and of
+    # max(max_yp, |lam| max_y), inline; max(a, b) is spelled b if b > a
+    # else a, which picks the same operand without a call
     scale = abs(lam)
-    if (defect_x <= tol.threshold(max(max_x, scale * max_xp))
-            and defect_y <= tol.threshold(max(max_yp, scale * max_y))):
-        return RankOneOutcome(lam)
+    scaled_xp, scaled_y = scale * max_xp, scale * max_y
+    rtol = tol.rtol
+    if (defect_x <= atol + rtol * (scaled_xp if scaled_xp > max_x else max_x)
+            and defect_y <= atol + rtol * (scaled_y if scaled_y > max_yp else max_yp)):
+        outcome.__dict__.update(lam=lam, vanished=())
+        return outcome
     return None
 
 
@@ -259,7 +275,7 @@ def _self_match(A: AsymToeplitz, tol: Tolerance) -> tuple[RankOneOutcome | None,
     pair buffer (alpha, w, w, alpha), and an owned copy of w."""
     n, m = A.n, A.m
     cat = np.empty(2 * m, dtype=CDTYPE)
-    _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat[:m], cat[m:])
+    _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat, 0, m)
     return _match(cat, m, m, tol), cat[m:].copy()
 
 
@@ -286,8 +302,7 @@ def comparison_vectors(A: AsymToeplitz | AsymHankel, B: AsymToeplitz | AsymHanke
     reversed (and likewise y and v): Hankel factors give the vectors of
     their stored cores, flipped as the module docstring says.
     """
-    cat, n, m, l = _comparison_buffer(A, B)
-    x, v, u, y = _split(cat, n, l)
+    _, x, v, u, y, n, m, l = _comparison_buffer(A, B)
     return x, y, u, v, classify_regime(n, m, l)
 
 
@@ -335,11 +350,10 @@ def product_is_toeplitz(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | A
     with a degenerate certificate.  Agrees with the dense oracle on the
     realized product.
     """
-    cat, n, m, l = _comparison_buffer(left, right)
+    cat, x, v, u, y, n, m, l = _comparison_buffer(left, right)
     outcome = _match(cat, n, l, tol)
     if outcome is None:
         return None
-    x, v, u, y = _split(cat, n, l)
     # built as AsymToeplitz._trusted builds a matrix, skipping the frozen
     # dataclass's __init__, which sets each field through object.__setattr__
     cert = object.__new__(ProductCertificate)

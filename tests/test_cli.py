@@ -586,6 +586,21 @@ class TestDisplacement:
         D = parse_matrix(json.loads(capsys.readouterr().out))
         assert np.array_equal(D, tc.displacement_dense(A.to_dense()))
 
+    def test_overflowing_displacement_is_one_error_line(self, tmp_path):
+        # 1e308 - (-1e308) overflows: the non-finite check reports it alone,
+        # with no NumPy warning before it, in a fresh process
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, np.array([[1e308, 0], [0, -1e308]], dtype=complex))
+        proc = subprocess.run([sys.executable, "-m", "toepcert", "displacement", str(f)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        # a library caller still gets NumPy's warning
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            tc.displacement_dense(tc.load_matrix(f))
+
 
 class TestParserReuse:
     """The parser is built once per process; a call must not see the last one.

@@ -356,13 +356,14 @@ def test_unfilled_buffers_are_written_in_full(monkeypatch):
 
 
 def test_large_decision_peak_memory():
-    """One large H·T decision peaks at 40 bytes or less per buffer entry.
+    """One large H·T decision peaks at 36 bytes or less per buffer entry.
 
     The buffer (x, v, u, y) holds 2(n + l) complex entries, 16 bytes each.
-    The match adds their moduli (8 bytes per entry) and the defects and
-    their moduli over half as many entries (12 bytes per buffer entry):
-    36 bytes in all.  Defects written next to the scaled sides, in a
-    second buffer of full size with a modulus of its own, would make 48.
+    The match adds their moduli (8 bytes per entry) and the defects over
+    half as many entries (8 bytes per buffer entry), whose moduli overwrite
+    the first half of the first: 32 bytes in all.  Defects written next to
+    the scaled sides, in a second buffer of full size with a modulus of its
+    own, would make 48.
     """
     n, m, l = 4096, 1024, 2048
     A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, n, m, l, seed=12))
@@ -375,4 +376,4 @@ def test_large_decision_peak_memory():
     finally:
         tracemalloc.stop()
     assert cert is not None
-    assert peak <= 40 * 2 * (n + l), peak / (2 * (n + l))
+    assert peak <= 36 * 2 * (n + l), peak / (2 * (n + l))

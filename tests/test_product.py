@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import statistics
 import time
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepcert as tc
+from toepcert import product
 from toepcert.hankel import hankel_product_is_toeplitz, hankel_times_toeplitz_is_hankel
 from toepcert.product import (
     ProductCertificate,
@@ -219,6 +221,66 @@ def _check_against_reference(x, y, xp, yp, tol, lam):
         cert = ProductCertificate(tc.Regime.R1, x, y, xp, yp, claimed, 0, 0)
         for check_tol in (tol, tc.Tolerance(4 * tol.atol, tol.rtol / 4)):
             assert cert.verify(check_tol) == reference_verify(cert, check_tol)
+
+
+class TestOutcomesBuiltWithoutInit:
+    """Outcomes filled in without the frozen dataclass's ``__init__`` are
+    proper :class:`RankOneOutcome` values: equal to and hashing as the ones
+    built through it, frozen, and answering both predicates."""
+
+    @staticmethod
+    def assert_proper(out, lam, vanished=()):
+        built = RankOneOutcome(lam) if lam is not None else RankOneOutcome(None, vanished)
+        assert type(out) is RankOneOutcome
+        assert out == built and hash(out) == hash(built)
+        assert (out.lam, out.vanished) == (lam, vanished)
+        assert out.is_proportional is (lam is not None)
+        assert out.is_both_zero is (lam is None)
+        for name in ("lam", "vanished"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(out, name, 1)
+
+    def test_product_is_toeplitz(self):
+        A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 3, 5, lam=2.0, seed=4))
+        cert = tc.product_is_toeplitz(A, B, EXACT)
+        self.assert_proper(cert.outcome, cert.lam)
+        assert cert.lam == 2.0
+        cert = tc.product_is_toeplitz(tc.AsymToeplitz.eye(3, 5), tc.AsymToeplitz.eye(5, 4), EXACT)
+        self.assert_proper(cert.outcome, None, cert.outcome.vanished)
+        assert cert.outcome.vanished
+
+    def test_rank_one_equal(self):
+        self.assert_proper(rank_one_equal([0, 2], [0, 3], [0, 1], [0, 6], EXACT), 2)
+        self.assert_proper(rank_one_equal([0, 0], [0, 5], [0, 7], [0, 0], EXACT),
+                           None, ("x", "yp"))
+
+    def test_verify(self, monkeypatch):
+        A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R3, 3, 4, 6, lam=1j, seed=5))
+        cert = tc.product_is_toeplitz(A, B, EXACT)
+        match = product._match
+        outs = []
+
+        def recording_match(*args):
+            outs.append(match(*args))
+            return outs[-1]
+
+        monkeypatch.setattr(product, "_match", recording_match)
+        assert cert.verify(EXACT)
+        assert len(outs) == 1
+        self.assert_proper(outs[0], cert.lam)
+
+    def test_is_isometry_match(self):
+        shift = tc.AsymToeplitz(5, 3, 0.0, [0, 0, 1j, 0, 0], np.zeros(3))
+        cert = tc.is_isometry(shift, EXACT)
+        assert cert.accepted
+        self.assert_proper(cert.match, None, cert.match.vanished)
+        cert = tc.is_isometry(tc.AsymToeplitz.eye(3, 3), EXACT)
+        assert cert.accepted and cert.match.is_both_zero
+        # the rotation by 0.6 + 0.8i: alpha = -w
+        A = tc.AsymToeplitz(2, 2, 0.6, [0, 0.8], [0, -0.8])
+        cert = tc.is_isometry(A, EXACT)
+        assert cert.lam == -1
+        self.assert_proper(cert.match, cert.lam)
 
 
 class TestClassifyRegime:
