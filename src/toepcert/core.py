@@ -394,10 +394,12 @@ def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool) -> tuple[int, int]
     if n == 1 or m == 1:
         return None
     thr = tol.threshold(float(np.max(np.abs(M))))
-    if hankel:
-        bad = np.abs(M[1:, :-1] - M[:-1, 1:]) > thr
-    else:
-        bad = np.abs(M[1:, 1:] - M[:-1, :-1]) > thr
+    # a difference of finite entries beyond float64's range is inf, a break
+    with np.errstate(over="ignore"):
+        if hankel:
+            bad = np.abs(M[1:, :-1] - M[:-1, 1:]) > thr
+        else:
+            bad = np.abs(M[1:, 1:] - M[:-1, :-1]) > thr
     k = int(np.argmax(bad))
     if not bad.flat[k]:
         return None

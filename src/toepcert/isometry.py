@@ -14,15 +14,19 @@ The conditions are tested in order of cost, each only when the ones before
 it pass; a failure of one of the first four rejects with no residual
 computed:
 
-1. the self-match, in O(n + m);
-2. |lam| = 1 within ``tol.atol`` when the match is proportional (lam = 0
-   when both sides vanish);
-3. the residual's entry 0, (c - 1) / 2, within ``tol.atol``, for c the
+1. n >= m, in O(1): a wide matrix (n < m) has A* A of rank at most n < m,
+   so it is never the identity;
+2. the residual's entry 0, (c - 1) / 2, within ``tol.atol``, for c the
    first column's squared norm, one dot a0.real**2 + a0.imag**2 +
    vdot(a, a).real;
-4. n >= m: a wide matrix (n < m) has A* A of rank at most n < m, so it is
-   never the identity;
+3. the self-match, in O(n + m);
+4. |lam| = 1 within ``tol.atol`` when the match is proportional (lam = 0
+   when both sides vanish);
 5. the rest of the residual, within ``tol.atol``.
+
+A certificate rejected by 1 or 2 has made no self-match: it keeps the
+matrix and the tolerance, and makes the match, bit for bit the one the
+decision would have made, when ``match``, ``w`` or ``lam`` is first read.
 
 The residual's one matrix-vector product is A0* a, with A0 = A - a0 I_{n,m}
 the corner-free part; the corner's terms are added outside any FFT, so a
@@ -60,7 +64,8 @@ dense exact isometries; a band for rounded quantities is ROADMAP.md item 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -204,21 +209,37 @@ def _support(a: np.ndarray) -> tuple[int, int]:
 class IsometryCertificate:
     """Outcome of the structured check A* A == I_m.
 
-    ``w`` is the comparison vector of the pair (A*, A), with the conjugated
-    corner at index n when the matrix is ``wide`` (n < m).  ``match`` is
-    the rank-one self-match of the row parameters against ``w``, or ``None``
-    when it fails.  ``column_norm_sq`` is the squared norm of the first
-    column.  ``residual_norm`` is ``None`` when a test before the residual
-    decided the verdict.  For a Hankel matrix H = C P_m it describes the
-    stored core C.
+    ``wide`` says the matrix has fewer rows than columns (n < m).
+    ``column_norm_sq`` is the squared norm of the first column.
+    ``residual_norm`` is ``None`` when a test before the residual decided
+    the verdict.  ``w`` is the comparison vector of the pair (A*, A), with
+    the conjugated corner at index n when the matrix is wide.  ``match`` is
+    the rank-one self-match of the row parameters against ``w``, or
+    ``None`` when it fails.  The decision makes both when it reaches the
+    self-match; a certificate rejected before it, as wide or by its column
+    norm, makes them on the first read of ``match``, ``w`` or ``lam``, from
+    the matrix and tolerance it keeps, and keeps them.  For a Hankel matrix
+    H = C P_m it describes the stored core C.
     """
 
     accepted: bool
     wide: bool
-    w: np.ndarray
-    match: RankOneOutcome | None
     residual_norm: float | None
     column_norm_sq: float
+    _toeplitz: AsymToeplitz = field(repr=False)
+    _tol: Tolerance = field(repr=False)
+
+    @cached_property
+    def _matched(self) -> tuple[RankOneOutcome | None, np.ndarray]:
+        return _self_match(self._toeplitz, self._tol)
+
+    @property
+    def match(self) -> RankOneOutcome | None:
+        return self._matched[0]
+
+    @property
+    def w(self) -> np.ndarray:
+        return self._matched[1]
 
     @property
     def lam(self) -> complex | None:
@@ -229,25 +250,30 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
                 tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
     """Certify whether M* M equals the identity, without forming M* M.
 
-    ``M`` is a compact Toeplitz or Hankel matrix.  Accepts iff the
-    self-match holds with |lam| = 1 (or degenerates to zero on both sides)
-    and the residual vanishes, all within ``tol``, tested in the order the
-    module docstring gives.  Agrees with the dense oracle on M* M - I_m.
+    ``M`` is a compact Toeplitz or Hankel matrix.  Accepts iff M is not
+    wide, its first column has unit norm, the self-match holds with
+    |lam| = 1 (or degenerates to zero on both sides) and the residual
+    vanishes, all within ``tol``, tested in the order the module docstring
+    gives.  Agrees with the dense oracle on M* M - I_m.
     """
     A, _ = _toeplitz_form(M)
-    match, w = _self_match(A, tol)
     wide = A.n < A.m
     column_norm_sq = _column_norm_sq(A)
-    if match is None:
-        return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
-    if ((match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol)
-            or abs(column_norm_sq - 1.0) / 2.0 > tol.atol or wide):
-        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
+    # filled in as product_is_toeplitz fills a certificate, with no
+    # frozen-dataclass __init__; it rejects unless the residual accepts
+    cert = object.__new__(IsometryCertificate)
+    cert.__dict__.update(accepted=False, wide=wide, residual_norm=None,
+                         column_norm_sq=column_norm_sq, _toeplitz=A, _tol=tol)
+    if wide or abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
+        return cert
+    match, w = cert.__dict__["_matched"] = _self_match(A, tol)
+    if match is None or (match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol):
+        return cert
     lam = match.lam if match.is_proportional else 0.0
     residual = isometry_residual(A, (column_norm_sq, lam, w))
     residual_norm = float(np.maximum.reduce(np.abs(residual)))
-    return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
-                               residual_norm, column_norm_sq)
+    cert.__dict__.update(accepted=residual_norm <= tol.atol, residual_norm=residual_norm)
+    return cert
 
 
 def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:

@@ -7,7 +7,7 @@ route.
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +19,6 @@ from toepcert import cli
 from toepcert.core import CDTYPE, as_dense
 from toepcert.families import SpecificationError, _fill
 from toepcert.io import MatrixFileError, parse_matrix
-from toepcert.isometry import IsometryCertificate
 from toepcert.product import (
     ProductCertificate,
     RankOneOutcome,
@@ -298,7 +297,23 @@ def isometry_rounding_bound(A: tc.AsymToeplitz) -> float:
     return 16 * np.finfo(float).eps * scale
 
 
-def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCertificate:
+@dataclass(frozen=True)
+class ReferenceIsometry:
+    """What an ``IsometryCertificate`` reports, every field computed eagerly."""
+
+    accepted: bool
+    wide: bool
+    w: np.ndarray
+    match: RankOneOutcome | None
+    residual_norm: float | None
+    column_norm_sq: float
+
+    @property
+    def lam(self) -> complex | None:
+        return None if self.match is None else self.match.lam
+
+
+def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> ReferenceIsometry:
     """``isometry.is_isometry`` from the reference comparison vectors and match.
 
     Builds both comparison vectors of the pair (A*, A) with
@@ -306,13 +321,16 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
     :func:`reference_rank_one_equal` and takes the residual at the next
     power of two.  The decision must give the same ``w``, match and column
     norm bit for bit, the residual norm within rounding, and the same
-    verdict wherever that rounding cannot tip it.  When the match holds with
-    a scalar whose modulus is off 1 by more than ``tol.atol``, or the
-    residual's entry 0, |column_norm_sq - 1| / 2, exceeds ``tol.atol``, the
-    residual norm is reported as ``None``, as the decision reports it; in
-    the second case the residual is still computed and must reject too, up
-    to its rounding.  A wide matrix (n < m) that passes those tests is
-    rejected with ``None`` as well, since A* A has rank at most n < m.
+    verdict wherever that rounding cannot tip it.
+
+    The reference makes every test, in its own order: the match, |lam| = 1,
+    the residual, its entry 0 |column_norm_sq - 1| / 2, and n >= m.  The
+    decision runs the same tests in order of cost, wide and column norm
+    first, and stops at the first that rejects; since it accepts only when
+    all pass, the verdicts agree.  The residual norm is reported only when
+    every other test passes, and is ``None`` otherwise, as the decision
+    reports it.  When the column norm rejects, the residual is still
+    computed here and must reject too, up to its rounding.
     """
     x, y, w, v, _ = reference_comparison_vectors(A.adjoint(), A)
     wide = A.n < A.m
@@ -320,17 +338,17 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> IsometryCer
                            + np.vdot(A.a, A.a).real)
     match = reference_rank_one_equal(x, y, w, v, tol)
     if match is None:
-        return IsometryCertificate(False, wide, w, None, None, column_norm_sq)
+        return ReferenceIsometry(False, wide, w, None, None, column_norm_sq)
     if match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol:
-        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
+        return ReferenceIsometry(False, wide, w, match, None, column_norm_sq)
     residual_norm = float(np.max(np.abs(reference_isometry_residual(A))))
     if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
         assert residual_norm > tol.atol - isometry_rounding_bound(A)
-        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
+        return ReferenceIsometry(False, wide, w, match, None, column_norm_sq)
     if wide:
-        return IsometryCertificate(False, wide, w, match, None, column_norm_sq)
-    return IsometryCertificate(residual_norm <= tol.atol, wide, w, match,
-                               residual_norm, column_norm_sq)
+        return ReferenceIsometry(False, wide, w, match, None, column_norm_sq)
+    return ReferenceIsometry(residual_norm <= tol.atol, wide, w, match,
+                             residual_norm, column_norm_sq)
 
 
 def reference_gen_pair(spec: tc.FamilySpec) -> tuple[tc.AsymToeplitz, tc.AsymToeplitz]:

@@ -75,6 +75,16 @@ class TestCheck:
             assert code == 0
             assert verdict == {"structure": structure, "via": "direct"}
 
+    def test_overflowing_difference_is_a_break_not_a_warning(self, tmp_path):
+        # 1e308 - (-1e308) overflows on the diagonal: a break, so the dense
+        # file is Hankel, and nothing reaches stderr, in a fresh process
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, np.array([[1e308, 0], [0, -1e308]], dtype=complex))
+        proc = subprocess.run([sys.executable, "-m", "toepcert", "check", str(f)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == {"structure": "hankel", "via": "direct"}
+
     def test_malformed_file(self, tmp_path, capsys):
         f = tmp_path / "m.json"
         f.write_text("{broken", encoding="utf-8")
@@ -153,6 +163,16 @@ class TestProduct:
                                   np.eye(5, 4, dtype=complex))
         code, verdict = run(capsys, "product", fa, fb, "--json")
         assert code == 0 and verdict["product"] == "toeplitz"
+
+    def test_overflowing_dense_operand_prints_no_warning(self, tmp_path):
+        # the operand's diagonal difference overflows while from_dense scans
+        # it, which is a break, not a warning: a fresh process's stderr is empty
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        tc.save_matrix(fa, np.array([[1e308, 0], [0, -1e308]], dtype=complex))
+        tc.save_matrix(fb, np.array([[1, 2], [3, 1]], dtype=complex))
+        proc = subprocess.run([sys.executable, "-m", "toepcert", "product", str(fa), str(fb)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "product hankel: no\n", "")
 
     def test_unstructured_dense_input_errors(self, tmp_path, capsys):
         fa, fb = self._write_pair(tmp_path,
@@ -387,6 +407,21 @@ class TestIsometry:
         assert code == 1 and verdict["accepted"] is False
         # the column norm 4 decides before the residual is computed
         assert verdict["residual_norm"] is None and verdict["column_norm_sq"] == 4.0
+
+    @pytest.mark.parametrize("flip, lam", [(None, "[1.0, 0.0]"), (tc.flip_cols, "[1.0, 0.0]"),
+                                           (tc.flip_rows_of, "[1.0, -0.0]")],
+                             ids=["T", "flip_cols", "flip_rows_of"])
+    def test_column_norm_rejection_prints_the_match_lambda(self, tmp_path, capsys, flip, lam):
+        # twice the 4 x 4 cyclic shift: column norm 4 rejects it before the
+        # self-match, whose lambda 1 the command still prints, made when read,
+        # down to the sign of its zero part (flip_rows_of's core is 2 S^T)
+        A = tc.AsymToeplitz(4, 4, 0.0, [0, 2, 0, 0], [0, 0, 0, 2])
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, A if flip is None else flip(A))
+        assert main(["isometry", str(f)]) == 1
+        assert capsys.readouterr().out == (
+            f'{{"accepted": false, "column_norm_sq": 4.0, "lambda": {lam}, '
+            '"residual_norm": null}\n')
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_bad_tolerance_is_input_error(self, tmp_path, capsys, tol):

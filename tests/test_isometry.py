@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import statistics
 import time
 from fractions import Fraction
@@ -478,6 +479,40 @@ def refuse_residual(monkeypatch, reason: str) -> None:
     monkeypatch.setattr(isometry, "isometry_residual", refuse)
 
 
+def decided_before_self_match(monkeypatch, A, tol) -> list:
+    """(certificate, reference) for A, ``flip_cols(A)`` and ``flip_rows_of(A)``,
+    each decided while the self-match refuses to run: wide matrices and
+    column norms off 1 are rejected before it."""
+    cases = [(A, A), (tc.flip_cols(A), A)]
+    H = tc.flip_rows_of(A)
+    cases.append((H, H.core))
+    with monkeypatch.context() as patch:
+        def refuse(*args, **kwargs):
+            raise AssertionError("the self-match ran during the decision")
+
+        patch.setattr(isometry, "_self_match", refuse)
+        certs = [tc.is_isometry(M, tol) for M, _ in cases]
+    return [(cert, reference_is_isometry(core, tol)) for cert, (_, core) in zip(certs, cases)]
+
+
+def assert_match_filled_on_first_read(cert, ref) -> None:
+    """The match and ``w`` an early rejection makes when first read: the
+    reference's bit for bit, the same objects on every read, and kept
+    through ``dataclasses.replace``."""
+    match, w = cert.match, cert.w
+    assert bits(w) == bits(ref.w)
+    assert (match is None) == (ref.match is None)
+    assert bits(cert.lam) == bits(ref.lam)
+    if match is not None:
+        assert match.vanished == ref.match.vanished
+    assert cert.match is match and cert.w is w
+    flipped = dataclasses.replace(cert, accepted=not cert.accepted)
+    assert flipped.accepted is not cert.accepted
+    assert (flipped.wide, flipped.residual_norm) == (cert.wide, cert.residual_norm)
+    assert bits(flipped.column_norm_sq) == bits(cert.column_norm_sq)
+    assert bits(flipped.w) == bits(w) and bits(flipped.lam) == bits(cert.lam)
+
+
 def test_no_residual_after_failed_match(monkeypatch):
     # a failed self-match decides the verdict, so the residual must not run
     refuse_residual(monkeypatch, "after a failed match")
@@ -514,11 +549,13 @@ def test_no_residual_for_wide_matrix(monkeypatch):
                     candidates.append(matched_with_column(column[0], a, m, lam))
     for A in candidates:
         for tol in TOLS:
-            for cert in (tc.is_isometry(A, tol), hankel_is_isometry(tc.flip_cols(A), tol)):
-                assert cert.wide and cert.match is not None
+            for cert, ref in decided_before_self_match(monkeypatch, A, tol):
+                assert cert.wide
                 assert cert.column_norm_sq == 1.0
                 assert cert.accepted is False
                 assert cert.residual_norm is None
+                assert_match_filled_on_first_read(cert, ref)
+                assert cert.match is not None
 
 
 def fitting_shifts(c: complex) -> list[tc.AsymToeplitz]:
@@ -535,11 +572,28 @@ def test_no_residual_after_column_norm_off_one(monkeypatch):
     for c in (0.5, 2.0, 1 + 1e-6, 2j):
         candidates.extend(fitting_shifts(c))
     for A in candidates:
-        for cert in (tc.is_isometry(A), hankel_is_isometry(tc.flip_cols(A))):
+        for cert, ref in decided_before_self_match(monkeypatch, A, tc.DEFAULT_TOL):
             assert cert.accepted is False
             assert cert.residual_norm is None
-            assert cert.match is not None
             assert abs(cert.column_norm_sq - 1.0) / 2.0 > tc.DEFAULT_TOL.atol
+            assert_match_filled_on_first_read(cert, ref)
+            assert cert.match is not None
+
+
+def test_no_self_match_for_random_or_scaled_matrix(monkeypatch):
+    # a random matrix, or a shift scaled off the unit circle, has a column
+    # norm off 1: one dot rejects it, at any size, before the self-match
+    refuse_residual(monkeypatch, "after the column norm decided")
+    candidates = [shift_toeplitz(n, m, k, c)
+                  for n, m, k in ((576, 512, 30), (64, 64, 0), (7, 3, 6))
+                  for c in (2.0, 0.5j)]
+    candidates += [gaussian_toeplitz(n, m, seed=n + m) for n, m in ((576, 512), (9, 4), (3, 7))]
+    for A in candidates:
+        for tol in TOLS:
+            for cert, ref in decided_before_self_match(monkeypatch, A, tol):
+                assert cert.accepted is False and cert.residual_norm is None
+                assert abs(cert.column_norm_sq - 1.0) / 2.0 > tol.atol or cert.wide
+                assert_match_filled_on_first_read(cert, ref)
 
 
 def test_residual_runs_for_column_norm_within_atol(monkeypatch):
