@@ -3,8 +3,11 @@
 Subcommands: ``check`` (structure detection), ``product`` (is the product
 Toeplitz/Hankel, with optional dense-oracle cross-validation),
 ``generate`` (families with guaranteed Toeplitz products), ``isometry``
-and ``displacement``.  Exit codes: 0 predicate true, 1 predicate false,
-2 input error, 3 structured verdict disagrees with the dense oracle.
+and ``displacement``.  ``check`` and ``product`` promote a dense file to
+its compact form the same way, Toeplitz first.  Exit codes: 0 predicate
+true, 1 predicate false, 2 input error, 3 structured verdict disagrees with
+the dense oracle.  :func:`main` keeps NumPy's floating-point warnings off
+stderr.
 """
 
 from __future__ import annotations
@@ -55,15 +58,10 @@ _GENERATE_FORMS = {
 
 def _parse_complex(text: str) -> complex:
     """Parse 're,im' (or a bare real part) into a complex number."""
-    parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ValueError(f"expected a complex number as 're,im', got {text!r}")
+        return complex(*map(float, text.split(",")))  # a third part is a TypeError
+    except (TypeError, ValueError):
+        raise ValueError(f"expected a complex number as 're,im', got {text!r}") from None
 
 
 def _cpair(z: complex | None):
@@ -104,18 +102,16 @@ def _overflow_shift(X: np.ndarray, Y: np.ndarray) -> int:
     return max(0, ex + ey + X.shape[1].bit_length() + 3 - 1024)
 
 
-def _as_structured(obj, tol: Tolerance, name: str):
-    """Promote a dense operand to its compact form, Toeplitz first."""
+def _as_structured(obj, tol: Tolerance):
+    """A file's matrix as read when compact, else promoted Toeplitz first, or None."""
     if not isinstance(obj, np.ndarray):
         return obj
-    try:
-        return AsymToeplitz.from_dense(obj, tol)
-    except StructureError:
-        pass
-    try:
-        return AsymHankel.from_dense(obj, tol)
-    except StructureError:
-        raise ValueError(f"{name}: dense matrix is neither Toeplitz nor Hankel")
+    for kind in (AsymToeplitz, AsymHankel):
+        try:
+            return kind.from_dense(obj, tol)
+        except StructureError:
+            pass
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -124,25 +120,23 @@ def _as_structured(obj, tol: Tolerance, name: str):
 
 def _cmd_check(args) -> int:
     obj = load_matrix(args.file)
-    tol = _tolerance(args)
-    if isinstance(obj, AsymToeplitz):
-        verdict = {"structure": "toeplitz", "via": "direct"}
-    elif isinstance(obj, AsymHankel):
-        verdict = {"structure": "hankel", "via": "direct"}
-    elif dense_is_toeplitz(obj, tol):  # the displacement's interior, diagonal by diagonal
-        verdict = {"structure": "toeplitz", "via": "displacement"}
-    elif dense_is_hankel(obj, tol):
-        verdict = {"structure": "hankel", "via": "direct"}
-    else:
-        verdict = {"structure": "none", "via": "direct"}
-    _emit(verdict)
-    return EXIT_TRUE if verdict["structure"] != "none" else EXIT_FALSE
+    structured = _as_structured(obj, _tolerance(args))
+    structure = ("none" if structured is None
+                 else "hankel" if isinstance(structured, AsymHankel) else "toeplitz")
+    # a promoted dense file is Toeplitz by the displacement's interior, diagonal by diagonal
+    via = "displacement" if structure == "toeplitz" and structured is not obj else "direct"
+    _emit({"structure": structure, "via": via})
+    return EXIT_FALSE if structured is None else EXIT_TRUE
 
 
 def _cmd_product(args) -> int:
     tol = _tolerance(args)
-    left = _as_structured(load_matrix(args.file_a), tol, args.file_a)
-    right = _as_structured(load_matrix(args.file_b), tol, args.file_b)
+    operands = []
+    for path in (args.file_a, args.file_b):  # file_a's error before file_b is read
+        operands.append(_as_structured(load_matrix(path), tol))
+        if operands[-1] is None:
+            raise ValueError(f"{path}: dense matrix is neither Toeplitz nor Hankel")
+    left, right = operands
     mixed = isinstance(left, AsymHankel) != isinstance(right, AsymHankel)
     product_kind = "hankel" if mixed else "toeplitz"
     cert = product_is_toeplitz(left, right, tol)
@@ -210,12 +204,11 @@ def _cmd_generate(args) -> int:
 
 def _cmd_isometry(args) -> int:
     obj = load_matrix(args.file)
-    tol = _tolerance(args)
     if not isinstance(obj, (AsymToeplitz, AsymHankel)):
         raise ValueError(
             "isometry check needs a toeplitz or hankel file; "
             "convert the dense file first (see 'check')")
-    cert = is_isometry(obj, tol)
+    cert = is_isometry(obj, _tolerance(args))
     _emit({
         "accepted": cert.accepted,
         "lambda": _cpair(cert.lam),
@@ -230,11 +223,8 @@ def _cmd_displacement(args) -> int:
     obj = load_matrix(args.file)
     _check_dense_size("displacement", obj.shape)
     dense = obj if isinstance(obj, np.ndarray) else obj.to_dense()
-    # an overflowing difference is refused by matrix_to_text's non-finite
-    # check, with one error line, so NumPy stays quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        displacement = displacement_dense(dense)
-    sys.stdout.write(matrix_to_text(displacement))
+    # an overflowing difference is refused by matrix_to_text's non-finite check
+    sys.stdout.write(matrix_to_text(displacement_dense(dense)))
     return EXIT_TRUE
 
 
@@ -335,7 +325,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_ERROR
     try:
-        return args.func(args)
+        # an overflow is refused or fails a comparison: NumPy's warning only adds to stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (MatrixFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -388,18 +388,24 @@ def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool) -> tuple[int, int]
     Entry (i, j) breaks it when it differs by more than the threshold of
     ``tol`` at M's largest modulus from its predecessor on the same
     diagonal, (i - 1, j - 1), or with ``hankel`` on the same
-    anti-diagonal, (i - 1, j + 1).  None when no entry does.
+    anti-diagonal, (i - 1, j + 1).  None when no entry does.  From a part
+    of 2**1021 up a modulus or a difference may overflow, and an infinite
+    threshold would pass every difference, so M / 4 is scanned with
+    ``atol`` / 4: the same comparisons, exact short of underflow, all finite.
     """
     n, m = M.shape
     if n == 1 or m == 1:
         return None
-    thr = tol.threshold(float(np.max(np.abs(M))))
-    # a difference of finite entries beyond float64's range is inf, a break
-    with np.errstate(over="ignore"):
-        if hankel:
-            bad = np.abs(M[1:, :-1] - M[:-1, 1:]) > thr
-        else:
-            bad = np.abs(M[1:, 1:] - M[:-1, :-1]) > thr
+    top = float(np.max(np.abs(M)))
+    if top >= 2.0 ** 1021 and max(np.abs(M.real).max(), np.abs(M.imag).max()) >= 2.0 ** 1021:
+        M = M * 0.25
+        top = float(np.max(np.abs(M)))
+        tol = Tolerance(atol=tol.atol * 0.25, rtol=tol.rtol)
+    thr = tol.threshold(top)
+    if hankel:
+        bad = np.abs(M[1:, :-1] - M[:-1, 1:]) > thr
+    else:
+        bad = np.abs(M[1:, 1:] - M[:-1, :-1]) > thr
     k = int(np.argmax(bad))
     if not bad.flat[k]:
         return None

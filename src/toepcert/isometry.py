@@ -40,14 +40,15 @@ scaled identity's residual is exact.  It has two routes:
   nonzero support a[lo:hi], from its first to its last nonzero entry: one
   complex and one real FFT of about 2 (hi - lo) points.
 
-The decision takes the autocorrelation when m <= n and hi - lo < 4m, where
-it is the cheaper (measured on dense columns, where hi - lo = n - 1, so
-that is n <= 4m), and when A lies within rounding of the matrix whose row
-parameters are exactly lam w: c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1),
-the drift's norm taken by the same dot as c.  A0* a is linear in alpha and
-||a|| <= c**(1/2), so by Cauchy-Schwarz that bound keeps the two routes'
-residuals within rounding of each other.  Otherwise it convolves, as the
-public :func:`isometry_residual` always does.  FFT lengths are the smallest
+The decision reaches the residual only with n >= m.  It takes the
+autocorrelation when hi - lo < 4m, where it is the cheaper (measured on
+dense columns, where hi - lo = n - 1, so that is n <= 4m), and when A lies
+within rounding of the matrix whose row parameters are exactly lam w:
+c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1), the drift's norm taken by the
+same dot as c.  A0* a is linear in alpha and ||a|| <= c**(1/2), so by
+Cauchy-Schwarz that bound keeps the two routes' residuals within rounding
+of each other.  Otherwise it convolves, as the public
+:func:`isometry_residual` always does.  FFT lengths are the smallest
 2**i * 3**j * 5**k that hold the result.
 
 c is exact whenever every square and partial sum is, as for Gaussian
@@ -108,8 +109,8 @@ def isometry_residual(A: AsymToeplitz, _matched: tuple | None = None) -> np.ndar
     Zero, along with the rank-one self-match, exactly when A is an
     isometry.  Entry 0 is (c - 1) / 2 for c the squared norm of A's first
     column, not the FFT's value.  The public call convolves.
-    :func:`is_isometry` passes ``_matched`` = (c, lam, w), with lam = 0
-    when both sides of the match vanish.
+    :func:`is_isometry` passes ``_matched`` = (c, lam, w) for a matrix with
+    n >= m, with lam = 0 when both sides of the match vanish.
     """
     n, m = A.n, A.m
     column_norm_sq, lam, w = _matched or (_column_norm_sq(A), None, None)
@@ -147,7 +148,7 @@ def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
                           lam: complex, w: np.ndarray) -> bool:
     """Whether :func:`_autocorrelation_term` may stand in for A0* a, by the
     module's route rule for a support of length ``width`` = hi - lo (16 eps = 2**-48)."""
-    if not (A.m <= A.n and width < 4 * A.m):
+    if width >= 4 * A.m:
         return False
     drift = lam * w
     np.subtract(A.alpha, drift, out=drift)

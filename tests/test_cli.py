@@ -39,6 +39,19 @@ def assert_input_error(capsys, *argv):
     return err
 
 
+def run_fresh(*argv):
+    """``python -m toepcert argv`` in a fresh process: (exit code, stdout, stderr)."""
+    proc = subprocess.run([sys.executable, "-m", "toepcert", *map(str, argv)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+# both parts finite, modulus beyond float64's range
+BIG = 1.5e308 + 1.5e308j
+# no constant diagonal or anti-diagonal: (0, 0) and (2, 0) are BIG, (1, 1) is 1
+BIG_UNSTRUCTURED = np.array([[BIG, 7, BIG], [5, 1, -2], [BIG, 8, -BIG]])
+
+
 class TestCheck:
     def test_dense_identity(self, tmp_path, capsys):
         f = tmp_path / "m.json"
@@ -84,6 +97,46 @@ class TestCheck:
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout) == {"structure": "hankel", "via": "direct"}
+
+    def test_overflowing_modulus_is_not_structure(self, tmp_path):
+        # an entry whose modulus overflows must not make every difference
+        # pass; in the second matrix only the anti-diagonals are constant
+        # within rtol * max|M|
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, BIG_UNSTRUCTURED)
+        assert run_fresh("check", f) == (1, '{"structure": "none", "via": "direct"}\n', "")
+        tc.save_matrix(f, np.array([[BIG, 7, 3], [5, 1, -2], [9, 8, 6]]))
+        assert run_fresh("check", f) == (0, '{"structure": "hankel", "via": "direct"}\n', "")
+
+    def test_dense_file_promoted_as_product_promotes_it(self, tmp_path, capsys, monkeypatch,
+                                                        rng):
+        # check answers through the promotion product uses, not the dense scans
+        def refuse(*args, **kwargs):
+            raise AssertionError("check called a dense scan")
+
+        monkeypatch.setattr(cli, "dense_is_toeplitz", refuse)
+        monkeypatch.setattr(cli, "dense_is_hankel", refuse)
+        T = tc.random_toeplitz(rng, 3, 4)
+        f = tmp_path / "m.json"
+        for M, code, verdict in (
+                (T.to_dense(), 0, {"structure": "toeplitz", "via": "displacement"}),
+                (tc.flip_cols(T).to_dense(), 0, {"structure": "hankel", "via": "direct"}),
+                (np.array([[1, 2], [3, 4]], dtype=complex), 1,
+                 {"structure": "none", "via": "direct"})):
+            tc.save_matrix(f, M)
+            assert run(capsys, "check", str(f)) == (code, verdict)
+
+    def test_dense_toeplitz_and_hankel_is_toeplitz(self, tmp_path, capsys):
+        # a constant matrix or a single row is both; check and product
+        # promote it Toeplitz first
+        f = tmp_path / "m.json"
+        for M in (np.full((3, 3), 2 - 1j), np.array([[1, 2, 3]], dtype=complex)):
+            tc.save_matrix(f, M)
+            assert run(capsys, "check", str(f)) == (
+                0, {"structure": "toeplitz", "via": "displacement"})
+        tc.save_matrix(f, np.full((3, 3), 2 - 1j))
+        code, verdict = run(capsys, "product", str(f), str(f), "--json")
+        assert code == 0 and verdict["product"] == "toeplitz"
 
     def test_malformed_file(self, tmp_path, capsys):
         f = tmp_path / "m.json"
@@ -166,13 +219,29 @@ class TestProduct:
 
     def test_overflowing_dense_operand_prints_no_warning(self, tmp_path):
         # the operand's diagonal difference overflows while from_dense scans
-        # it, which is a break, not a warning: a fresh process's stderr is empty
+        # it, which is a break, not a warning; as the right operand, the
+        # match's defect overflows too, a rejection with NumPy's warning kept
+        # off stderr: a fresh process's stderr is empty in both orders
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
         tc.save_matrix(fa, np.array([[1e308, 0], [0, -1e308]], dtype=complex))
         tc.save_matrix(fb, np.array([[1, 2], [3, 1]], dtype=complex))
-        proc = subprocess.run([sys.executable, "-m", "toepcert", "product", str(fa), str(fb)],
-                              capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "product hankel: no\n", "")
+        for argv in ((fa, fb), (fb, fa)):
+            assert run_fresh("product", *argv) == (1, "product hankel: no\n", "")
+
+    def test_overflowing_modulus_operand_is_input_error(self, tmp_path):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        tc.save_matrix(fa, BIG_UNSTRUCTURED)
+        tc.save_matrix(fb, np.eye(3, dtype=complex))
+        for argv in ((fa, fb), (fb, fa)):
+            code, out, err = run_fresh("product", *argv)
+            assert (code, out) == (2, "")
+            assert err == f"error: {fa}: dense matrix is neither Toeplitz nor Hankel\n"
+
+    def test_unstructured_file_a_reported_before_missing_file_b(self, tmp_path, capsys):
+        fa = tmp_path / "a.json"
+        tc.save_matrix(fa, np.array([[1, 2], [3, 4]], dtype=complex))
+        err = assert_input_error(capsys, "product", str(fa), str(tmp_path / "missing.json"))
+        assert err == f"error: {fa}: dense matrix is neither Toeplitz nor Hankel\n"
 
     def test_unstructured_dense_input_errors(self, tmp_path, capsys):
         fa, fb = self._write_pair(tmp_path,
@@ -775,6 +844,18 @@ class TestParseParity:
 class TestHarness:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_numpy_error_state_restored(self, tmp_path):
+        f = tmp_path / "m.json"
+        tc.save_matrix(f, np.eye(3, dtype=complex))
+        x = tmp_path / "x.json"
+        tc.save_matrix(x, np.array([[1, 2], [3, 4]], dtype=complex))
+        before = np.geterr()
+        for argv, code in ((["check", str(f)], 0), (["check", str(x)], 1),
+                           (["product", str(x), str(f)], 2),
+                           (["check", str(tmp_path / "missing.json")], 2)):
+            assert main(argv) == code
+            assert np.geterr() == before, argv
 
     def test_no_command_is_usage_error(self):
         assert main([]) == 2

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +371,54 @@ class TestDenseOracles:
                 for pair in ((X, np.eye(2)), (np.eye(2), X)):
                     with pytest.raises(ValueError, match=message):
                         tc.dense_mul(*pair)
+
+
+class TestDenseScanScale:
+    """The dense scan on entries whose parts reach 2**1021, where a modulus
+    or a difference of finite entries can pass float64's range."""
+
+    Z = 1.5e308 + 1.5e308j  # both parts finite, modulus beyond float64's range
+
+    def test_overflowing_modulus_breaks_both_kinds(self):
+        z = self.Z
+        M = np.array([[z, 7, z], [5, 1, -2], [z, 8, -z]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not tc.dense_is_toeplitz(M)
+            assert not tc.dense_is_hankel(M)
+            for kind in (tc.AsymToeplitz, tc.AsymHankel):
+                with pytest.raises(tc.StructureError):
+                    kind.from_dense(M)
+
+    def test_overflowing_modulus_keeps_a_toeplitz_matrix(self):
+        z = self.Z
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A = tc.AsymToeplitz.from_dense(np.array([[z, 7], [5, z]]))
+        assert (A.a0, A.a[1], A.alpha[1]) == (z, 5, 7)
+
+    @pytest.mark.parametrize("tol", [EXACT, tc.Tolerance(0.6, 0.0), tc.Tolerance(0.0, 0.05)])
+    def test_verdict_as_at_scale_one(self, rng, tol):
+        # parts up to 15 times 2**1020 come within a factor 1.1 of float64's
+        # largest, where moduli overflow; scaling M and atol by a power of two
+        # must keep every verdict and first break of the unscaled scan
+        for trial in range(40):
+            n, m = rng.integers(2, 6, size=2)
+            d = [1, 1j] @ rng.integers(-15, 16, size=(2, n + m - 1))
+            T = np.array([[d[i - j + m - 1] for j in range(m)] for i in range(n)])
+            for M in (T, np.fliplr(T).copy()):
+                i, j = rng.integers(0, n), rng.integers(0, m)
+                M[i, j] += rng.choice([0, 0.5, 1, 1j, -1])
+                M.real.clip(-15, 15, out=M.real)
+                M.imag.clip(-15, 15, out=M.imag)
+                expected = [tc.core._first_break(M, tol, hankel) for hankel in (False, True)]
+                for k in (1000, 1020):
+                    scaled_tol = tc.Tolerance(tol.atol * 2.0 ** k, tol.rtol)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = [tc.core._first_break(M * 2.0 ** k, scaled_tol, hankel)
+                               for hankel in (False, True)]
+                    assert got == expected, (trial, k)
 
 
 class TestShiftIdentityAlgebra:
