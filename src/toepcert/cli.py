@@ -3,8 +3,9 @@
 Subcommands: ``check`` (structure detection), ``product`` (is the product
 Toeplitz/Hankel, with optional dense-oracle cross-validation),
 ``generate`` (families with guaranteed Toeplitz products), ``isometry``
-and ``displacement``.  ``check`` and ``product`` promote a dense file to
-its compact form the same way, Toeplitz first.  Exit codes: 0 predicate
+and ``displacement``.  ``check``, ``product`` and ``isometry`` take
+``--tol`` and promote a dense file to its compact form the same way,
+Toeplitz first; only ``product`` takes ``--json``.  Exit codes: 0 predicate
 true, 1 predicate false, 2 input error, 3 structured verdict disagrees with
 the dense oracle.  :func:`main` keeps NumPy's floating-point warnings off
 stderr.
@@ -114,6 +115,14 @@ def _as_structured(obj, tol: Tolerance):
     return None
 
 
+def _load_structured(path: str, tol: Tolerance):
+    """:func:`_as_structured` of the file at ``path``, where None is an input error."""
+    structured = _as_structured(load_matrix(path), tol)
+    if structured is None:
+        raise ValueError(f"{path}: dense matrix is neither Toeplitz nor Hankel")
+    return structured
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -131,12 +140,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_product(args) -> int:
     tol = _tolerance(args)
-    operands = []
-    for path in (args.file_a, args.file_b):  # file_a's error before file_b is read
-        operands.append(_as_structured(load_matrix(path), tol))
-        if operands[-1] is None:
-            raise ValueError(f"{path}: dense matrix is neither Toeplitz nor Hankel")
-    left, right = operands
+    # in file order, so file_a's error comes before file_b is read
+    left, right = (_load_structured(path, tol) for path in (args.file_a, args.file_b))
     mixed = isinstance(left, AsymHankel) != isinstance(right, AsymHankel)
     product_kind = "hankel" if mixed else "toeplitz"
     cert = product_is_toeplitz(left, right, tol)
@@ -203,12 +208,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_isometry(args) -> int:
-    obj = load_matrix(args.file)
-    if not isinstance(obj, (AsymToeplitz, AsymHankel)):
-        raise ValueError(
-            "isometry check needs a toeplitz or hankel file; "
-            "convert the dense file first (see 'check')")
-    cert = is_isometry(obj, _tolerance(args))
+    tol = _tolerance(args)
+    cert = is_isometry(_load_structured(args.file, tol), tol)
     _emit({
         "accepted": cert.accepted,
         "lambda": _cpair(cert.lam),
@@ -238,12 +239,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     Built once per process; parsing leaves them unchanged.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9, metavar="T",
-                        help="comparison tolerance, used as both atol and rtol "
-                             "(default 1e-9)")
-    common.add_argument("--json", action="store_true",
-                        help="emit a machine-readable JSON verdict")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tol", type=float, default=1e-9, metavar="T",
+                           help="comparison tolerance, used as both atol and rtol "
+                                "(default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="toepcert",
@@ -255,22 +254,23 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                "for the certificate vectors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[tolerance],
                        help="detect toeplitz/hankel structure in a matrix file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("product", parents=[common],
+    p = sub.add_parser("product", parents=[tolerance],
                        help="decide whether the product of two matrix files "
                             "is Toeplitz (Hankel for mixed kinds)")
     p.add_argument("file_a")
     p.add_argument("file_b")
+    p.add_argument("--json", action="store_true",
+                   help="emit a machine-readable JSON verdict")
     p.add_argument("--oracle", action="store_true",
                    help="cross-validate against the dense product")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="write a factor pair whose product is Toeplitz")
+    p = sub.add_parser("generate", help="write a factor pair whose product is Toeplitz")
     p.add_argument("--regime", required=True,
                    choices=["r1", "r2", "r3", "r4", *_GENERATE_FORMS],
                    help="size regime for proportional pairs, or a degenerate "
@@ -288,12 +288,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     p.add_argument("--out-b", required=True, help="output file for the right factor")
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("isometry", parents=[common],
+    p = sub.add_parser("isometry", parents=[tolerance],
                        help="certify orthonormal columns of a toeplitz/hankel file")
     p.add_argument("file")
     p.set_defaults(func=_cmd_isometry)
 
-    p = sub.add_parser("displacement", parents=[common],
+    p = sub.add_parser("displacement",
                        help="print the displacement of a matrix file as a "
                             "dense matrix file")
     p.add_argument("file")

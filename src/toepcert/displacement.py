@@ -4,15 +4,15 @@ The displacement of an n x m matrix is the matrix minus its own copy
 shifted one step down the main diagonal.  It vanishes outside the first
 row and column exactly when the matrix is Toeplitz.  The package detects
 Toeplitz matrices with ``dense_is_toeplitz`` alone;
-:func:`is_toeplitz_by_displacement` is the same scan under a name that the
-benchmark's tracer (``bench/spans.py``) looks up, and exists only for it.
+:func:`is_toeplitz_by_displacement` is that scan at the default tolerance,
+kept only for the benchmark's tracer (``bench/spans.py``), which resolves it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DEFAULT_TOL, Tolerance, as_dense, dense_is_toeplitz
+from .core import as_dense, dense_is_toeplitz
 
 __all__ = [
     "displacement_dense",
@@ -33,8 +33,8 @@ def displacement_dense(M) -> np.ndarray:
     return out
 
 
-def is_toeplitz_by_displacement(M, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the displacement vanishes (within ``tol``) outside the first
-    row and column: its interior entry (i, j) is the diagonal difference
-    M[i, j] - M[i-1, j-1], so this is ``dense_is_toeplitz``'s scan."""
-    return dense_is_toeplitz(M, tol)
+def is_toeplitz_by_displacement(M) -> bool:
+    """Whether the displacement vanishes outside the first row and column,
+    within the default tolerance: its interior entries are the diagonal
+    differences M[i, j] - M[i-1, j-1], so this is ``dense_is_toeplitz(M)``."""
+    return dense_is_toeplitz(M)

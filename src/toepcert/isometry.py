@@ -277,7 +277,7 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
     return cert
 
 
-def hankel_is_isometry(H: AsymHankel, tol: Tolerance = DEFAULT_TOL) -> IsometryCertificate:
-    """:func:`is_isometry` of a compact Hankel matrix, decided on its core;
-    kept only for the benchmark (``bench/``), which calls and traces it."""
-    return is_isometry(H.core, tol)
+def hankel_is_isometry(H: AsymHankel) -> IsometryCertificate:
+    """:func:`is_isometry` of a compact Hankel matrix at the default tolerance,
+    decided on its core; kept only for the benchmark (``bench/``), which calls it."""
+    return is_isometry(H.core)

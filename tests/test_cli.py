@@ -11,7 +11,6 @@ import toepcert as tc
 from toepcert import cli
 from toepcert.cli import main
 from toepcert.families import gen_isometry
-from toepcert.isometry import hankel_is_isometry
 from helpers import (
     EXACT,
     factors_of,
@@ -506,10 +505,17 @@ class TestIsometry:
         code, verdict = run(capsys, "isometry", str(f))
         assert code == 1 and verdict["residual_norm"] is None
 
-    def test_dense_kind_rejected(self, tmp_path):
+    def test_dense_kind_rejected(self, tmp_path, capsys):
+        # a dense file is promoted within --tol, as check and product promote
+        # it: the identity with one diagonal entry off by 1e-6 is neither
+        # kind under the default tolerance, and the identity under 1e-3
+        M = np.eye(3, dtype=complex)
+        M[2, 2] += 1e-6
         f = tmp_path / "m.json"
-        tc.save_matrix(f, np.eye(2, dtype=complex))
-        assert main(["isometry", str(f)]) == 2
+        tc.save_matrix(f, M)
+        assert_input_error(capsys, "isometry", str(f))
+        code, verdict = run(capsys, "isometry", str(f), "--tol", "1e-3")
+        assert code == 0 and verdict["accepted"] is True and verdict["residual_norm"] == 0.0
 
     def test_malformed(self, tmp_path):
         f = tmp_path / "m.json"
@@ -517,9 +523,9 @@ class TestIsometry:
         assert main(["isometry", str(f)]) == 2
 
     @pytest.mark.parametrize("flip", [tc.flip_cols, tc.flip_rows_of])
-    def test_hankel_file_same_as_hankel_is_isometry(self, tmp_path, capsys, flip):
+    def test_hankel_file_same_as_is_isometry(self, tmp_path, capsys, flip):
         # one call decides both compact kinds; a Hankel file's JSON is
-        # that of hankel_is_isometry's certificate
+        # that of is_isometry's certificate of the loaded matrix
         rng = np.random.default_rng(5)
         cases = [tc.AsymToeplitz.from_dense(unit_isometry_dense()),
                  tc.AsymToeplitz(40, 24, 0.0, np.eye(40)[3] * 1j, np.zeros(24)),
@@ -527,7 +533,7 @@ class TestIsometry:
         for A in cases:
             f = tmp_path / "h.json"
             tc.save_matrix(f, flip(A))
-            cert = hankel_is_isometry(tc.load_matrix(f))
+            cert = tc.is_isometry(tc.load_matrix(f))
             expected = json.dumps({"accepted": cert.accepted,
                                    "lambda": None if cert.lam is None
                                    else [cert.lam.real, cert.lam.imag],
@@ -582,11 +588,33 @@ class TestIsometry:
         assert verdict["column_norm_sq"] is None and verdict["residual_norm"] is None
 
     def test_dense_kind_is_one_error_line(self, tmp_path, capsys):
+        # a dense file that is neither kind gets product's message
         f = tmp_path / "m.json"
-        tc.save_matrix(f, unit_isometry_dense())
+        tc.save_matrix(f, np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
         assert assert_input_error(capsys, "isometry", str(f)) == (
-            "error: isometry check needs a toeplitz or hankel file; "
-            "convert the dense file first (see 'check')\n")
+            f"error: {f}: dense matrix is neither Toeplitz nor Hankel\n")
+
+    def test_dense_file_same_as_compact(self, tmp_path, capsys):
+        # a dense Toeplitz or Hankel file prints the bytes and exit code of
+        # its compact form: accepted, the 3 x 2 worked example, the 3 x 3
+        # identity, a shift's two Hankel forms and the worked example's row
+        # flip; rejected, 2 I and a random Toeplitz matrix
+        U = tc.AsymToeplitz.from_dense(unit_isometry_dense())
+        S = tc.AsymToeplitz(6, 4, 0.0, np.eye(6)[2] * 1j, np.zeros(4))
+        cases = [U, tc.AsymToeplitz.eye(3, 3), tc.flip_cols(S), tc.flip_rows_of(S),
+                 tc.flip_rows_of(U), tc.AsymToeplitz(2, 2, 2.0, [0, 0], [0, 0]),
+                 tc.random_toeplitz(np.random.default_rng(4), 5, 3)]
+        codes = []
+        for M in cases:
+            results = []
+            for obj in (M, M.to_dense()):
+                f = tmp_path / "m.json"
+                tc.save_matrix(f, obj)
+                results.append((main(["isometry", str(f)]), capsys.readouterr()))
+            assert results[0] == results[1], M
+            assert results[0][1].err == ""
+            codes.append(results[0][0])
+        assert codes == [0, 0, 0, 0, 0, 1, 1]
 
 
 class TestHostileFiles:
@@ -764,6 +792,7 @@ class TestParseParity:
     CORPUS = [
         ["check", "{t}"],
         ["check", "{t}", "--json", "--tol", "1e-3"],
+        ["check", "{t}", "--tol", "1e-3"],
         ["product", "{a}", "{b}"],
         ["product", "{a}", "{b}", "--oracle", "--json"],
         ["product", "--json", "{a}", "{b}"],
@@ -844,6 +873,51 @@ class TestParseParity:
 class TestHarness:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    # a valid call of each subcommand; {t} is the 3 x 3 identity
+    VALID = {
+        "check": ["{t}"], "product": ["{t}", "{t}"], "isometry": ["{t}"],
+        "displacement": ["{t}"],
+        "generate": ["--regime", "r1", "-n", "3", "-m", "5", "-l", "4",
+                     "--out-a", "{out}", "--out-b", "{out}"],
+    }
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        paths = {"t": str(tmp_path / "t.json"), "out": str(tmp_path / "out.json")}
+        tc.save_matrix(paths["t"], tc.AsymToeplitz.eye(3, 3))
+        return paths
+
+    @pytest.mark.parametrize("command", VALID)
+    def test_every_option_is_read(self, paths, capsys, command):
+        # each subcommand's parser, and so its -h, holds only what its
+        # command function reads from the parsed arguments
+        parser = cli._build_parser()[1][command]
+        args = parser.parse_args([arg.format(**paths) for arg in self.VALID[command]])
+        read = set()
+
+        class Recording:
+            def __getattr__(self, name):
+                read.add(name)
+                return getattr(args, name)
+
+        assert args.func(Recording()) == 0
+        capsys.readouterr()
+        assert read == {action.dest for action in parser._actions if action.dest != "help"}
+
+    @pytest.mark.parametrize("command, option", [
+        ("check", ["--json"]), ("isometry", ["--json"]), ("displacement", ["--json"]),
+        ("displacement", ["--tol", "1"]), ("generate", ["--json"]), ("generate", ["--tol", "1"])],
+        ids=lambda value: value if isinstance(value, str) else value[0])
+    def test_option_the_command_would_ignore_is_usage_error(self, paths, capsys,
+                                                             command, option):
+        argv = [command, *(arg.format(**paths) for arg in self.VALID[command]), *option]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not os.path.exists(paths["out"])
+        usage, error = captured.err.splitlines()
+        assert usage.startswith("usage: toepcert")
+        assert error == f"toepcert: error: unrecognized arguments: {' '.join(option)}"
 
     def test_numpy_error_state_restored(self, tmp_path):
         f = tmp_path / "m.json"

@@ -1,5 +1,6 @@
 import bisect
 import dataclasses
+import inspect
 import statistics
 import time
 from fractions import Fraction
@@ -11,11 +12,7 @@ from hypothesis import given, settings, strategies as st
 import toepcert as tc
 from toepcert import isometry
 from toepcert.families import gen_isometry
-from toepcert.isometry import (
-    _fft_length,
-    hankel_is_isometry,
-    isometry_residual,
-)
+from toepcert.isometry import _fft_length, isometry_residual
 from toepcert.product import _match
 from helpers import (
     CORNER_SHAPES,
@@ -151,11 +148,11 @@ def bits(value) -> bytes | None:
 
 
 def assert_matches_reference(A, tol):
-    """``is_isometry`` on A and ``hankel_is_isometry`` on ``flip_rows_of(A)``
-    against the reference; returns the Hankel matrix and its certificate."""
+    """``is_isometry`` on A and on ``flip_rows_of(A)`` against the reference;
+    returns the Hankel matrix and its certificate."""
     # H = C P_m is decided on its stored core C = P_n A P_m
     H = tc.flip_rows_of(A)
-    hankel = hankel_is_isometry(H, tol)
+    hankel = tc.is_isometry(H, tol)
     for cert, ref, core in ((tc.is_isometry(A, tol), reference_is_isometry(A, tol), A),
                             (hankel, reference_is_isometry(H.core, tol), H.core)):
         assert cert.wide == ref.wide
@@ -465,7 +462,7 @@ def test_self_match_equals_full_buffer_match(n, m, seed, scale_exp, kind):
                                              A.alpha + noise * scale * 2.0 ** k))
         for B in cases:
             full = _match(full_self_pair_buffer(B), m, m, tol)
-            for cert in (tc.is_isometry(B, tol), hankel_is_isometry(tc.flip_cols(B), tol)):
+            for cert in (tc.is_isometry(B, tol), tc.is_isometry(tc.flip_cols(B), tol)):
                 assert (cert.match is None) == (full is None)
                 if full is not None:
                     assert lam_bits(cert.lam) == lam_bits(full.lam)
@@ -528,7 +525,7 @@ def test_no_residual_after_failed_match(monkeypatch):
                               for k in range(max(n - m + 1, 0), n))
     assert any(A.n < A.m for A in candidates)
     for A in candidates:
-        for cert in (tc.is_isometry(A), hankel_is_isometry(tc.flip_cols(A))):
+        for cert in (tc.is_isometry(A), tc.is_isometry(tc.flip_cols(A))):
             assert cert.accepted is False
             assert cert.residual_norm is None
 
@@ -610,7 +607,7 @@ def test_residual_runs_for_column_norm_within_atol(monkeypatch):
     candidates = fitting_shifts(1 + 1e-12)
     for A in candidates:
         H = tc.flip_cols(A)
-        for cert, M in ((tc.is_isometry(A), A), (hankel_is_isometry(H), H)):
+        for cert, M in ((tc.is_isometry(A), A), (tc.is_isometry(H), H)):
             assert cert.residual_norm is not None
             assert cert.accepted == (dense_defect(M) <= tc.DEFAULT_TOL.atol)
     assert len(calls) == 2 * len(candidates)
@@ -637,7 +634,7 @@ def test_no_residual_after_lambda_off_unit_circle(monkeypatch):
                 a0 = np.sqrt(1.0 - np.sum(np.abs(a) ** 2))
                 cases.append((tc.AsymToeplitz(n, m, a0, a, alpha), tol))
     for A, tol in cases:
-        for cert in (tc.is_isometry(A, tol), hankel_is_isometry(tc.flip_cols(A), tol)):
+        for cert in (tc.is_isometry(A, tol), tc.is_isometry(tc.flip_cols(A), tol)):
             assert cert.accepted is False
             assert cert.residual_norm is None
             assert cert.match is not None and cert.match.is_proportional
@@ -757,7 +754,7 @@ def test_identity_residual_is_exact(n):
     # zero, so the autocorrelation route runs no FFT and its residual is 0
     for m in (n, -(-n // 4)):
         for cert in (tc.is_isometry(tc.AsymToeplitz.eye(n, m), EXACT),
-                     hankel_is_isometry(tc.flip_cols(tc.AsymToeplitz.eye(n, m)), EXACT)):
+                     tc.is_isometry(tc.flip_cols(tc.AsymToeplitz.eye(n, m)), EXACT)):
             assert cert.accepted and cert.residual_norm == 0.0
 
 
@@ -778,7 +775,7 @@ def test_exact_shifts_accepted_exactly():
                     A = shift_toeplitz(n, m, k, c)
                     certs = [tc.is_isometry(A, EXACT)]
                     if rng.random() < 0.125:
-                        certs.append(hankel_is_isometry(tc.flip_cols(A), EXACT))
+                        certs.append(tc.is_isometry(tc.flip_cols(A), EXACT))
                     for cert in certs:
                         assert cert.accepted and cert.residual_norm == 0.0, (n, m, k, c)
                     shifts += 1
@@ -820,7 +817,7 @@ def count_routes(monkeypatch) -> dict:
 def test_route_selection(monkeypatch, n, m, kind, route):
     A = route_case(kind, n, m, np.random.default_rng(n * m))
     counts = count_routes(monkeypatch)
-    certs = (tc.is_isometry(A), hankel_is_isometry(tc.flip_cols(A)))
+    certs = (tc.is_isometry(A), tc.is_isometry(tc.flip_cols(A)))
     accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
     assert accepted is (kind in ("generated", "shift") or (kind == "both-zero" and n == m))
     assert all(cert.accepted is accepted for cert in certs)
@@ -856,7 +853,7 @@ def test_hankel_isometry_builds_no_flipped_core(monkeypatch):
 
     monkeypatch.setattr(tc.AsymToeplitz, "rot180", refuse)
     for H, ref in cases:
-        cert = hankel_is_isometry(H)
+        cert = tc.is_isometry(H)
         assert cert.accepted == ref.accepted
         assert bits(cert.w) == bits(ref.w)
 
@@ -864,8 +861,8 @@ def test_hankel_isometry_builds_no_flipped_core(monkeypatch):
 @pytest.mark.parametrize("tol", [tc.DEFAULT_TOL, EXACT], ids=["default", "exact"])
 @pytest.mark.parametrize("flip", [tc.flip_cols, tc.flip_rows_of])
 def test_is_isometry_takes_either_kind(flip, tol):
-    # is_isometry decides a Hankel matrix on its stored core, as
-    # hankel_is_isometry does: the same certificate, bit for bit
+    # is_isometry decides a Hankel matrix on its stored core: the same
+    # certificate as the core's, bit for bit
     rng = np.random.default_rng(11)
     cases = []
     for n, m in ((37, 10), (64, 48), (50, 50), (9, 9), (3, 7), (40, 53)):
@@ -873,7 +870,7 @@ def test_is_isometry_takes_either_kind(flip, tol):
                   gaussian_toeplitz(n, m, seed=n * m), both_zero_toeplitz(n, m, rng)]
         if m <= n:
             cases.append(gen_isometry(rng, n, m))
-    certs = [(tc.is_isometry(flip(A), tol), hankel_is_isometry(flip(A), tol)) for A in cases]
+    certs = [(tc.is_isometry(flip(A), tol), tc.is_isometry(flip(A).core, tol)) for A in cases]
     assert {cert.accepted for cert, _ in certs} == {True, False}
     assert {cert.wide for cert, _ in certs} == {True, False}
     for cert, ref in certs:
@@ -887,26 +884,45 @@ def test_is_isometry_takes_either_kind(flip, tol):
 class TestHankelIsometry:
     def test_row_flipped_unit_example(self):
         H = tc.flip_rows_of(unit_example())
-        cert = hankel_is_isometry(H, TOL)
+        cert = tc.is_isometry(H, TOL)
         assert cert.accepted
         assert dense_defect(H.to_dense()) <= 1e-12
 
     def test_zero_rejected(self):
         H = tc.flip_cols(tc.AsymToeplitz.zero(3, 2))
-        assert not hankel_is_isometry(H, TOL).accepted
+        assert not tc.is_isometry(H, TOL).accepted
 
     def test_flipped_scalar_one(self):
         H = tc.flip_cols(tc.AsymToeplitz(1, 1, 1.0, [0], [0]))
-        assert hankel_is_isometry(H, TOL).accepted
+        assert tc.is_isometry(H, TOL).accepted
 
     def test_oracle_equivalence(self, rng):
         for _ in range(200):
             n, m = rng.integers(1, 6, size=2)
             H = tc.flip_cols(tc.random_toeplitz(rng, n, m))
-            structured = hankel_is_isometry(H, TOL).accepted
+            structured = tc.is_isometry(H, TOL).accepted
             dense = np.max(np.abs(H.to_dense().conj().T @ H.to_dense()
                                   - np.eye(m))) <= 1e-9
             assert structured == dense
+
+    def test_benchmark_name_decides_through_is_isometry(self, monkeypatch):
+        # the benchmark calls its Hankel isometry name with H alone, and its
+        # self-test flips isometry-large verdicts by patching
+        # isometry.is_isometry, so the name must look it up there, call it
+        # once on H's stored core and return its result
+        decide = isometry.hankel_is_isometry
+        assert list(inspect.signature(decide).parameters) == ["H"]
+        H = tc.flip_cols(shift_toeplitz(5, 3, 1, 1j))
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return calls[-1]
+
+        monkeypatch.setattr(isometry, "is_isometry", recording)
+        result = decide(H)
+        assert len(calls) == 1 and result is calls[0]
+        assert len(calls[0]) == 1 and calls[0][0] is H.core
 
 
 def test_is_isometry_scales_near_linearly():
