@@ -38,18 +38,20 @@ scaled identity's residual is exact.  It has two routes:
   n >= m is a twisted cyclic shift of the first column (Davis, *Circulant
   Matrices*, 1979), and A0* a is read off the autocorrelation of the tail's
   nonzero support a[lo:hi], from its first to its last nonzero entry: one
-  complex and one real FFT of about 2 (hi - lo) points.
+  complex and one real FFT of about 2 (hi - lo) points.  lo and hi take one
+  pass over a's float view, or none if a[1] and a[n - 1] are nonzero.
 
 The decision reaches the residual only with n >= m.  It takes the
 autocorrelation when hi - lo < 4m, where it is the cheaper (measured on
 dense columns, where hi - lo = n - 1, so that is n <= 4m), and when A lies
 within rounding of the matrix whose row parameters are exactly lam w:
 c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1), the drift's norm taken by the
-same dot as c.  A0* a is linear in alpha and ||a|| <= c**(1/2), so by
-Cauchy-Schwarz that bound keeps the two routes' residuals within rounding
-of each other.  Otherwise it convolves, as the public
-:func:`isometry_residual` always does.  FFT lengths are the smallest
-2**i * 3**j * 5**k that hold the result.
+same dot as c.  A both-zero match has lam = 0, so its drift is alpha
+itself, with no product or difference formed.  A0* a is linear in alpha
+and ||a|| <= c**(1/2), so by Cauchy-Schwarz that bound keeps the two
+routes' residuals within rounding of each other.  Otherwise it
+convolves, as the public :func:`isometry_residual` always does.  FFT
+lengths are the smallest 2**i * 3**j * 5**k that hold the result.
 
 c is exact whenever every square and partial sum is, as for Gaussian
 integers times 2**k with parts below 2**20, and otherwise within a 2n-term
@@ -150,8 +152,11 @@ def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
     module's route rule for a support of length ``width`` = hi - lo (16 eps = 2**-48)."""
     if width >= 4 * A.m:
         return False
-    drift = lam * w
-    np.subtract(A.alpha, drift, out=drift)
+    # a both-zero match passes lam = 0: its drift is alpha itself
+    drift = A.alpha
+    if lam != 0:
+        drift = lam * w
+        np.subtract(A.alpha, drift, out=drift)
     drift_sq = float(np.vdot(drift, drift).real)
     return math.sqrt(column_norm_sq * drift_sq) <= 2.0 ** -48 * (column_norm_sq + 1.0)
 
@@ -195,15 +200,16 @@ def _column_norm_sq(A: AsymToeplitz) -> float:
 def _support(a: np.ndarray) -> tuple[int, int]:
     """[lo, hi), the stretch from the first to the last nonzero entry of the
     tail ``a``, or (0, 0) if there is none.  ``a[0]`` is a structural zero,
-    so a tail nonzero at 1 and n - 1, as every dense one, needs no scan."""
+    so a tail nonzero at 1 and n - 1, as every dense one, needs no scan; any
+    other takes one pass over the float view, whose parts 2k, 2k + 1 are a[k]."""
     n = len(a)
     if n > 1 and a[1] and a[-1]:
         return 1, n
-    nonzero = a != 0
+    nonzero = a.view(np.float64).astype(bool)
     lo = int(nonzero.argmax())
     if not nonzero[lo]:
         return 0, 0
-    return lo, n - int(nonzero[::-1].argmax())
+    return lo // 2, n - int(nonzero[::-1].argmax()) // 2
 
 
 @dataclass(frozen=True)

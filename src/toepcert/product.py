@@ -224,6 +224,7 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
     A self pair (xp, y) = (yp, x), with p == q, may pass its first half
     ``cat = (x, yp)`` alone: (xp, y) is then read as that half swapped,
     which gives the outcome, lam and defects of the full buffer bit for bit.
+    lam = x_p / xp_p + 0j has +0 zero parts.
     """
     s = p + q
     mags = np.abs(cat)
@@ -249,7 +250,7 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
         if lhs_zero != rhs_zero:
             return None
         pivot = mags_xp.argmax()
-        lam = complex(cat[pivot] / xp[pivot])
+        lam = complex(cat[pivot] / xp[pivot]) + 0j
     # buf holds the scaled sides (lam xp, conj(lam) y), then the defects
     # (x - lam xp, yp - conj(lam) y) in their place
     buf = np.empty(s, dtype=CDTYPE)

@@ -183,7 +183,8 @@ def reference_rank_one_equal(x, y, xp, yp, tol=tc.DEFAULT_TOL):
     if lhs_zero != rhs_zero:
         return None
     pivot = int(np.argmax(np.abs(xp)))
-    lam = complex(x[pivot] / xp[pivot])
+    # +0j makes a zero part +0, as the fused pass reports it
+    lam = complex(x[pivot] / xp[pivot]) + 0j
     if allclose(tol, x, lam * xp) and allclose(tol, yp, np.conj(lam) * y):
         return RankOneOutcome(lam)
     return None

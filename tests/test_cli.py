@@ -161,6 +161,18 @@ class TestProduct:
         assert verdict["lambda"] == [2.0, 0.0]
         assert verdict["oracle_agrees"] is True
 
+    @pytest.mark.parametrize("sign", [1, -1], ids=["A", "minus_A"])
+    def test_lambda_zero_part_prints_positive(self, tmp_path, capsys, sign):
+        # x_p / u_p is 2 + 0j for this pair and 2 - 0j with A negated; both
+        # print the same lambda
+        A = tc.AsymToeplitz.from_dense(sign * np.array([[4 + 2j], [8 + 4j]]))
+        B = tc.AsymToeplitz.from_dense([[-3j, -1.5j]])
+        fa, fb = self._write_pair(tmp_path, A, B)
+        code, verdict = run(capsys, "product", fa, fb, "--json")
+        assert code == 0 and verdict["case"] == "proportional"
+        assert verdict["lambda"] == [2.0, 0.0]
+        assert np.signbit(verdict["lambda"]).tolist() == [False, False]
+
     def test_identity_pair_both_zero(self, tmp_path, capsys):
         fa, fb = self._write_pair(tmp_path, tc.AsymToeplitz.eye(3, 5),
                                   tc.AsymToeplitz.eye(5, 4))
@@ -476,19 +488,19 @@ class TestIsometry:
         # the column norm 4 decides before the residual is computed
         assert verdict["residual_norm"] is None and verdict["column_norm_sq"] == 4.0
 
-    @pytest.mark.parametrize("flip, lam", [(None, "[1.0, 0.0]"), (tc.flip_cols, "[1.0, 0.0]"),
-                                           (tc.flip_rows_of, "[1.0, -0.0]")],
+    @pytest.mark.parametrize("flip", [None, tc.flip_cols, tc.flip_rows_of],
                              ids=["T", "flip_cols", "flip_rows_of"])
-    def test_column_norm_rejection_prints_the_match_lambda(self, tmp_path, capsys, flip, lam):
+    def test_column_norm_rejection_prints_the_match_lambda(self, tmp_path, capsys, flip):
         # twice the 4 x 4 cyclic shift: column norm 4 rejects it before the
         # self-match, whose lambda 1 the command still prints, made when read,
-        # down to the sign of its zero part (flip_rows_of's core is 2 S^T)
+        # with a +0 zero part for each form, though flip_rows_of's core, 2 S^T,
+        # divides to 1 - 0j
         A = tc.AsymToeplitz(4, 4, 0.0, [0, 2, 0, 0], [0, 0, 0, 2])
         f = tmp_path / "m.json"
         tc.save_matrix(f, A if flip is None else flip(A))
         assert main(["isometry", str(f)]) == 1
         assert capsys.readouterr().out == (
-            f'{{"accepted": false, "column_norm_sq": 4.0, "lambda": {lam}, '
+            '{"accepted": false, "column_norm_sq": 4.0, "lambda": [1.0, 0.0], '
             '"residual_norm": null}\n')
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])

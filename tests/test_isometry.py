@@ -680,21 +680,27 @@ def banded_toeplitz(n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz
     return matched_with_column(complex(column[0]), a, m, np.exp(2j * np.pi * rng.random()))
 
 
+DRIFTS = {"quarter": 0.25, "quadruple": 4.0}
+
+
 def route_case(kind: str, n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
     """A generated isometry (n >= m), a shift by a power of i (n >= m), a
-    both-zero match, a banded unit column, or a matched unit column, exact
-    or drifted to a quarter or 4 times the route bound."""
+    both-zero match, exact or with row parameters below ``atol`` at a
+    quarter or 4 times the route bound ("both-zero-quarter"), a banded unit
+    column, or a matched unit column, exact or drifted to a quarter or
+    4 times the route bound."""
     if kind == "generated":
         return gen_isometry(rng, n, m)
     if kind == "shift":
         return shift_toeplitz(n, m, int(rng.integers(0, n - m + 1)), 1j ** int(rng.integers(4)))
     if kind == "both-zero":
         return both_zero_toeplitz(n, m, rng)
+    if kind.startswith("both-zero-"):
+        return drifted(both_zero_toeplitz(n, m, rng), DRIFTS[kind.removeprefix("both-zero-")], rng)
     if kind == "banded":
         return banded_toeplitz(n, m, rng)
     A = matched_toeplitz(n, m, rng, unit=True)
-    ratio = {"matched": 0.0, "quarter": 0.25, "quadruple": 4.0}[kind]
-    return drifted(A, ratio, rng) if ratio else A
+    return A if kind == "matched" else drifted(A, DRIFTS[kind], rng)
 
 
 PRIMES = [p for p in range(2, 200) if all(p % d for d in range(2, int(p**0.5) + 1))]
@@ -782,6 +788,41 @@ def test_exact_shifts_accepted_exactly():
     assert shifts == 42640
 
 
+@st.composite
+def tails(draw):
+    """A column tail of length n <= 4096, zero at index 0: all zero, one
+    nonzero entry, dense, or nonzero on a random subset.  Each nonzero entry
+    is nonzero in its real part, its imaginary part or both, at a unit,
+    subnormal or huge modulus; every zero part is +0 or -0.0."""
+    n = draw(st.integers(1, 4096))
+    kind = draw(st.sampled_from(("zero", "one", "dense", "subset")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = np.where(rng.random((n, 2)) < 0.5, -0.0, 0.0)
+    nonzero = np.zeros(n, dtype=bool)
+    if kind == "one" and n > 1:
+        nonzero[draw(st.integers(1, n - 1))] = True
+    elif kind == "dense":
+        nonzero[1:] = True
+    elif kind == "subset":
+        nonzero[1:] = rng.random(n - 1) < draw(st.floats(0, 1))
+    # which parts of a nonzero entry are nonzero: real, imaginary or both
+    which = rng.integers(1, 4, size=n)
+    values = rng.choice((1.0, -1.0, 5e-324, 1e300), size=(n, 2))
+    for part in (0, 1):
+        chosen = nonzero & (which >> part & 1).astype(bool)
+        parts[chosen, part] = values[chosen, part]
+    return parts.view(complex)[:, 0]
+
+
+@settings(deadline=None, max_examples=300)
+@given(tails())
+def test_support_is_first_and_last_nonzero(a):
+    # the float view's one pass against the complex comparison
+    nonzero = np.flatnonzero(a != 0)
+    expected = (int(nonzero[0]), int(nonzero[-1]) + 1) if len(nonzero) else (0, 0)
+    assert isometry._support(a) == expected
+
+
 def count_routes(monkeypatch) -> dict:
     counts = {"autocorrelation": 0, "convolution": 0}
     for name in counts:
@@ -813,14 +854,22 @@ def count_routes(monkeypatch) -> dict:
     (3, 4, "matched", "convolution"),
     *((n, m, "generated", "convolution") for n, m in ((9, 2), (201, 50), (2304, 16))),
     (120, 20, "both-zero", "convolution"),
+    # a both-zero match's drift is alpha itself: row parameters below atol
+    # take the route their norm gives, square and tall
+    *((n, m, f"both-zero-{drift}", route) for n, m in ((40, 40), (97, 20))
+      for drift, route in (("quarter", "autocorrelation"), ("quadruple", "convolution"))),
 ])
 def test_route_selection(monkeypatch, n, m, kind, route):
     A = route_case(kind, n, m, np.random.default_rng(n * m))
     counts = count_routes(monkeypatch)
     certs = (tc.is_isometry(A), tc.is_isometry(tc.flip_cols(A)))
     accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
-    assert accepted is (kind in ("generated", "shift") or (kind == "both-zero" and n == m))
+    both_zero = kind.startswith("both-zero")
+    assert accepted is (kind in ("generated", "shift") or (both_zero and n == m))
     assert all(cert.accepted is accepted for cert in certs)
+    if both_zero and n >= m:
+        assert all(cert.match.is_both_zero for cert in certs)
+        assert bool(np.any(A.alpha)) is (kind != "both-zero")
     if n < m:
         # a wide matrix is rejected before either route
         assert all(cert.residual_norm is None for cert in certs)

@@ -38,14 +38,13 @@ def times(c: complex, T: tc.AsymToeplitz) -> tc.AsymToeplitz:
 def outcome(cert):
     """What the relations keep: the verdict, lambda's bits and the vanished names.
 
-    A zero part of lambda keeps its value but not its sign: with A's entries
-    negated, x_p / u_p can round to 2 - 0j where A's gives 2 + 0j.  Adding
-    +0 makes every zero part +0 and leaves the other bits as they are.
+    lambda's bits are compared as returned: a zero part is always +0, so
+    negating A's entries, which can turn x_p / u_p into 2 - 0j, does not
+    show in them.
     """
     if cert is None:
         return None
-    lam = None if cert.lam is None else cert.lam + 0j
-    return cert.regime, lam_bits(lam), cert.outcome.vanished
+    return cert.regime, lam_bits(cert.lam), cert.outcome.vanished
 
 
 @st.composite
