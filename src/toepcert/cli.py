@@ -32,7 +32,7 @@ from .core import (
 )
 from .displacement import displacement_dense
 from .families import FamilySpec, gen_degenerate, gen_pair
-from .io import MatrixFileError, load_matrix, matrix_to_text, save_matrix
+from .io import load_matrix, matrix_to_text, save_matrix
 from .isometry import is_isometry
 from .product import Regime, product_is_toeplitz
 
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
         # an overflow is refused or fails a comparison: NumPy's warning only adds to stderr
         with np.errstate(over="ignore", invalid="ignore"):
             return args.func(args)
-    except (MatrixFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except MemoryError as exc:

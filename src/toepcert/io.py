@@ -160,7 +160,7 @@ def _decoded(text: str) -> dict | None:
 
 def _flat_entries(items, count: int, where: str) -> np.ndarray:
     """A pair array from :func:`_decoded` when its count holds, else :func:`_parse_entries`."""
-    if type(items) is np.ndarray and len(items) == count:
+    if type(items) is np.ndarray and items.shape == (count,) and items.dtype == CDTYPE:
         return items
     return _parse_entries(items, count, where)
 
@@ -169,13 +169,9 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     """Validate a decoded matrix document and build the typed value.
 
     Unknown keys are rejected; the corner-sharing invariants are enforced
-    exactly.
+    exactly.  Pair arrays are read by :func:`_flat_entries`: a complex array
+    of the right count, as :func:`_decoded` leaves one, is taken as it stands.
     """
-    return _build(doc, _parse_entries)
-
-
-def _build(doc, entries) -> AsymToeplitz | AsymHankel | np.ndarray:
-    """:func:`parse_matrix` with ``entries(value, count, where)`` reading each pair array."""
     if not isinstance(doc, dict):
         raise MatrixFileError("matrix file must contain a JSON object")
     kind = doc.get("kind")
@@ -196,19 +192,19 @@ def _build(doc, entries) -> AsymToeplitz | AsymHankel | np.ndarray:
     cols = _require_dim(doc, "cols")
 
     if kind == "dense":
-        data = entries(doc["data"], rows * cols, "data")
+        data = _flat_entries(doc["data"], rows * cols, "data")
         return data.reshape(rows, cols)
 
     if kind == "toeplitz":
-        first_row = entries(doc["first_row"], cols, "first_row")
-        first_col = entries(doc["first_col"], rows, "first_col")
+        first_row = _flat_entries(doc["first_row"], cols, "first_row")
+        first_col = _flat_entries(doc["first_col"], rows, "first_col")
         if first_row[0] != first_col[0]:
             raise MatrixFileError(
                 "toeplitz file: first_row[0] and first_col[0] must be identical")
         return AsymToeplitz.from_first_row_col(first_row, first_col)
 
-    first_row = entries(doc["first_row"], cols, "first_row")
-    last_col = entries(doc["last_col"], rows, "last_col")
+    first_row = _flat_entries(doc["first_row"], cols, "first_row")
+    last_col = _flat_entries(doc["last_col"], rows, "last_col")
     if first_row[cols - 1] != last_col[0]:
         raise MatrixFileError(
             "hankel file: first_row[cols - 1] and last_col[0] must be identical")
@@ -240,7 +236,7 @@ def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:
         except RecursionError:
             raise MatrixFileError(f"{path}: JSON nested too deeply") from None
     try:
-        return _build(doc, _flat_entries)
+        return parse_matrix(doc)
     except MatrixFileError as exc:
         raise MatrixFileError(f"{path}: {exc}") from exc
 

@@ -115,12 +115,13 @@ def isometry_residual(A: AsymToeplitz, _matched: tuple | None = None) -> np.ndar
     n >= m, with lam = 0 when both sides of the match vanish.
     """
     n, m = A.n, A.m
-    column_norm_sq, lam, w = _matched or (_column_norm_sq(A), None, None)
-    lo, hi = _support(A.a)
-    if _matched is not None and _autocorrelation_fits(A, column_norm_sq, hi - lo, lam, w):
-        r = _autocorrelation_term(A.a[lo:hi], lam, n, m)
+    if _matched is None:
+        column_norm_sq, r = _column_norm_sq(A), _convolution_term(A)
     else:
-        r = _convolution_term(A)
+        column_norm_sq, lam, w = _matched
+        lo, hi = _support(A.a)
+        fits = _autocorrelation_fits(A, column_norm_sq, hi - lo, lam, w)
+        r = _autocorrelation_term(A.a[lo:hi], lam, n, m) if fits else _convolution_term(A)
     # conj(a0) a, cut or padded to m entries, is added before a0 alpha
     k = min(n, m)
     r[1:k] += np.conj(A.a0) * A.a[1:k]

@@ -8,8 +8,8 @@ of the factors' diagonal-value sequences, written by one function, a
 factor's two at a time, straight into the one buffer that the rank-one
 match reduces; the isometry self-match, :func:`_self_match`, uses the
 same writer and match.  The decision runs in O(n + m + l) and returns a
-certificate that can be re-verified on its own and cross-checked against
-the dense product.
+certificate that can be re-verified against its factors and cross-checked
+against the dense product.
 
 Hankel factors reduce to that identity by flips read off the factors'
 types.  A compact Hankel matrix is stored as H = C P, with C Toeplitz and
@@ -180,21 +180,6 @@ def rank_one_equal(x, y, xp, yp, tol: Tolerance = DEFAULT_TOL) -> RankOneOutcome
     entry exceeds ``tol.atol``.  If neither side vanishes, lam is read at
     xp's largest entry and checked within ``tol`` of each equation's scale.
     """
-    return _rank_one(x, y, xp, yp, tol)
-
-
-_NAMES = ("x", "y", "xp", "yp")
-
-
-def _rank_one(x, y, xp, yp, tol: Tolerance,
-              lam: complex | None = None) -> RankOneOutcome | None:
-    """The rank-one match of four loose vectors, through :func:`_match`.
-
-    Without ``lam`` this is :func:`rank_one_equal`; given a proportional
-    outcome's scalar it re-checks only x = lam * xp and yp = conj(lam) * y.
-    Each vector goes behind one zero, as every comparison vector does: that
-    changes no maximum, pivot or defect, and no segment is left empty.
-    """
     x, y, xp, yp = vecs = [np.asarray(vec, dtype=CDTYPE) for vec in (x, y, xp, yp)]
     if any(vec.ndim != 1 for vec in vecs):
         raise DimensionMismatch(f"vectors must be 1-D, got shapes {[v.shape for v in vecs]}")
@@ -203,13 +188,14 @@ def _rank_one(x, y, xp, yp, tol: Tolerance,
     if y.shape != yp.shape:
         raise DimensionMismatch(f"y and yp lengths differ: {y.shape} vs {yp.shape}")
     zero = np.zeros(1, dtype=CDTYPE)
-    # x and yp lead, so that the defects subtract from one slice
+    # each vector behind one zero, as every comparison vector is, changes no
+    # maximum, pivot or defect and leaves no segment empty; x and yp lead, so
+    # that the defects subtract from one slice
     return _match(np.concatenate((zero, x, zero, yp, zero, xp, zero, y)),
-                  len(x) + 1, len(y) + 1, tol, lam)
+                  len(x) + 1, len(y) + 1, tol)
 
 
-def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
-           lam: complex | None = None) -> RankOneOutcome | None:
+def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | None:
     """The rank-one match as one fused pass over ``cat = (x, yp, xp, y)``.
 
     x and xp have length p >= 1, y and yp length q >= 1.  One modulus and
@@ -239,18 +225,17 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
     # filled in as product_is_toeplitz fills a certificate, with no
     # frozen-dataclass __init__
     outcome = object.__new__(RankOneOutcome)
-    if lam is None:
-        zero = (max_x <= atol, max_y <= atol, max_xp <= atol, max_yp <= atol)
-        lhs_zero = zero[0] or zero[1]
-        rhs_zero = zero[2] or zero[3]
-        if lhs_zero and rhs_zero:
-            outcome.__dict__.update(
-                lam=None, vanished=tuple(name for name, z in zip(_NAMES, zero) if z))
-            return outcome
-        if lhs_zero != rhs_zero:
-            return None
-        pivot = mags_xp.argmax()
-        lam = complex(cat[pivot] / xp[pivot]) + 0j
+    zero = (max_x <= atol, max_y <= atol, max_xp <= atol, max_yp <= atol)
+    lhs_zero = zero[0] or zero[1]
+    rhs_zero = zero[2] or zero[3]
+    if lhs_zero and rhs_zero:
+        outcome.__dict__.update(
+            lam=None, vanished=tuple(name for name, z in zip(("x", "y", "xp", "yp"), zero) if z))
+        return outcome
+    if lhs_zero != rhs_zero:
+        return None
+    pivot = mags_xp.argmax()
+    lam = complex(cat[pivot] / xp[pivot]) + 0j
     # buf holds the scaled sides (lam xp, conj(lam) y), then the defects
     # (x - lam xp, yp - conj(lam) y) in their place
     buf = np.empty(s, dtype=CDTYPE)
@@ -332,10 +317,18 @@ class ProductCertificate:
     def lam(self) -> complex | None:
         return self.outcome.lam
 
-    def verify(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Re-check the certified equations from the stored vectors alone."""
-        check = _rank_one(self.x, self.y, self.u, self.v, tol, self.lam)
-        return check is not None and check.is_proportional == self.outcome.is_proportional
+    def verify(self, left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel,
+               tol: Tolerance = DEFAULT_TOL) -> bool:
+        """Re-decide the product of ``left`` and ``right``: True exactly when
+        :func:`product_is_toeplitz` gives this certificate bit for bit."""
+        cert = product_is_toeplitz(left, right, tol)
+        return cert is not None and _recorded(cert) == _recorded(self)
+
+
+def _recorded(c: ProductCertificate) -> tuple:
+    # lam by repr, which tells apart any two floats but NaNs; no accepted lam is NaN
+    return (c.regime, c.k, c.k_prime, c.outcome.vanished, repr(c.lam),
+            *((v.dtype, v.shape, v.tobytes()) for v in (c.x, c.y, c.u, c.v)))
 
 
 def product_is_toeplitz(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel,

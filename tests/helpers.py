@@ -406,16 +406,6 @@ def reference_gen_pair(spec: tc.FamilySpec) -> tuple[tc.AsymToeplitz, tc.AsymToe
     return tc.AsymToeplitz(n, m, a0, a, alpha), tc.AsymToeplitz(m, l, b0, b, beta)
 
 
-def reference_verify(cert, tol=tc.DEFAULT_TOL) -> bool:
-    """``ProductCertificate.verify`` as separate :func:`allclose`/:func:`is_zero` tests."""
-    if cert.outcome.is_proportional:
-        lam = cert.outcome.lam
-        return (allclose(tol, cert.x, lam * cert.u)
-                and allclose(tol, cert.v, np.conj(lam) * cert.y))
-    return ((is_zero(tol, cert.x) or is_zero(tol, cert.y))
-            and (is_zero(tol, cert.u) or is_zero(tol, cert.v)))
-
-
 def reference_parse_entries(items, count: int, where: str) -> np.ndarray:
     """``io._parse_entries`` as a per-entry loop, checking each pair in turn.
 

@@ -219,7 +219,7 @@ def _pair(source, n, m, l, seed, scale_exp):
     return _scaled(A, scale_exp), _scaled(B, scale_exp)
 
 
-def assert_same_certificate(got, want, tol):
+def assert_same_certificate(got, want, left, right, tol):
     assert (got is None) == (want is None)
     if want is None:
         return
@@ -231,7 +231,7 @@ def assert_same_certificate(got, want, tol):
         mine, theirs = getattr(got, name), getattr(want, name)
         assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
         assert mine.tobytes() == theirs.tobytes(), name
-    assert got.verify(tol)
+    assert got.verify(left, right, tol)
 
 
 def _corner_examples(test):
@@ -259,7 +259,8 @@ def test_product_structure_matches_flipped_core_route(n, m, l, seed, scale_exp, 
         left, right = factors_of(kinds, A, B)
         for tol in TOLS:
             want = reference_product_structure(left, right, tol)[1]
-            assert_same_certificate(tc.product_is_toeplitz(left, right, tol), want, tol)
+            assert_same_certificate(tc.product_is_toeplitz(left, right, tol), want,
+                                    left, right, tol)
             if want is not None:
                 *vectors, regime = product.comparison_vectors(left, right)
                 assert regime is want.regime
@@ -281,17 +282,18 @@ def test_hankel_decisions_build_no_flipped_core(monkeypatch, n, m, l):
     for (left, right), want in zip(cases, expected):
         cert = tc.product_is_toeplitz(left, right, EXACT)
         assert cert is not None
-        assert_same_certificate(cert, want, EXACT)
+        assert_same_certificate(cert, want, left, right, EXACT)
 
 
 @pytest.mark.parametrize("kinds", KINDS)
 def test_certificate_vectors_read_only(kinds):
     A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R2, 6, 2, 5, seed=7))
-    cert = tc.product_is_toeplitz(*factors_of(kinds, A, B), EXACT)
+    factors = factors_of(kinds, A, B)
+    cert = tc.product_is_toeplitz(*factors, EXACT)
     for name in "xyuv":
         with pytest.raises(ValueError):
             getattr(cert, name)[1] = 9
-    assert cert.verify(EXACT)
+    assert cert.verify(*factors, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +337,10 @@ def test_unfilled_buffers_are_written_in_full(monkeypatch):
     match = product._match
     heads = []
 
-    def recording_match(cat, p, q, tol, lam=None):
+    def recording_match(cat, p, q, tol):
         s = p + q
         heads.append(cat[[0, p, s, s + p]])
-        return match(cat, p, q, tol, lam)
+        return match(cat, p, q, tol)
 
     monkeypatch.setattr(np, "empty", nan_empty)
     monkeypatch.setattr(product, "_match", recording_match)
@@ -349,7 +351,8 @@ def test_unfilled_buffers_are_written_in_full(monkeypatch):
             left, right = factors_of(kinds, A, B)
             for tol in TOLS:
                 want = reference_product_structure(left, right, tol)[1]
-                assert_same_certificate(tc.product_is_toeplitz(left, right, tol), want, tol)
+                assert_same_certificate(tc.product_is_toeplitz(left, right, tol), want,
+                                        left, right, tol)
                 decisions += 1
     assert len(heads) >= decisions
     for head in heads:

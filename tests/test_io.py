@@ -193,6 +193,17 @@ class TestValidation:
         with pytest.raises(tc.MatrixFileError, match="data"):
             parse_matrix(doc)
 
+    def test_only_decoded_arrays_taken_as_they_stand(self):
+        # a 1-D complex128 array of the right count, as the reader leaves one,
+        # passes; any other array is refused as a non-list
+        doc = {"kind": "dense", "rows": 1, "cols": 2, "data": np.array([1, 2j])}
+        assert parse_matrix(doc).tobytes() == np.array([[1, 2j]]).tobytes()
+        for data in (np.array([np.nan, 1.0]), np.array([[1, 2j]]), np.array([1, 2j, 3]),
+                     np.array([1, 2j], dtype=np.complex64)):
+            doc["data"] = data
+            with pytest.raises(tc.MatrixFileError, match="'data' must be a list of 2"):
+                parse_matrix(doc)
+
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(tc.MatrixFileError):
             tc.load_matrix(tmp_path / "nope.json")

@@ -823,6 +823,28 @@ def test_support_is_first_and_last_nonzero(a):
     assert isometry._support(a) == expected
 
 
+def test_public_residual_scans_no_support(monkeypatch):
+    # the public call always convolves, so it scans no support; each tail is
+    # zero at index 1 or n - 1, where a scan would take a full pass
+    rng = np.random.default_rng(17)
+    cases = []
+    for n, m, step in ((40, 40, 3), (97, 20, 5), (9, 30, 2), (2304, 16, 7)):
+        A = gaussian_toeplitz(n, m, seed=n + m)
+        a = np.zeros(n, dtype=complex)
+        a[2::step] = A.a[2::step] * (rng.random(len(a[2::step])) < 0.5)
+        a[n // 2] = 1j
+        A = dataclasses.replace(A, a=a)
+        assert not (a[1] and a[-1]) and 0 < np.count_nonzero(a) < n - 1
+        cases.append((A, isometry_residual(A).tobytes()))
+
+    def refuse(a):
+        raise AssertionError("_support called")
+
+    monkeypatch.setattr(isometry, "_support", refuse)
+    for A, residual in cases:
+        assert isometry_residual(A).tobytes() == residual
+
+
 def count_routes(monkeypatch) -> dict:
     counts = {"autocorrelation": 0, "convolution": 0}
     for name in counts:

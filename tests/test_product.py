@@ -6,13 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import toepcert as tc
 from toepcert import product
 from toepcert.product import (
-    ProductCertificate,
     RankOneOutcome,
     comparison_vectors,
     rank_one_equal,
@@ -25,12 +24,12 @@ from helpers import (
     dense_eye,
     dense_shift,
     displacement_interior,
+    factors_of,
     lam_bits,
     outer,
     product_example_dense,
     reference_comparison_vectors,
     reference_rank_one_equal,
-    reference_verify,
 )
 
 
@@ -165,8 +164,6 @@ def test_fused_rank_one_matches_reference(p, q, seed, scale_exp, x_kind, y_kind,
     that exact tolerances accept), or proportional and then perturbed
     around each tolerance's threshold, so that both verdicts occur.
     Integer entries tie in modulus, so the pivot choice shows in ``lam``.
-    ``ProductCertificate.verify`` is checked against the reference formula
-    for the decided outcome and for claimed ones.
     """
     rng = np.random.default_rng(seed)
 
@@ -204,22 +201,12 @@ def test_fused_rank_one_matches_reference(p, q, seed, scale_exp, x_kind, y_kind,
 
     for tol in TOLS:
         for xp, yp in pairs(tol):
-            _check_against_reference(x, y, xp, yp, tol, lam)
-
-
-def _check_against_reference(x, y, xp, yp, tol, lam):
-    fused = rank_one_equal(x, y, xp, yp, tol)
-    reference = reference_rank_one_equal(x, y, xp, yp, tol)
-    assert (fused is None) == (reference is None)
-    if reference is not None:
-        assert lam_bits(fused.lam) == lam_bits(reference.lam)
-        assert fused.vanished == reference.vanished
-    for claimed in (reference, RankOneOutcome(None), RankOneOutcome(lam * (1 + 2**-20))):
-        if claimed is None:
-            continue
-        cert = ProductCertificate(tc.Regime.R1, x, y, xp, yp, claimed, 0, 0)
-        for check_tol in (tol, tc.Tolerance(4 * tol.atol, tol.rtol / 4)):
-            assert cert.verify(check_tol) == reference_verify(cert, check_tol)
+            fused = rank_one_equal(x, y, xp, yp, tol)
+            reference = reference_rank_one_equal(x, y, xp, yp, tol)
+            assert (fused is None) == (reference is None)
+            if reference is not None:
+                assert lam_bits(fused.lam) == lam_bits(reference.lam)
+                assert fused.vanished == reference.vanished
 
 
 class TestOutcomesBuiltWithoutInit:
@@ -264,7 +251,7 @@ class TestOutcomesBuiltWithoutInit:
             return outs[-1]
 
         monkeypatch.setattr(product, "_match", recording_match)
-        assert cert.verify(EXACT)
+        assert cert.verify(A, B, EXACT)
         assert len(outs) == 1
         self.assert_proper(outs[0], cert.lam)
 
@@ -374,7 +361,7 @@ class TestProductIsToeplitz:
         # our scalar convention is the reciprocal of the one the example is
         # displayed with
         assert cert.lam == 0.5
-        assert cert.verify(EXACT)
+        assert cert.verify(A, B, EXACT)
         assert tc.dense_is_toeplitz(Ad @ Bd, EXACT)
 
     def test_identity_pair(self):
@@ -416,11 +403,85 @@ class TestProductIsToeplitz:
             n, m, l = (int(v) for v in rng.integers(1, 7, size=3))
             spec = tc.FamilySpec(tc.classify_regime(n, m, l), n, m, l,
                                  lam=2.0, seed=seed)
-            cert = tc.product_is_toeplitz(*tc.gen_pair(spec), EXACT)
-            assert cert is not None and cert.verify(EXACT)
+            pair = tc.gen_pair(spec)
+            cert = tc.product_is_toeplitz(*pair, EXACT)
+            assert cert is not None and cert.verify(*pair, EXACT)
             if cert.outcome.is_proportional:
                 assert np.array_equal(cert.x, cert.lam * cert.u)
                 assert np.array_equal(cert.v, np.conj(cert.lam) * cert.y)
+
+
+# (n, m, l) in each regime from three positive draws
+REGIME_DIMS = {
+    tc.Regime.R1: lambda a, b, c: (a, max(a, b) + c - 1, b),
+    tc.Regime.R2: lambda a, b, c: (a + b, a, a + c),
+    tc.Regime.R3: lambda a, b, c: (a, a + b - 1, a + b - 1 + c),
+    tc.Regime.R4: lambda a, b, c: (a + b - 1 + c, a + b - 1, a),
+}
+
+
+def mutations(cert):
+    """Copies of ``cert`` that each change one thing it records: one entry of
+    x, y, u or v by one ulp of its real part, lam by one ulp (or, on a
+    both-zero outcome, a lam given), ``vanished``, the regime, k or k'; and,
+    unless its vectors are all zero, four zero vectors with all vanished."""
+    for name in "xyuv":
+        vec = getattr(cert, name)
+        for i in {0, len(vec) // 2, len(vec) - 1}:
+            changed = vec.copy()
+            changed[i] = complex(np.nextafter(vec[i].real, np.inf), vec[i].imag)
+            yield replace(cert, **{name: changed})
+    lam, vanished = cert.lam, cert.outcome.vanished
+    if lam is None:
+        yield replace(cert, outcome=RankOneOutcome(1.0 + 0j))
+    else:
+        yield replace(cert, outcome=RankOneOutcome(complex(np.nextafter(lam.real, np.inf),
+                                                           lam.imag)))
+        yield replace(cert, outcome=RankOneOutcome(complex(lam.real,
+                                                           np.nextafter(lam.imag, -np.inf))))
+    toggled = tuple(name for name in ("x", "y", "xp", "yp")
+                    if (name in vanished) != (name == "x"))
+    yield replace(cert, outcome=RankOneOutcome(lam, toggled))
+    regimes = list(tc.Regime)
+    yield replace(cert, regime=regimes[(regimes.index(cert.regime) + 1) % 4])
+    yield replace(cert, k=cert.k + 1)
+    yield replace(cert, k_prime=cert.k_prime + 1)
+    vectors = [getattr(cert, name) for name in "xyuv"]
+    if any(np.any(vec) for vec in vectors):
+        zeros = [np.zeros_like(vec) for vec in vectors]
+        yield replace(cert, **dict(zip("xyuv", zeros)),
+                      outcome=RankOneOutcome(None, ("x", "y", "xp", "yp")))
+
+
+@pytest.mark.parametrize("regime", list(tc.Regime))
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(0, 2**32 - 1),
+       st.sampled_from(("pair", *tc.DEGENERATE_FORMS)),
+       st.sampled_from((2.0, -0.5j, 1 + 1j, 3 - 2j)))
+def test_verify_re_decides_from_the_factors(regime, a, b, c, seed, source, lam):
+    """Every certificate of a generated pair, of each kind pair, verifies
+    against its own factors, and no other certificate does: not one with a
+    recorded part changed (:func:`mutations`), and not the pair's
+    certificate against the factors of ``perturb_to_break``."""
+    n, m, l = REGIME_DIMS[regime](a, b, c)
+    assert tc.classify_regime(n, m, l) is regime
+    if source == "pair":
+        A, B = tc.gen_pair(tc.FamilySpec(regime, n, m, l, lam=lam, seed=seed))
+    else:
+        # row_band_a needs n <= m, col_band_b needs l <= m
+        assume(not (source == "row_band_a" and n > m or source == "col_band_b" and l > m))
+        A, B = tc.gen_degenerate(source, n, m, l, seed=seed)
+    broken = (tc.perturb_to_break((A, B))
+              if source == "pair" and np.any(A.a) and np.any(B.alpha) else None)
+    for kinds in ("TT", "HH", "HT", "TH"):
+        left, right = factors_of(kinds, A, B)
+        cert = tc.product_is_toeplitz(left, right)
+        assert cert is not None and cert.verify(left, right)
+        assert replace(cert).verify(left, right)
+        for changed in mutations(cert):
+            assert not changed.verify(left, right)
+        if broken is not None:
+            assert not cert.verify(*factors_of(kinds, *broken))
 
 
 @settings(deadline=None, max_examples=60)
