@@ -26,8 +26,7 @@ from .core import (
     AsymToeplitz,
     StructureError,
     Tolerance,
-    dense_is_hankel,
-    dense_is_toeplitz,
+    _first_break,
     dense_mul,
 )
 from .displacement import displacement_dense
@@ -75,7 +74,7 @@ def _emit(doc: dict) -> None:
 
 
 def _tolerance(args) -> Tolerance:
-    return Tolerance(atol=args.tol, rtol=args.tol)
+    return Tolerance(args.tol)
 
 
 def _check_dense_size(what: str, *shapes: tuple[int, int]) -> None:
@@ -95,8 +94,9 @@ def _overflow_shift(X: np.ndarray, Y: np.ndarray) -> int:
     and moduli of neighbouring entries at most four times that.  k is 0
     when that stays below 2^1024, the float64 overflow threshold.  Scaling a
     factor by a power of two is exact short of underflow, so the oracle
-    takes the same decisions on the scaled factors once ``atol`` is scaled
-    by the same power.
+    takes the same decisions on the scaled product once the threshold's
+    term ``tau`` is scaled by the same power, the ``unit`` 2^-k of
+    :func:`toepcert.core._first_break`.
     """
     ex, ey = (math.frexp(max(float(np.max(np.abs(M.real))),
                              float(np.max(np.abs(M.imag)))))[1] for M in (X, Y))
@@ -151,14 +151,10 @@ def _cmd_product(args) -> int:
         _check_dense_size("--oracle", left.shape, right.shape, (left.n, right.m))
         X, Y = left.to_dense(), right.to_dense()
         shift = _overflow_shift(X, Y)
-        oracle_tol = tol
         if shift:
             X = X * 2.0 ** -(shift // 2)
             Y = Y * 2.0 ** -(shift - shift // 2)
-            oracle_tol = Tolerance(atol=math.ldexp(tol.atol, -shift), rtol=tol.rtol)
-        dense = dense_mul(X, Y)
-        dense_ok = (dense_is_toeplitz(dense, oracle_tol) if product_kind == "toeplitz"
-                    else dense_is_hankel(dense, oracle_tol))
+        dense_ok = _first_break(dense_mul(X, Y), tol, mixed, 2.0 ** -shift) is None
         oracle_agrees = dense_ok == structured
 
     verdict = {
@@ -241,8 +237,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     """
     tolerance = argparse.ArgumentParser(add_help=False)
     tolerance.add_argument("--tol", type=float, default=1e-9, metavar="T",
-                           help="comparison tolerance, used as both atol and rtol "
-                                "(default 1e-9)")
+                           help="comparison tolerance tau: a difference passes "
+                                "within tau * (1 + scale) (default 1e-9)")
 
     parser = argparse.ArgumentParser(
         prog="toepcert",

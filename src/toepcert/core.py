@@ -57,35 +57,32 @@ class DimensionMismatch(ValueError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Float comparison policy: |x - y| <= atol + rtol * scale.
+    """Float comparison policy: |x - y| <= tau + tau * scale.
 
     ``scale`` is the largest absolute entry among the operands compared;
     for a side scaled by lambda the product layer takes |lambda| times the
     unscaled side's largest, which differs only by rounding, so it can
     tip a verdict only for a defect within a few ulps of its threshold.
-    Tests against zero use ``atol`` alone.  ``Tolerance(0, 0)`` demands
-    exact equality.  Product decisions on Gaussian-integer input meet it
-    when the scalar lambda is dyadic; otherwise the pivot quotient is
-    rounded and exact products may be rejected, e.g. (n, m, l) = (2, 5, 2)
-    with lambda = (4+i)/(-1-5i) (ROADMAP.md item 2).  Which isometries
-    ``Tolerance(0, 0)`` accepts is stated in :mod:`toepcert.isometry`.
-    Both values must be finite and non-negative: a NaN or negative
-    threshold rejects every comparison, an infinite one accepts every
-    comparison.
+    Tests against zero read ``tau``, the threshold at scale 0.
+    ``Tolerance(0)`` demands exact equality.  Product decisions on
+    Gaussian-integer input meet it when the scalar lambda is dyadic;
+    otherwise the pivot quotient is rounded and exact products may be
+    rejected, e.g. (n, m, l) = (2, 5, 2) with lambda = (4+i)/(-1-5i)
+    (ROADMAP.md item 2).  Which isometries ``Tolerance(0)`` accepts is
+    stated in :mod:`toepcert.isometry`.  ``tau`` must be finite and
+    non-negative: a NaN or negative threshold rejects every comparison,
+    an infinite one accepts every comparison.
     """
 
-    atol: float = 1e-9
-    rtol: float = 1e-9
+    tau: float = 1e-9
 
     def __post_init__(self):
-        for name in ("atol", "rtol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"tolerance {name} must be finite and non-negative, got {value!r}")
+        if not (math.isfinite(self.tau) and self.tau >= 0):
+            raise ValueError(
+                f"tolerance tau must be finite and non-negative, got {self.tau!r}")
 
     def threshold(self, scale: float) -> float:
-        return self.atol + self.rtol * scale
+        return self.tau + self.tau * scale
 
 
 DEFAULT_TOL = Tolerance()
@@ -382,30 +379,33 @@ def _structured_dense(M, tol: Tolerance, hankel: bool) -> np.ndarray:
     return M
 
 
-def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool) -> tuple[int, int] | None:
+def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool,
+                 unit: float = 1.0) -> tuple[int, int] | None:
     """First entry, in row-major order, that breaks the structure of M.
 
-    Entry (i, j) breaks it when it differs by more than the threshold of
-    ``tol`` at M's largest modulus from its predecessor on the same
-    diagonal, (i - 1, j - 1), or with ``hankel`` on the same
-    anti-diagonal, (i - 1, j + 1).  None when no entry does.  From a part
-    of 2**1021 up a modulus or a difference may overflow, and an infinite
-    threshold would pass every difference, so M / 4 is scanned with
-    ``atol`` / 4: the same comparisons, exact short of underflow, all finite.
+    Entry (i, j) breaks it when it differs by more than
+    ``tau * unit + tau * max|M|`` from its predecessor on the same diagonal,
+    (i - 1, j - 1), or with ``hankel`` on the same anti-diagonal,
+    (i - 1, j + 1); ``unit`` is the power of two that M's data were scaled
+    by.  None when no entry does.  Under ``tau`` = 0 neighbours are compared
+    with ``!=`` as they stand, exact at every scale.  From a part of 2**1021
+    up a modulus or a difference may overflow, and an infinite threshold
+    would pass every difference, so M / 4 is scanned with ``unit`` / 4: the
+    same comparisons, exact short of underflow, all finite.
     """
     n, m = M.shape
     if n == 1 or m == 1:
         return None
-    top = float(np.max(np.abs(M)))
-    if top >= 2.0 ** 1021 and max(np.abs(M.real).max(), np.abs(M.imag).max()) >= 2.0 ** 1021:
-        M = M * 0.25
+    tau = tol.tau
+    if tau:
         top = float(np.max(np.abs(M)))
-        tol = Tolerance(atol=tol.atol * 0.25, rtol=tol.rtol)
-    thr = tol.threshold(top)
-    if hankel:
-        bad = np.abs(M[1:, :-1] - M[:-1, 1:]) > thr
-    else:
-        bad = np.abs(M[1:, 1:] - M[:-1, :-1]) > thr
+        if top >= 2.0 ** 1021 and max(np.abs(M.real).max(), np.abs(M.imag).max()) >= 2.0 ** 1021:
+            M = M * 0.25
+            top = float(np.max(np.abs(M)))
+            unit *= 0.25
+        thr = tau * unit + tau * top
+    below, above = (M[1:, :-1], M[:-1, 1:]) if hankel else (M[1:, 1:], M[:-1, :-1])
+    bad = np.abs(below - above) > thr if tau else below != above
     k = int(np.argmax(bad))
     if not bad.flat[k]:
         return None

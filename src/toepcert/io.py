@@ -169,8 +169,9 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     """Validate a decoded matrix document and build the typed value.
 
     Unknown keys are rejected; the corner-sharing invariants are enforced
-    exactly.  Pair arrays are read by :func:`_flat_entries`: a complex array
-    of the right count, as :func:`_decoded` leaves one, is taken as it stands.
+    exactly.  Pair arrays are read by :func:`_flat_entries`, which takes a
+    complex array of the right count, as :func:`_decoded` leaves one, as it
+    stands; a non-finite entry is still refused, in dense data as in a list.
     """
     if not isinstance(doc, dict):
         raise MatrixFileError("matrix file must contain a JSON object")
@@ -193,6 +194,8 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
 
     if kind == "dense":
         data = _flat_entries(doc["data"], rows * cols, "data")
+        if not (finite := np.isfinite(data)).all():
+            raise MatrixFileError(f"'data[{int(finite.argmin())}]' contains a non-finite number")
         return data.reshape(rows, cols)
 
     if kind == "toeplitz":

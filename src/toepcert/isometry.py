@@ -16,13 +16,13 @@ computed:
 
 1. n >= m, in O(1): a wide matrix (n < m) has A* A of rank at most n < m,
    so it is never the identity;
-2. the residual's entry 0, (c - 1) / 2, within ``tol.atol``, for c the
+2. the residual's entry 0, (c - 1) / 2, within ``tol.tau``, for c the
    first column's squared norm, one dot a0.real**2 + a0.imag**2 +
    vdot(a, a).real;
 3. the self-match, in O(n + m);
-4. |lam| = 1 within ``tol.atol`` when the match is proportional (lam = 0
+4. |lam| = 1 within ``tol.tau`` when the match is proportional (lam = 0
    when both sides vanish);
-5. the rest of the residual, within ``tol.atol``.
+5. the rest of the residual, within ``tol.tau``.
 
 A certificate rejected by 1 or 2 has made no self-match: it keeps the
 matrix and the tolerance, and makes the match, bit for bit the one the
@@ -57,7 +57,7 @@ c is exact whenever every square and partial sum is, as for Gaussian
 integers times 2**k with parts below 2**20, and otherwise within a 2n-term
 sum's rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
 ch. 4); OpenBLAS splits a long dot across threads, so the last bits of an
-inexact c can depend on ``OPENBLAS_NUM_THREADS``.  ``Tolerance(0, 0)``
+inexact c can depend on ``OPENBLAS_NUM_THREADS``.  ``Tolerance(0)``
 accepts an exact isometry whose residual holds no FFT result: a single
 column (m = 1), such as (1 + i, 1 - i) / 2, or a tail support of at most
 one entry, as every shift c S with c = +-1 or +-i has.  It rejects most
@@ -272,15 +272,15 @@ def is_isometry(M: AsymToeplitz | AsymHankel,
     cert = object.__new__(IsometryCertificate)
     cert.__dict__.update(accepted=False, wide=wide, residual_norm=None,
                          column_norm_sq=column_norm_sq, _toeplitz=A, _tol=tol)
-    if wide or abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
+    if wide or abs(column_norm_sq - 1.0) / 2.0 > tol.tau:
         return cert
     match, w = cert.__dict__["_matched"] = _self_match(A, tol)
-    if match is None or (match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol):
+    if match is None or (match.is_proportional and abs(abs(match.lam) - 1.0) > tol.tau):
         return cert
     lam = match.lam if match.is_proportional else 0.0
     residual = isometry_residual(A, (column_norm_sq, lam, w))
     residual_norm = float(np.maximum.reduce(np.abs(residual)))
-    cert.__dict__.update(accepted=residual_norm <= tol.atol, residual_norm=residual_norm)
+    cert.__dict__.update(accepted=residual_norm <= tol.tau, residual_norm=residual_norm)
     return cert
 
 

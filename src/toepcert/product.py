@@ -177,7 +177,7 @@ def rank_one_equal(x, y, xp, yp, tol: Tolerance = DEFAULT_TOL) -> RankOneOutcome
 
     Returns a :class:`RankOneOutcome` if the products coincide, ``None`` if
     not, in O(len x + len y).  A 1-D vector, empty or not, is zero when no
-    entry exceeds ``tol.atol``.  If neither side vanishes, lam is read at
+    entry exceeds ``tol.tau``.  If neither side vanishes, lam is read at
     xp's largest entry and checked within ``tol`` of each equation's scale.
     """
     x, y, xp, yp = vecs = [np.asarray(vec, dtype=CDTYPE) for vec in (x, y, xp, yp)]
@@ -201,11 +201,12 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
     x and xp have length p >= 1, y and yp length q >= 1.  One modulus and
     one segmented maximum give the zero tests, the pivot and the operand
     scales; a second pair, over half as many entries, gives the defects,
-    whose moduli overwrite the first half of the first.
-    A scaled side's scale is |lam| max|xp| (and |lam| max|y|), which
-    differs from max|lam xp_i| only by rounding, so the verdict can differ
-    from that of separate reductions only for a defect within a few ulps
-    of its threshold.
+    whose moduli overwrite the first half of the first.  A vector is zero
+    when no modulus exceeds ``tol.tau``; a defect passes within
+    ``tol.threshold`` of its equation's scale.  A scaled side's scale is
+    |lam| max|xp| (and |lam| max|y|), which differs from max|lam xp_i| only
+    by rounding, so the verdict can differ from that of separate reductions
+    only for a defect within a few ulps of its threshold.
 
     A self pair (xp, y) = (yp, x), with p == q, may pass its first half
     ``cat = (x, yp)`` alone: (xp, y) is then read as that half swapped,
@@ -221,11 +222,11 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
     else:
         xp, y, mags_xp = cat[s:s + p], cat[s + p:], mags[s:s + p]
         max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
-    atol = tol.atol
+    tau = tol.tau
     # filled in as product_is_toeplitz fills a certificate, with no
     # frozen-dataclass __init__
     outcome = object.__new__(RankOneOutcome)
-    zero = (max_x <= atol, max_y <= atol, max_xp <= atol, max_yp <= atol)
+    zero = (max_x <= tau, max_y <= tau, max_xp <= tau, max_yp <= tau)
     lhs_zero = zero[0] or zero[1]
     rhs_zero = zero[2] or zero[3]
     if lhs_zero and rhs_zero:
@@ -248,9 +249,8 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
     # else a, which picks the same operand without a call
     scale = abs(lam)
     scaled_xp, scaled_y = scale * max_xp, scale * max_y
-    rtol = tol.rtol
-    if (defect_x <= atol + rtol * (scaled_xp if scaled_xp > max_x else max_x)
-            and defect_y <= atol + rtol * (scaled_y if scaled_y > max_yp else max_yp)):
+    if (defect_x <= tau + tau * (scaled_xp if scaled_xp > max_x else max_x)
+            and defect_y <= tau + tau * (scaled_y if scaled_y > max_yp else max_yp)):
         outcome.__dict__.update(lam=lam, vanished=())
         return outcome
     return None

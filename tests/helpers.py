@@ -26,9 +26,9 @@ from toepcert.product import (
     comparison_vectors,
 )
 
-EXACT = tc.Tolerance(0.0, 0.0)
-# exact, default, relative only, and absolute with relative
-TOLS = (EXACT, tc.DEFAULT_TOL, tc.Tolerance(0.0, 2.0**-30), tc.Tolerance(2.0**-20, 2.0**-40))
+EXACT = tc.Tolerance(0.0)
+# exact, default, and two powers of two on either side of it
+TOLS = (EXACT, tc.DEFAULT_TOL, tc.Tolerance(2.0**-30), tc.Tolerance(2.0**-20))
 
 
 def dense_shift(k: int) -> np.ndarray:
@@ -145,11 +145,11 @@ def lam_bits(lam):
 
 
 def is_zero(tol, values) -> bool:
-    """Whether every entry has modulus at most ``tol.atol``; an empty vector is zero."""
+    """Whether every entry has modulus at most ``tol.tau``; an empty vector is zero."""
     values = np.asarray(values, dtype=complex)
     if values.size == 0:
         return True
-    return bool(np.max(np.abs(values)) <= tol.atol)
+    return bool(np.max(np.abs(values)) <= tol.tau)
 
 
 def allclose(tol, x, y) -> bool:
@@ -340,15 +340,15 @@ def reference_is_isometry(A: tc.AsymToeplitz, tol=tc.DEFAULT_TOL) -> ReferenceIs
     match = reference_rank_one_equal(x, y, w, v, tol)
     if match is None:
         return ReferenceIsometry(False, wide, w, None, None, column_norm_sq)
-    if match.is_proportional and abs(abs(match.lam) - 1.0) > tol.atol:
+    if match.is_proportional and abs(abs(match.lam) - 1.0) > tol.tau:
         return ReferenceIsometry(False, wide, w, match, None, column_norm_sq)
     residual_norm = float(np.max(np.abs(reference_isometry_residual(A))))
-    if abs(column_norm_sq - 1.0) / 2.0 > tol.atol:
-        assert residual_norm > tol.atol - isometry_rounding_bound(A)
+    if abs(column_norm_sq - 1.0) / 2.0 > tol.tau:
+        assert residual_norm > tol.tau - isometry_rounding_bound(A)
         return ReferenceIsometry(False, wide, w, match, None, column_norm_sq)
     if wide:
         return ReferenceIsometry(False, wide, w, match, None, column_norm_sq)
-    return ReferenceIsometry(residual_norm <= tol.atol, wide, w, match,
+    return ReferenceIsometry(residual_norm <= tol.tau, wide, w, match,
                              residual_norm, column_norm_sq)
 
 

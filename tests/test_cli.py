@@ -100,7 +100,7 @@ class TestCheck:
     def test_overflowing_modulus_is_not_structure(self, tmp_path):
         # an entry whose modulus overflows must not make every difference
         # pass; in the second matrix only the anti-diagonals are constant
-        # within rtol * max|M|
+        # within tau * (1 + max|M|)
         f = tmp_path / "m.json"
         tc.save_matrix(f, BIG_UNSTRUCTURED)
         assert run_fresh("check", f) == (1, '{"structure": "none", "via": "direct"}\n', "")
@@ -113,8 +113,7 @@ class TestCheck:
         def refuse(*args, **kwargs):
             raise AssertionError("check called a dense scan")
 
-        monkeypatch.setattr(cli, "dense_is_toeplitz", refuse)
-        monkeypatch.setattr(cli, "dense_is_hankel", refuse)
+        monkeypatch.setattr(cli, "_first_break", refuse)
         T = tc.random_toeplitz(rng, 3, 4)
         f = tmp_path / "m.json"
         for M, code, verdict in (
@@ -288,7 +287,7 @@ class TestProduct:
         # the oracle's verdict is flipped, so the structured "yes" disagrees
         fa, fb = self._write_pair(tmp_path, tc.AsymToeplitz.eye(3, 5),
                                   tc.AsymToeplitz.eye(5, 4))
-        monkeypatch.setattr(cli, "dense_is_toeplitz", lambda M, tol: False)
+        monkeypatch.setattr(cli, "_first_break", lambda M, tol, hankel, unit: (1, 1))
         assert main(["product", fa, fb, "--oracle", "--json"]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out)["oracle_agrees"] is False

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -112,7 +113,7 @@ class TestFromDense:
     def test_tolerance_accepts_small_perturbation(self):
         M = np.eye(4, dtype=complex)
         M[2, 2] += 1e-12
-        assert tc.AsymToeplitz.from_dense(M, tc.Tolerance(1e-9, 1e-9)).a0 == 1
+        assert tc.AsymToeplitz.from_dense(M, tc.Tolerance(1e-9)).a0 == 1
         with pytest.raises(tc.StructureError):
             tc.AsymToeplitz.from_dense(M, EXACT)
 
@@ -397,11 +398,12 @@ class TestDenseScanScale:
             A = tc.AsymToeplitz.from_dense(np.array([[z, 7], [5, z]]))
         assert (A.a0, A.a[1], A.alpha[1]) == (z, 5, 7)
 
-    @pytest.mark.parametrize("tol", [EXACT, tc.Tolerance(0.6, 0.0), tc.Tolerance(0.0, 0.05)])
+    @pytest.mark.parametrize("tol", [EXACT, tc.Tolerance(0.03), tc.Tolerance(0.05)])
     def test_verdict_as_at_scale_one(self, rng, tol):
         # parts up to 15 times 2**1020 come within a factor 1.1 of float64's
-        # largest, where moduli overflow; scaling M and atol by a power of two
-        # must keep every verdict and first break of the unscaled scan
+        # largest, where moduli overflow; M scanned at the unit 2**k, the
+        # power of two it was scaled by, must keep every verdict and first
+        # break of the unscaled scan
         for trial in range(40):
             n, m = rng.integers(2, 6, size=2)
             d = [1, 1j] @ rng.integers(-15, 16, size=(2, n + m - 1))
@@ -413,12 +415,25 @@ class TestDenseScanScale:
                 M.imag.clip(-15, 15, out=M.imag)
                 expected = [tc.core._first_break(M, tol, hankel) for hankel in (False, True)]
                 for k in (1000, 1020):
-                    scaled_tol = tc.Tolerance(tol.atol * 2.0 ** k, tol.rtol)
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        got = [tc.core._first_break(M * 2.0 ** k, scaled_tol, hankel)
+                        got = [tc.core._first_break(M * 2.0 ** k, tol, hankel, 2.0 ** k)
                                for hankel in (False, True)]
                     assert got == expected, (trial, k)
+
+    def test_exact_scan_keeps_subnormals_beside_huge_entries(self):
+        # under EXACT neighbours are compared as they stand: a subnormal
+        # beside parts of 2**1022 is not scaled away, so the diagonal
+        # 5e-324, 1e-323 breaks at (1, 2) as it does at 2**1020
+        for big in (2.0 ** 1020, 2.0 ** 1022):
+            M = np.array([[big, 5e-324, 0], [0, big, 1e-323], [0, 0, big]], dtype=complex)
+            H = np.fliplr(M).copy()
+            assert not tc.dense_is_toeplitz(M, EXACT)
+            assert not tc.dense_is_hankel(H, EXACT)
+            for kind, X, where in ((tc.AsymToeplitz, M, (1, 2)), (tc.AsymHankel, H, (1, 0))):
+                with pytest.raises(tc.StructureError) as err:
+                    kind.from_dense(X, EXACT)
+                assert (err.value.row, err.value.col) == where
 
 
 class TestShiftIdentityAlgebra:
@@ -447,15 +462,26 @@ class TestShiftIdentityAlgebra:
 
 class TestTolerance:
     def test_threshold_scales(self):
-        tol = tc.Tolerance(1e-9, 1e-9)
+        tol = tc.Tolerance(1e-9)
         assert tol.threshold(100.0) == pytest.approx(1e-9 + 1e-7)
+        # the one rule tau (1 + scale), and tau itself at scale 0
+        assert tol.threshold(100.0) == 1e-9 + 1e-9 * 100.0
+        assert tol.threshold(0.0) == tol.tau == tc.DEFAULT_TOL.tau
 
-    @pytest.mark.parametrize("atol, rtol", [
+    @pytest.mark.parametrize("first, second", [
         (float("nan"), 1e-9), (1e-9, float("nan")), (-1.0, 1e-9), (1e-9, -1e-12),
-        (float("inf"), 1e-9), (1e-9, float("inf"))])
-    def test_rejects_nonfinite_or_negative(self, atol, rtol):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            tc.Tolerance(atol, rtol)
+        (float("inf"), 1e-9), (1e-9, float("inf")),
+        (-5e-324, 1e-9), (float("-inf"), 1e-9)])
+    def test_rejects_nonfinite_or_negative(self, first, second):
+        # each pair holds one value that is no threshold and one that is:
+        # whichever place it stands in, the bad one is refused as tau and
+        # the good one kept as it is
+        for tau in (first, second):
+            if math.isfinite(tau) and tau >= 0:
+                assert tc.Tolerance(tau).tau == tau
+            else:
+                with pytest.raises(ValueError, match="finite and non-negative"):
+                    tc.Tolerance(tau)
 
     def test_degenerate_one_by_one(self):
         A = tc.AsymToeplitz(1, 1, 2.0, [0.0], [0.0])

@@ -203,6 +203,16 @@ class TestValidation:
             doc["data"] = data
             with pytest.raises(tc.MatrixFileError, match="'data' must be a list of 2"):
                 parse_matrix(doc)
+        # a decoded array is still refused at its first non-finite entry,
+        # with the message the same values get as a list
+        nan, inf = float("nan"), float("inf")
+        for data, pos in ((np.array([nan, 1j]), 0), (np.array([1, complex(0, nan)]), 1),
+                          (np.array([complex(inf, 0), 1]), 0),
+                          (np.array([1, complex(1, -inf)]), 1)):
+            for doc["data"] in (data, [[z.real, z.imag] for z in data.tolist()]):
+                with pytest.raises(tc.MatrixFileError) as err:
+                    parse_matrix(doc)
+                assert str(err.value) == f"'data[{pos}]' contains a non-finite number"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(tc.MatrixFileError):

@@ -31,7 +31,7 @@ from helpers import (
     with_shapes,
 )
 
-TOL = tc.Tolerance(1e-9, 1e-9)
+TOL = tc.Tolerance(1e-9)
 
 
 def dense_defect(A):
@@ -172,7 +172,7 @@ def assert_matches_reference(A, tol):
         # that close to the threshold may tip the verdict (an exact shift
         # under EXACT: the power-of-two FFT can land on 0 where another
         # length leaves an ulp)
-        if abs(ref.residual_norm - tol.atol) > bound:
+        if abs(ref.residual_norm - tol.tau) > bound:
             assert cert.accepted == ref.accepted
     return H, hankel
 
@@ -182,8 +182,8 @@ def assert_matches_reference(A, tol):
                  st.tuples(st.integers(1, 96), st.integers(1, 96))),
        st.sampled_from(("random", "shift", "scaled-shift")),
        st.integers(0, 2**32 - 1), st.integers(-40, 40),
-       st.sampled_from((tc.DEFAULT_TOL, EXACT, tc.Tolerance(1e-12, 1e-12),
-                        tc.Tolerance(1e-3, 1e-3))))
+       st.sampled_from((tc.DEFAULT_TOL, EXACT, tc.Tolerance(1e-12),
+                        tc.Tolerance(1e-3))))
 def test_matches_reference(shape, kind, seed, scale_exp, tol):
     n, m = shape
     if kind == "random":
@@ -563,7 +563,7 @@ def fitting_shifts(c: complex) -> list[tc.AsymToeplitz]:
 
 def test_no_residual_after_column_norm_off_one(monkeypatch):
     # the residual's entry 0 is (column_norm_sq - 1) / 2, so a matched matrix
-    # whose column norm is off 1 by more than 2 atol is rejected without it
+    # whose column norm is off 1 by more than 2 tau is rejected without it
     refuse_residual(monkeypatch, "after the column norm decided")
     candidates = [tc.AsymToeplitz.zero(n, m) for n in range(1, 6) for m in range(1, 6)]
     for c in (0.5, 2.0, 1 + 1e-6, 2j):
@@ -572,7 +572,7 @@ def test_no_residual_after_column_norm_off_one(monkeypatch):
         for cert, ref in decided_before_self_match(monkeypatch, A, tc.DEFAULT_TOL):
             assert cert.accepted is False
             assert cert.residual_norm is None
-            assert abs(cert.column_norm_sq - 1.0) / 2.0 > tc.DEFAULT_TOL.atol
+            assert abs(cert.column_norm_sq - 1.0) / 2.0 > tc.DEFAULT_TOL.tau
             assert_match_filled_on_first_read(cert, ref)
             assert cert.match is not None
 
@@ -589,12 +589,12 @@ def test_no_self_match_for_random_or_scaled_matrix(monkeypatch):
         for tol in TOLS:
             for cert, ref in decided_before_self_match(monkeypatch, A, tol):
                 assert cert.accepted is False and cert.residual_norm is None
-                assert abs(cert.column_norm_sq - 1.0) / 2.0 > tol.atol or cert.wide
+                assert abs(cert.column_norm_sq - 1.0) / 2.0 > tol.tau or cert.wide
                 assert_match_filled_on_first_read(cert, ref)
 
 
-def test_residual_runs_for_column_norm_within_atol(monkeypatch):
-    # (1 + 1e-12) S has column norm 1 + 2e-12, within the default atol: the
+def test_residual_runs_for_column_norm_within_tau(monkeypatch):
+    # (1 + 1e-12) S has column norm 1 + 2e-12, within the default tau: the
     # residual decides, as the dense oracle does
     calls = []
     residual = isometry.isometry_residual
@@ -609,26 +609,31 @@ def test_residual_runs_for_column_norm_within_atol(monkeypatch):
         H = tc.flip_cols(A)
         for cert, M in ((tc.is_isometry(A), A), (tc.is_isometry(H), H)):
             assert cert.residual_norm is not None
-            assert cert.accepted == (dense_defect(M) <= tc.DEFAULT_TOL.atol)
+            assert cert.accepted == (dense_defect(M) <= tc.DEFAULT_TOL.tau)
     assert len(calls) == 2 * len(candidates)
 
 
 def test_no_residual_after_lambda_off_unit_circle(monkeypatch):
     # a matched matrix whose scalar is off the unit circle is rejected
     # without the residual, even with a unit first column.  Its comparison
-    # vector w is small but above atol, so the match alpha = lam w,
-    # w = conj(lam) alpha holds: |lam| = 1 -+ 1e-6 leaves a defect of about
-    # 2e-6 |w| in the second equation, and |lam| = 2 or 1/2 one of
-    # 3 |w|, within a relative tolerance of 1
+    # vector w is above tau, so the match alpha = lam w, w = conj(lam) alpha
+    # holds: |lam| = 1 -+ 1e-6 with |w| = 1e-6 leaves a defect of about
+    # 2e-12 in the second equation, within the default tau.  |lam| = 2 or
+    # 1/2 leaves one of 3 |w| or 3/4 |w|, which with the one entry
+    # |w| = 0.9 passes within tau (1 + 4 |w|) at tau = 0.7, or within
+    # tau (1 + |w|) at tau = 0.4, while |lam| is off 1 by more than tau
     refuse_residual(monkeypatch, "after the scalar left the unit circle")
-    wide_rtol = tc.Tolerance(1e-9, 1.0)
     cases = []
     for n in range(2, 9):
         for m in range(2, n + 1):
-            for lam, tol in ((1 + 1e-6, tc.DEFAULT_TOL), (-1j * (1 - 1e-6), tc.DEFAULT_TOL),
-                             (2.0, wide_rtol), (0.5j, wide_rtol)):
+            small = 1e-6 * np.exp(1j * np.arange(m - 1))
+            spike = np.r_[np.zeros(m - 2), 0.9]
+            for lam, tail, tol in ((1 + 1e-6, small, tc.DEFAULT_TOL),
+                                   (-1j * (1 - 1e-6), small, tc.DEFAULT_TOL),
+                                   (2.0, spike, tc.Tolerance(0.7)),
+                                   (0.5j, spike, tc.Tolerance(0.4))):
                 a = np.zeros(n, dtype=complex)
-                a[n - m + 1:] = 1e-6 * np.exp(1j * np.arange(m - 1))
+                a[n - m + 1:] = tail
                 alpha = np.zeros(m, dtype=complex)
                 alpha[1:] = lam * np.conj(a[n - 1:n - m:-1])
                 a0 = np.sqrt(1.0 - np.sum(np.abs(a) ** 2))
@@ -638,8 +643,8 @@ def test_no_residual_after_lambda_off_unit_circle(monkeypatch):
             assert cert.accepted is False
             assert cert.residual_norm is None
             assert cert.match is not None and cert.match.is_proportional
-            assert abs(abs(cert.lam) - 1.0) > tol.atol
-            assert abs(cert.column_norm_sq - 1.0) / 2.0 <= tol.atol
+            assert abs(abs(cert.lam) - 1.0) > tol.tau
+            assert abs(cert.column_norm_sq - 1.0) / 2.0 <= tol.tau
 
 
 def drifted(A: tc.AsymToeplitz, ratio: float, rng: np.random.Generator) -> tc.AsymToeplitz:
@@ -685,7 +690,7 @@ DRIFTS = {"quarter": 0.25, "quadruple": 4.0}
 
 def route_case(kind: str, n: int, m: int, rng: np.random.Generator) -> tc.AsymToeplitz:
     """A generated isometry (n >= m), a shift by a power of i (n >= m), a
-    both-zero match, exact or with row parameters below ``atol`` at a
+    both-zero match, exact or with row parameters below ``tau`` at a
     quarter or 4 times the route bound ("both-zero-quarter"), a banded unit
     column, or a matched unit column, exact or drifted to a quarter or
     4 times the route bound."""
@@ -742,7 +747,7 @@ def test_route_matches_reference(shape, kind, seed):
     if kind == "generated" and n < m:
         kind = "matched"
     A = route_case(kind, n, m, np.random.default_rng(seed))
-    for tol in (*TOLS, tc.Tolerance(1e-12, 1e-12)):
+    for tol in (*TOLS, tc.Tolerance(1e-12)):
         assert_matches_reference(A, tol)
         cert = tc.is_isometry(A, tol)
         if cert.residual_norm is not None:
@@ -766,7 +771,7 @@ def test_identity_residual_is_exact(n):
 
 def test_exact_shifts_accepted_exactly():
     """Every exact isometry c S, a power of i times a shift, is accepted under
-    ``Tolerance(0, 0)`` with a residual of exactly 0.
+    ``Tolerance(0)`` with a residual of exactly 0.
 
     Its first column has one nonzero entry, so the residual needs no FFT.
     All 42,640 shifts by k <= n - m with 1 <= m <= n <= 39 and c in
@@ -876,7 +881,7 @@ def count_routes(monkeypatch) -> dict:
     (3, 4, "matched", "convolution"),
     *((n, m, "generated", "convolution") for n, m in ((9, 2), (201, 50), (2304, 16))),
     (120, 20, "both-zero", "convolution"),
-    # a both-zero match's drift is alpha itself: row parameters below atol
+    # a both-zero match's drift is alpha itself: row parameters below tau
     # take the route their norm gives, square and tall
     *((n, m, f"both-zero-{drift}", route) for n, m in ((40, 40), (97, 20))
       for drift, route in (("quarter", "autocorrelation"), ("quadruple", "convolution"))),
@@ -885,7 +890,7 @@ def test_route_selection(monkeypatch, n, m, kind, route):
     A = route_case(kind, n, m, np.random.default_rng(n * m))
     counts = count_routes(monkeypatch)
     certs = (tc.is_isometry(A), tc.is_isometry(tc.flip_cols(A)))
-    accepted = dense_defect(A) <= tc.DEFAULT_TOL.atol
+    accepted = dense_defect(A) <= tc.DEFAULT_TOL.tau
     both_zero = kind.startswith("both-zero")
     assert accepted is (kind in ("generated", "shift") or (both_zero and n == m))
     assert all(cert.accepted is accepted for cert in certs)
