@@ -1,14 +1,14 @@
 """Command-line front end for JSON matrix files.
 
 Subcommands: ``check`` (structure detection), ``product`` (is the product
-Toeplitz/Hankel, with optional dense-oracle cross-validation),
-``generate`` (families with guaranteed Toeplitz products), ``isometry``
-and ``displacement``.  ``check``, ``product`` and ``isometry`` take
-``--tol`` and promote a dense file to its compact form the same way,
-Toeplitz first; only ``product`` takes ``--json``.  Exit codes: 0 predicate
-true, 1 predicate false, 2 input error, 3 structured verdict disagrees with
-the dense oracle.  :func:`main` keeps NumPy's floating-point warnings off
-stderr.
+Toeplitz/Hankel; ``--oracle`` cross-validates it by one call to the dense
+oracle of :mod:`toepcert.core`, which keeps the product finite), ``generate``
+(families with guaranteed Toeplitz products), ``isometry`` and
+``displacement``.  ``check``, ``product`` and ``isometry`` take ``--tol``
+and promote a dense file to its compact form the same way, Toeplitz first;
+only ``product`` takes ``--json``.  Exit codes: 0 predicate true, 1
+predicate false, 2 input error, 3 structured verdict disagrees with the
+dense oracle.  :func:`main` keeps NumPy's floating-point warnings off stderr.
 """
 
 from __future__ import annotations
@@ -21,14 +21,7 @@ import sys
 
 import numpy as np
 
-from .core import (
-    AsymHankel,
-    AsymToeplitz,
-    StructureError,
-    Tolerance,
-    _first_break,
-    dense_mul,
-)
+from .core import AsymHankel, AsymToeplitz, StructureError, Tolerance, _product_break
 from .displacement import displacement_dense
 from .families import FamilySpec, gen_degenerate, gen_pair
 from .io import load_matrix, matrix_to_text, save_matrix
@@ -73,10 +66,6 @@ def _emit(doc: dict) -> None:
     print(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(args.tol)
-
-
 def _check_dense_size(what: str, *shapes: tuple[int, int]) -> None:
     """Refuse a dense step on any matrix larger than MAX_DENSE_ENTRIES."""
     for rows, cols in shapes:
@@ -84,23 +73,6 @@ def _check_dense_size(what: str, *shapes: tuple[int, int]) -> None:
             raise ValueError(
                 f"{what} needs a dense {rows}x{cols} matrix, more than "
                 f"{MAX_DENSE_ENTRIES} entries")
-
-
-def _overflow_shift(X: np.ndarray, Y: np.ndarray) -> int:
-    """The k for which X @ Y / 2^k cannot overflow in the dense oracle.
-
-    With every part of X below 2^ex and of Y below 2^ey, each part of an
-    entry of X @ Y is below 2^(ex + ey + 1) m, and the oracle's differences
-    and moduli of neighbouring entries at most four times that.  k is 0
-    when that stays below 2^1024, the float64 overflow threshold.  Scaling a
-    factor by a power of two is exact short of underflow, so the oracle
-    takes the same decisions on the scaled product once the threshold's
-    term ``tau`` is scaled by the same power, the ``unit`` 2^-k of
-    :func:`toepcert.core._first_break`.
-    """
-    ex, ey = (math.frexp(max(float(np.max(np.abs(M.real))),
-                             float(np.max(np.abs(M.imag)))))[1] for M in (X, Y))
-    return max(0, ex + ey + X.shape[1].bit_length() + 3 - 1024)
 
 
 def _as_structured(obj, tol: Tolerance):
@@ -129,7 +101,7 @@ def _load_structured(path: str, tol: Tolerance):
 
 def _cmd_check(args) -> int:
     obj = load_matrix(args.file)
-    structured = _as_structured(obj, _tolerance(args))
+    structured = _as_structured(obj, Tolerance(args.tol))
     structure = ("none" if structured is None
                  else "hankel" if isinstance(structured, AsymHankel) else "toeplitz")
     # a promoted dense file is Toeplitz by the displacement's interior, diagonal by diagonal
@@ -139,7 +111,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_product(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     # in file order, so file_a's error comes before file_b is read
     left, right = (_load_structured(path, tol) for path in (args.file_a, args.file_b))
     mixed = isinstance(left, AsymHankel) != isinstance(right, AsymHankel)
@@ -149,13 +121,7 @@ def _cmd_product(args) -> int:
     oracle_agrees = None
     if args.oracle:
         _check_dense_size("--oracle", left.shape, right.shape, (left.n, right.m))
-        X, Y = left.to_dense(), right.to_dense()
-        shift = _overflow_shift(X, Y)
-        if shift:
-            X = X * 2.0 ** -(shift // 2)
-            Y = Y * 2.0 ** -(shift - shift // 2)
-        dense_ok = _first_break(dense_mul(X, Y), tol, mixed, 2.0 ** -shift) is None
-        oracle_agrees = dense_ok == structured
+        oracle_agrees = (_product_break(left, right, tol) is None) == structured
 
     verdict = {
         "product": product_kind,
@@ -204,7 +170,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_isometry(args) -> int:
-    tol = _tolerance(args)
+    tol = Tolerance(args.tol)
     cert = is_isometry(_load_structured(args.file, tol), tol)
     _emit({
         "accepted": cert.accepted,

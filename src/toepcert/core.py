@@ -368,8 +368,7 @@ def _structured_dense(M, tol: Tolerance, hankel: bool) -> np.ndarray:
     """M as a dense array, or :class:`StructureError` at its first break
     (:func:`_first_break`), named with the entry it differs from."""
     M = as_dense(M)
-    bad = _first_break(M, tol, hankel)
-    if bad is not None:
+    if (bad := _first_break(M, tol, hankel)) is not None:
         i, j = bad
         k = j + 1 if hankel else j - 1
         raise StructureError(
@@ -377,6 +376,20 @@ def _structured_dense(M, tol: Tolerance, hankel: bool) -> np.ndarray:
             f"differs from entry ({i - 1}, {k}) = {M[i - 1, k]}",
             row=i, col=j)
     return M
+
+
+def _overflow_shift(exponent: int) -> int:
+    """The k for which 2**-k times parts below 2**(exponent + 1) keeps every
+    difference of two entries, and its modulus, below 2**1024, where float64
+    overflows.  Scaling by 2**-k is exact short of underflow (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 2)."""
+    return max(0, exponent + 3 - 1024)
+
+
+def _part_exponent(*values) -> int:
+    """The least E with all real and imaginary parts of ``values`` below 2**E; 0 if all are 0."""
+    return math.frexp(max(float(np.max(np.abs(part(v))))
+                          for v in values for part in (np.real, np.imag)))[1]
 
 
 def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool,
@@ -388,10 +401,10 @@ def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool,
     (i - 1, j - 1), or with ``hankel`` on the same anti-diagonal,
     (i - 1, j + 1); ``unit`` is the power of two that M's data were scaled
     by.  None when no entry does.  Under ``tau`` = 0 neighbours are compared
-    with ``!=`` as they stand, exact at every scale.  From a part of 2**1021
-    up a modulus or a difference may overflow, and an infinite threshold
-    would pass every difference, so M / 4 is scanned with ``unit`` / 4: the
-    same comparisons, exact short of underflow, all finite.
+    with ``!=`` as they stand, exact at every scale.  Once max|M| reaches
+    2**1021 a modulus or a difference may overflow, and an infinite
+    threshold would pass every difference, so M and ``unit`` are scaled by
+    2**-k, k = :func:`_overflow_shift` of M's :func:`_part_exponent`.
     """
     n, m = M.shape
     if n == 1 or m == 1:
@@ -399,10 +412,9 @@ def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool,
     tau = tol.tau
     if tau:
         top = float(np.max(np.abs(M)))
-        if top >= 2.0 ** 1021 and max(np.abs(M.real).max(), np.abs(M.imag).max()) >= 2.0 ** 1021:
-            M = M * 0.25
+        if top >= 2.0 ** 1021 and (shift := _overflow_shift(_part_exponent(M))):
+            M, unit = M * 2.0 ** -shift, unit * 2.0 ** -shift
             top = float(np.max(np.abs(M)))
-            unit *= 0.25
         thr = tau * unit + tau * top
     below, above = (M[1:, :-1], M[:-1, 1:]) if hankel else (M[1:, 1:], M[:-1, :-1])
     bad = np.abs(below - above) > thr if tau else below != above
@@ -411,6 +423,26 @@ def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool,
         return None
     i, j = divmod(k, m - 1)
     return i + 1, (j if hankel else j + 1)
+
+
+def _product_break(left, right, tol: Tolerance) -> tuple[int, int] | None:
+    """:func:`_first_break` of the dense product of two compact factors
+    (Hankel for mixed kinds): the dense oracle of a product verdict.
+
+    The product's parts are below 2**(ex + ey + 1) m < 2**(E + 1), E = ex +
+    ey + bitlen(m), for ex and ey the factors' :func:`_part_exponent`, read
+    from ``a0``, ``a`` and ``alpha`` with nothing realized.  The factors are
+    realized scaled by 2**-k between them, k = :func:`_overflow_shift` of E,
+    and the product is scanned at ``unit`` 2**-k.
+    """
+    ex, ey = (_part_exponent(T.a0, T.a, T.alpha)
+              for T in (F.core if isinstance(F, AsymHankel) else F for F in (left, right)))
+    k = _overflow_shift(ex + ey + left.m.bit_length())
+    X, Y = left.to_dense(), right.to_dense()
+    X *= 2.0 ** -(k // 2)
+    Y *= 2.0 ** -(k - k // 2)
+    hankel = isinstance(left, AsymHankel) != isinstance(right, AsymHankel)
+    return _first_break(dense_mul(X, Y), tol, hankel, 2.0 ** -k)
 
 
 def dense_is_toeplitz(M, tol: Tolerance = DEFAULT_TOL) -> bool:

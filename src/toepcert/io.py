@@ -20,13 +20,13 @@ stood between two pairs of a pair array and no pair, string, key,
 escape, literal or repeated key was changed or hidden, so the decoded
 values are those of one ``json.loads`` of the text.  One NumPy call then
 converts each pair array (``data``, ``first_row``, ``first_col``,
-``last_col``) from its runs, and its parts are checked for overflow and
-finiteness.  A pair array laid out as ``python -m json.tool`` writes it
-holds no ``], [`` and takes the same route, one run per pair.  Any other
-text (a key of no kind, a value of another type, a skeleton mismatch,
-an overflowing or non-finite part, text that is not one JSON object) is
-decoded again, as it stands, by ``json.loads`` and read by the checks
-of :func:`parse_matrix`, so it is refused with their message.
+``last_col``) from its runs, checking its parts for overflow, and
+:func:`parse_matrix` refuses a non-finite one as in a list.  A pair array
+laid out by ``python -m json.tool`` holds no ``], [`` and takes the same
+route, one run per pair.  Any other text (a key of no kind, a value of
+another type, a skeleton mismatch, an overflowing part, text that is not
+one JSON object) is decoded again, as it stands, by ``json.loads`` and
+read by the checks of :func:`parse_matrix`, so it is refused with their message.
 
 In nested lists a pair must be an exact ``list`` of two parts, and a
 part an exact ``int`` or ``float`` (what ``json.loads`` gives): ``true``,
@@ -88,7 +88,8 @@ def _parse_entries(items, count: int, where: str) -> np.ndarray:
     # list; NumPy alone would also convert bools and numeric strings
     if (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
             and set(map(type, chain.from_iterable(items))) <= {int, float}):
-        if (entries := _complex_parts(items, 2 * count)) is not None:
+        entries = _complex_parts(items, 2 * count)
+        if entries is not None and np.isfinite(entries).all():
             return entries
     raise MatrixFileError(_first_bad_entry(items, where))
 
@@ -96,12 +97,12 @@ def _parse_entries(items, count: int, where: str) -> np.ndarray:
 def _complex_parts(runs: list, count: int) -> np.ndarray | None:
     """The complex array of the ``count`` int or float parts in the lists
     ``runs``, read as [re, im] pairs in one pass, or None when a part is
-    beyond the float range or not finite."""
+    beyond the float range."""
     try:
         parts = np.fromiter(chain.from_iterable(runs), np.float64, count=count)
     except OverflowError:
         return None
-    return parts.view(CDTYPE) if np.isfinite(parts).all() else None
+    return parts.view(CDTYPE)
 
 
 def _first_bad_entry(items: list, where: str) -> str:
@@ -126,7 +127,7 @@ def _decoded(text: str) -> dict | None:
     is not a JSON object whose keys all belong to some kind, whose ``kind``
     names a kind, dimensions are ints and pair arrays lists of runs; when
     the text's skeleton differs from the one rebuilt from the object; or
-    when a part is beyond the float range or not finite.
+    when a part is beyond the float range.
     """
     try:
         doc = json.loads(text.replace("], [", ",   "))
@@ -159,10 +160,13 @@ def _decoded(text: str) -> dict | None:
 
 
 def _flat_entries(items, count: int, where: str) -> np.ndarray:
-    """A pair array from :func:`_decoded` when its count holds, else :func:`_parse_entries`."""
-    if type(items) is np.ndarray and items.shape == (count,) and items.dtype == CDTYPE:
-        return items
-    return _parse_entries(items, count, where)
+    """A pair array from :func:`_decoded` when its count holds, else :func:`_parse_entries`,
+    refusing a non-finite entry at its position in the file."""
+    if type(items) is not np.ndarray or items.shape != (count,) or items.dtype != CDTYPE:
+        return _parse_entries(items, count, where)
+    if not (finite := np.isfinite(items)).all():
+        raise MatrixFileError(f"'{where}[{int(finite.argmin())}]' contains a non-finite number")
+    return items
 
 
 def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
@@ -171,7 +175,7 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     Unknown keys are rejected; the corner-sharing invariants are enforced
     exactly.  Pair arrays are read by :func:`_flat_entries`, which takes a
     complex array of the right count, as :func:`_decoded` leaves one, as it
-    stands; a non-finite entry is still refused, in dense data as in a list.
+    stands; a non-finite entry is still refused, in every kind as in a list.
     """
     if not isinstance(doc, dict):
         raise MatrixFileError("matrix file must contain a JSON object")
@@ -193,10 +197,7 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     cols = _require_dim(doc, "cols")
 
     if kind == "dense":
-        data = _flat_entries(doc["data"], rows * cols, "data")
-        if not (finite := np.isfinite(data)).all():
-            raise MatrixFileError(f"'data[{int(finite.argmin())}]' contains a non-finite number")
-        return data.reshape(rows, cols)
+        return _flat_entries(doc["data"], rows * cols, "data").reshape(rows, cols)
 
     if kind == "toeplitz":
         first_row = _flat_entries(doc["first_row"], cols, "first_row")

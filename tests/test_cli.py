@@ -109,11 +109,12 @@ class TestCheck:
 
     def test_dense_file_promoted_as_product_promotes_it(self, tmp_path, capsys, monkeypatch,
                                                         rng):
-        # check answers through the promotion product uses, not the dense scans
+        # check answers through the promotion product uses, not the dense
+        # product's oracle
         def refuse(*args, **kwargs):
-            raise AssertionError("check called a dense scan")
+            raise AssertionError("check called the dense product oracle")
 
-        monkeypatch.setattr(cli, "_first_break", refuse)
+        monkeypatch.setattr(cli, "_product_break", refuse)
         T = tc.random_toeplitz(rng, 3, 4)
         f = tmp_path / "m.json"
         for M, code, verdict in (
@@ -287,7 +288,7 @@ class TestProduct:
         # the oracle's verdict is flipped, so the structured "yes" disagrees
         fa, fb = self._write_pair(tmp_path, tc.AsymToeplitz.eye(3, 5),
                                   tc.AsymToeplitz.eye(5, 4))
-        monkeypatch.setattr(cli, "_first_break", lambda M, tol, hankel, unit: (1, 1))
+        monkeypatch.setattr(cli, "_product_break", lambda left, right, tol: (1, 1))
         assert main(["product", fa, fb, "--oracle", "--json"]) == 3
         captured = capsys.readouterr()
         assert json.loads(captured.out)["oracle_agrees"] is False
@@ -317,17 +318,17 @@ class TestOracleOverflow:
         (tc.Regime.R1, 3, 5, 4), (tc.Regime.R2, 6, 3, 5), (tc.Regime.R2, 7, 3, 8),
         (tc.Regime.R3, 2, 4, 7), (tc.Regime.R4, 8, 4, 3)])
     @pytest.mark.parametrize("power", [520, 600, 1000])
-    @pytest.mark.parametrize("kinds", ["TT", "HT"])
+    @pytest.mark.parametrize("kinds", ["TT", "HH", "HT", "TH"])
     def test_exit_code_as_at_scale_one(self, tmp_path, capsys, regime, n, m, l, power,
                                        kinds):
         pair = tc.gen_pair(tc.FamilySpec(regime, n, m, l, lam=0.5 + 1j, seed=n + l))
         for (A, B), expected in ((pair, 0), (tc.perturb_to_break(pair, EXACT), 1)):
             codes = []
             for k in (0, power):
-                left = _scaled(A, k) if kinds == "TT" else tc.flip_rows_of(_scaled(A, k))
+                left, right = factors_of(kinds, _scaled(A, k), _scaled(B, k))
                 fa, fb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
                 tc.save_matrix(fa, left)
-                tc.save_matrix(fb, _scaled(B, k))
+                tc.save_matrix(fb, right)
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     codes.append(main(["product", fa, fb, "--oracle"]))

@@ -12,6 +12,7 @@ from helpers import (
     dense_eye,
     dense_flip,
     dense_shift,
+    factors_of,
     gaussian_toeplitz,
     outer,
     product_example_dense,
@@ -400,8 +401,10 @@ class TestDenseScanScale:
 
     @pytest.mark.parametrize("tol", [EXACT, tc.Tolerance(0.03), tc.Tolerance(0.05)])
     def test_verdict_as_at_scale_one(self, rng, tol):
-        # parts up to 15 times 2**1020 come within a factor 1.1 of float64's
-        # largest, where moduli overflow; M scanned at the unit 2**k, the
+        # parts up to 15 times 2**k reach the binary exponents 1022, 1023
+        # and 1024 at k = 1018, 1019 and 1020, where the scan shifts them by
+        # 1, 2 and 3 bits, and come within a factor 1.1 of float64's largest
+        # at 1020, where moduli overflow; M scanned at the unit 2**k, the
         # power of two it was scaled by, must keep every verdict and first
         # break of the unscaled scan
         for trial in range(40):
@@ -414,12 +417,46 @@ class TestDenseScanScale:
                 M.real.clip(-15, 15, out=M.real)
                 M.imag.clip(-15, 15, out=M.imag)
                 expected = [tc.core._first_break(M, tol, hankel) for hankel in (False, True)]
-                for k in (1000, 1020):
+                for k in (1000, 1018, 1019, 1020):
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
                         got = [tc.core._first_break(M * 2.0 ** k, tol, hankel, 2.0 ** k)
                                for hankel in (False, True)]
                     assert got == expected, (trial, k)
+
+    def test_overflow_shift_is_one_rule(self):
+        # parts below 2**(E + 1) are shifted to below 2**1021, from E = 1022
+        assert [tc.core._overflow_shift(e) for e in (-3, 0, 1021, 1022, 1023, 1024, 2073)] \
+            == [0, 0, 0, 1, 2, 3, 1052]
+
+    def test_product_oracle_scans_at_the_products_scale(self):
+        # A's entry 2**1000 meets only B's zero row, so A B = [[t, 0], [s, 0]]
+        # 2**30 is small, while the factors' exponents shift the oracle's
+        # product by 2**-13: its scan must read tau at the unshifted scale,
+        # a break of 1.5e-9 beside a zero entry and none of 0.5e-9
+        tol = tc.Tolerance(1e-9)
+        B = compact(2, 2, 0, [2.0 ** 30], [0])
+        for t, broken in ((1.5e-9, True), (0.5e-9, False)):
+            A = compact(2, 2, 2.0 ** -30 * 1e-9, [2.0 ** 1000], [2.0 ** -30 * t])
+            for kinds in ("TT", "HH", "HT", "TH"):
+                left, right = factors_of(kinds, A, B)
+                hankel = kinds in ("HT", "TH")
+                want = tc.core._first_break(left.to_dense() @ right.to_dense(), tol, hankel)
+                assert (want is not None) is broken
+                assert tc.core._product_break(left, right, tol) == want, kinds
+
+    def test_product_oracle_bound_counts_the_inner_dimension(self):
+        # every entry of A is c, so each row of A B is B's column sums times
+        # c, 64 c b, 63 c b and 62 c b: not Toeplitz, first break (1, 1).  At
+        # 2**1000 and 2**23 its 64 terms sum to about 2**1030, so the shift
+        # must count the inner dimension for the product to stay finite
+        c = 1.5 + 1.5j
+        for x, y in ((1.0, 1.0), (2.0 ** 1000, 2.0 ** 23)):
+            A = compact(3, 64, c * x, [c * x] * 2, [np.conj(c) * x] * 63)
+            B = compact(64, 3, c * y, [c * y] * 63, [0, 0])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert tc.core._product_break(A, B, tc.DEFAULT_TOL) == (1, 1)
 
     def test_exact_scan_keeps_subnormals_beside_huge_entries(self):
         # under EXACT neighbours are compared as they stand: a subnormal

@@ -213,6 +213,20 @@ class TestValidation:
                 with pytest.raises(tc.MatrixFileError) as err:
                     parse_matrix(doc)
                 assert str(err.value) == f"'data[{pos}]' contains a non-finite number"
+        # so is one of a compact kind, at its position in the file, before a
+        # Hankel file's first row is reversed
+        for kind, key, other in (("toeplitz", "first_row", "first_col"),
+                                 ("toeplitz", "first_col", "first_row"),
+                                 ("hankel", "first_row", "last_col"),
+                                 ("hankel", "last_col", "first_row")):
+            # the vector under test has 3 entries, the other 2 ones
+            rows, cols = (2, 3) if key == "first_row" else (3, 2)
+            for data, pos in ((np.array([1, 2, complex(0, nan)]), 2), (np.array([1, inf, 3j]), 1)):
+                doc = {"kind": kind, "rows": rows, "cols": cols, other: np.ones(2, dtype=complex)}
+                for doc[key] in (data, [[z.real, z.imag] for z in data.tolist()]):
+                    with pytest.raises(tc.MatrixFileError) as err:
+                        parse_matrix(doc)
+                    assert str(err.value) == f"'{key}[{pos}]' contains a non-finite number"
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(tc.MatrixFileError):

@@ -7,13 +7,19 @@ Computing Surveys* 51(1), 2018).  None forms a dense product, so the
 inputs reach 4096 in every size regime R1-R4:
 
 * Hankel insertion: (A P)(P B) = A B, the pair (flip_cols(A), flip_rows_of(B));
+* adjoint and rotation: B* A* = (A B)* and (P A P)(P B P) = P (A B) P, through
+  ``adjoint`` and ``rot180``, are Toeplitz exactly when A B is;
 * unimodular scalars: (c A) B = A (c B) = c (A B) for c in {1, -1, i, -i},
   scalings that are exact in floating point, for all four factor kinds;
 * isometries: c A, flip_cols(A) and flip_rows_of(A) are isometries exactly
   when A is.
 
-The balance (2^k A, 2^-k B), adjoint and rotation relations are left out:
-they flip verdicts today (ROADMAP.md items 1, 2 and 14).
+The adjoint and rotation relations keep the verdict and its case
+(proportional or both-zero), not lambda's bits: their match divides other
+entries, so lambda may round otherwise (ROADMAP.md item 2), and near the
+tolerance band a verdict may flip (item 1).  The balance relation
+(2^k A, 2^-k B) is left out: it flips verdicts today (ROADMAP.md items 1
+and 14).
 """
 
 import numpy as np
@@ -33,6 +39,11 @@ SIZE = st.integers(1, 4096)
 def times(c: complex, T: tc.AsymToeplitz) -> tc.AsymToeplitz:
     """c T; ``alpha`` holds the conjugates of the first row, so it takes conj(c)."""
     return tc.AsymToeplitz(T.n, T.m, c * T.a0, c * T.a, np.conj(c) * T.alpha)
+
+
+def case(cert):
+    """The verdict and its case: None, or whether the match is proportional."""
+    return None if cert is None else cert.outcome.is_proportional
 
 
 def outcome(cert):
@@ -84,6 +95,8 @@ def test_product_symmetries(pair):
     if want is not None:
         for name in "xyuv":
             assert np.array_equal(getattr(inserted, name), getattr(want, name)), name
+    for moved in ((B.adjoint(), A.adjoint()), (A.rot180(), B.rot180())):
+        assert case(tc.product_is_toeplitz(*moved)) == case(want)
     for kinds in ("TT", "HH", "HT", "TH"):
         # a flip of c T is the flip of T times c
         want = outcome(tc.product_is_toeplitz(*factors_of(kinds, A, B)))
