@@ -176,15 +176,22 @@ class AsymToeplitz:
         if alpha[0] != a[0]:
             raise ValueError(
                 f"first_row[0] = {alpha[0]} and first_col[0] = {a[0]} must agree")
-        a0 = complex(a[0])
-        # one copy per vector: the column becomes a and the conjugated row
-        # alpha, each with its structural zero written over the corner.  Both
-        # passed as_cvector's checks and are nonempty, so the fields already
-        # meet every check of __post_init__
-        a[0] = 0
-        np.conjugate(alpha, out=alpha)
-        alpha[0] = 0
-        return cls._trusted(len(a), len(alpha), a0, a, alpha)
+        return cls._from_owned_row_col(alpha, a)
+
+    @classmethod
+    def _from_owned_row_col(cls, first_row: np.ndarray, first_col: np.ndarray) -> "AsymToeplitz":
+        """Build from the literal first row and column, taken over as they stand.
+
+        Both must be nonempty, finite 1-D complex arrays that nothing else
+        holds, with equal corners, so the fields meet every check of
+        ``__post_init__``.  The column becomes ``a`` and the conjugated row
+        ``alpha``, each with its structural zero written over the corner.
+        """
+        a0 = complex(first_col[0])
+        first_col[0] = 0
+        np.conjugate(first_row, out=first_row)
+        first_row[0] = 0
+        return cls._trusted(len(first_col), len(first_row), a0, first_col, first_row)
 
     @classmethod
     def from_dense(cls, M, tol: Tolerance = DEFAULT_TOL) -> "AsymToeplitz":
@@ -405,6 +412,11 @@ def _first_break(M: np.ndarray, tol: Tolerance, hankel: bool,
     2**1021 a modulus or a difference may overflow, and an infinite
     threshold would pass every difference, so M and ``unit`` are scaled by
     2**-k, k = :func:`_overflow_shift` of M's :func:`_part_exponent`.
+    That shift is at most 3, but :func:`_product_break`'s ``unit`` 2**-k
+    makes ``tau * unit`` subnormal once k passes about 992 (tau = 1e-9);
+    its rounding, at most 2**-1075, is 2**(k - 1075) / tau of the threshold
+    at most, so it can tip only a defect within about 1e-12 relative of
+    the threshold at k near 1007.  ROADMAP item 1's plan removes ``unit``.
     """
     n, m = M.shape
     if n == 1 or m == 1:
@@ -433,7 +445,12 @@ def _product_break(left, right, tol: Tolerance) -> tuple[int, int] | None:
     ey + bitlen(m), for ex and ey the factors' :func:`_part_exponent`, read
     from ``a0``, ``a`` and ``alpha`` with nothing realized.  The factors are
     realized scaled by 2**-k between them, k = :func:`_overflow_shift` of E,
-    and the product is scanned at ``unit`` 2**-k.
+    and the product is scanned at ``unit`` 2**-k.  The scaling is exact
+    short of underflow, but the threshold's first term ``tau * 2**-k`` is
+    subnormal once k passes about 992 (tau = 1e-9), and its rounding can
+    tip only a defect within about 1e-12 relative of the threshold at k
+    near 1007 (:func:`_first_break`).  ROADMAP item 1's plan removes
+    ``unit``.
     """
     ex, ey = (_part_exponent(T.a0, T.a, T.alpha)
               for T in (F.core if isinstance(F, AsymHankel) else F for F in (left, right)))

@@ -176,6 +176,8 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
     exactly.  Pair arrays are read by :func:`_flat_entries`, which takes a
     complex array of the right count, as :func:`_decoded` leaves one, as it
     stands; a non-finite entry is still refused, in every kind as in a list.
+    That is each vector's one finiteness check: a compact matrix is built
+    from one copy of each checked vector, so no array passed in is aliased.
     """
     if not isinstance(doc, dict):
         raise MatrixFileError("matrix file must contain a JSON object")
@@ -205,7 +207,7 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
         if first_row[0] != first_col[0]:
             raise MatrixFileError(
                 "toeplitz file: first_row[0] and first_col[0] must be identical")
-        return AsymToeplitz.from_first_row_col(first_row, first_col)
+        return AsymToeplitz._from_owned_row_col(first_row.copy(), first_col.copy())
 
     first_row = _flat_entries(doc["first_row"], cols, "first_row")
     last_col = _flat_entries(doc["last_col"], rows, "last_col")
@@ -214,8 +216,7 @@ def parse_matrix(doc) -> AsymToeplitz | AsymHankel | np.ndarray:
             "hankel file: first_row[cols - 1] and last_col[0] must be identical")
     # H = core P_m: the core's first row is H's first row reversed and the
     # core's first column is H's last column
-    core = AsymToeplitz.from_first_row_col(first_row[::-1], last_col)
-    return AsymHankel(core)
+    return AsymHankel(AsymToeplitz._from_owned_row_col(first_row[::-1].copy(), last_col.copy()))
 
 
 def load_matrix(path) -> AsymToeplitz | AsymHankel | np.ndarray:

@@ -9,7 +9,9 @@ factor's two at a time, straight into the one buffer that the rank-one
 match reduces; the isometry self-match, :func:`_self_match`, uses the
 same writer and match.  The decision runs in O(n + m + l) and returns a
 certificate that can be re-verified against its factors and cross-checked
-against the dense product.
+against the dense product.  It builds only what it returns: a rejection
+makes no outcome and cuts no view, and a certificate keeps the buffer and
+cuts its four vectors from it when one is first read.
 
 Hankel factors reduce to that identity by flips read off the factors'
 types.  A compact Hankel matrix is stored as H = C P, with C Toeplitz and
@@ -123,15 +125,16 @@ def _toeplitz_form(M: AsymToeplitz | AsymHankel) -> tuple[AsymToeplitz, bool]:
 
 
 def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel):
-    """The buffer ``cat = (x, v, u, y)`` of a product identity, its four
-    read-only views and ``(n, m, l)``, as ``cat, x, v, u, y, n, m, l``.
+    """The buffer ``cat = (x, v, u, y)`` of a product identity and
+    ``(n, m, l)``, as ``cat, n, m, l``.
 
     The identity is that of the Toeplitz pair (A, B) that the module
     docstring reduces the factors to: each factor, or a Hankel factor's
     stored core, flipped where the two kinds require it.  x is A's column
     tail, y is B's row parameter vector, u and v the comparison vectors,
     all written by :func:`_write_factor`: (x, u) from A's fields and (y, v)
-    from those of B's adjoint.  The buffer is allocated unfilled.
+    from those of B's adjoint.  The buffer is allocated unfilled and left
+    writable; :func:`_views` cuts the four vectors from it.
     """
     A, hankel_left = _toeplitz_form(left)
     B, hankel_right = _toeplitz_form(right)
@@ -143,8 +146,15 @@ def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | As
     _write_factor(n, m, A.a0, A.a, A.alpha, cat, 0, n + l, hankel_left and not hankel_right)
     _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, cat, 2 * n + l, n,
                   hankel_left and hankel_right)
+    return cat, n, m, l
+
+
+def _views(cat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The read-only views ``(x, y, u, v)`` of a product buffer
+    ``cat = (x, v, u, y)`` whose x has length n; the buffer is made read-only."""
     cat.setflags(write=False)
-    return cat, cat[:n], cat[n:n + l], cat[n + l:2 * n + l], cat[2 * n + l:], n, m, l
+    l = len(cat) // 2 - n
+    return cat[:n], cat[2 * n + l:], cat[n + l:2 * n + l], cat[n:n + l]
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +233,13 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
         xp, y, mags_xp = cat[s:s + p], cat[s + p:], mags[s:s + p]
         max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
     tau = tol.tau
-    # filled in as product_is_toeplitz fills a certificate, with no
-    # frozen-dataclass __init__
-    outcome = object.__new__(RankOneOutcome)
     zero = (max_x <= tau, max_y <= tau, max_xp <= tau, max_yp <= tau)
     lhs_zero = zero[0] or zero[1]
     rhs_zero = zero[2] or zero[3]
     if lhs_zero and rhs_zero:
+        # filled in as product_is_toeplitz fills a certificate, with no
+        # frozen-dataclass __init__
+        outcome = object.__new__(RankOneOutcome)
         outcome.__dict__.update(
             lam=None, vanished=tuple(name for name, z in zip(("x", "y", "xp", "yp"), zero) if z))
         return outcome
@@ -251,6 +261,7 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
     scaled_xp, scaled_y = scale * max_xp, scale * max_y
     if (defect_x <= tau + tau * (scaled_xp if scaled_xp > max_x else max_x)
             and defect_y <= tau + tau * (scaled_y if scaled_y > max_yp else max_yp)):
+        outcome = object.__new__(RankOneOutcome)
         outcome.__dict__.update(lam=lam, vanished=())
         return outcome
     return None
@@ -288,8 +299,11 @@ def comparison_vectors(A: AsymToeplitz | AsymHankel, B: AsymToeplitz | AsymHanke
     reversed (and likewise y and v): Hankel factors give the vectors of
     their stored cores, flipped as the module docstring says.
     """
-    _, x, v, u, y, n, m, l = _comparison_buffer(A, B)
-    return x, y, u, v, classify_regime(n, m, l)
+    cat, n, m, l = _comparison_buffer(A, B)
+    return (*_views(cat, n), classify_regime(n, m, l))
+
+
+_VECTORS = ("x", "y", "u", "v")
 
 
 @dataclass(frozen=True)
@@ -302,6 +316,12 @@ class ProductCertificate:
     (this convention is used uniformly across regimes).  ``k`` and
     ``k_prime`` are the block counts k*m < n <= (k+1)*m and
     k'*m < l <= (k'+1)*m.
+
+    A certificate that :func:`product_is_toeplitz` returns holds the one
+    buffer its decision matched, and x, y, u and v are read-only views of
+    it, cut together when any of them is first read; a copy or a pickle
+    cuts them first, so it carries the four fields as the constructor sets
+    them.
     """
 
     regime: Regime
@@ -312,6 +332,20 @@ class ProductCertificate:
     outcome: RankOneOutcome
     k: int
     k_prime: int
+
+    def __getattr__(self, name: str):
+        # reached only for a name missing from __dict__: a vector of a
+        # certificate whose buffer is still uncut
+        state = self.__dict__
+        if name in _VECTORS and "_buffer" in state:
+            state.update(zip(_VECTORS, _views(*state["_buffer"])))
+            state.pop("_buffer", None)
+            return state[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
+    def __getstate__(self) -> dict:
+        self.x  # cuts an uncut buffer's vectors
+        return self.__dict__
 
     @property
     def lam(self) -> complex | None:
@@ -340,17 +374,18 @@ def product_is_toeplitz(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | A
     mixed kinds to be Hankel, through the flips of the module docstring.
     Returns a :class:`ProductCertificate` of the flip-reduced pair when it
     is, ``None`` when it is not; its vectors are read-only views of one
-    buffer.  Zero factors are accepted (the zero product is structured)
-    with a degenerate certificate.  Agrees with the dense oracle on the
-    realized product.
+    buffer, cut when one of them is first read.  Zero factors are accepted
+    (the zero product is structured) with a degenerate certificate.  Agrees
+    with the dense oracle on the realized product.
     """
-    cat, x, v, u, y, n, m, l = _comparison_buffer(left, right)
+    cat, n, m, l = _comparison_buffer(left, right)
     outcome = _match(cat, n, l, tol)
     if outcome is None:
         return None
     # built as AsymToeplitz._trusted builds a matrix, skipping the frozen
-    # dataclass's __init__, which sets each field through object.__setattr__
+    # dataclass's __init__, which sets each field through object.__setattr__;
+    # x, y, u and v are cut from the buffer when first read
     cert = object.__new__(ProductCertificate)
-    cert.__dict__.update(regime=classify_regime(n, m, l), x=x, y=y, u=u, v=v,
-                         outcome=outcome, k=(n - 1) // m, k_prime=(l - 1) // m)
+    cert.__dict__.update(regime=classify_regime(n, m, l), outcome=outcome,
+                         k=(n - 1) // m, k_prime=(l - 1) // m, _buffer=(cat, n))
     return cert

@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import toepcert as tc
+from toepcert import core
 from toepcert.io import _parse_entries, matrix_to_text, parse_matrix
 from helpers import reference_load_matrix, reference_matrix_to_text, reference_parse_entries
 
@@ -227,6 +228,29 @@ class TestValidation:
                     with pytest.raises(tc.MatrixFileError) as err:
                         parse_matrix(doc)
                     assert str(err.value) == f"'{key}[{pos}]' contains a non-finite number"
+
+    def test_compact_built_from_one_check_and_one_copy(self, monkeypatch):
+        # the reader's own finiteness check is the only one: the compact
+        # matrix is not rebuilt through from_first_row_col's checked copies
+        def refuse(*args):
+            raise AssertionError("vector checked twice")
+
+        monkeypatch.setattr(core, "_cvector", refuse)
+        row, col = np.array([1, 2j, 3]), np.array([1, -4, 5j, 6])
+        kept = row.copy(), col.copy()
+        for doc, want in (
+                ({"kind": "toeplitz", "rows": 4, "cols": 3, "first_row": row, "first_col": col},
+                 [[1, 2j, 3], [-4, 1, 2j], [5j, -4, 1], [6, 5j, -4]]),
+                ({"kind": "hankel", "rows": 4, "cols": 3, "first_row": row[::-1], "last_col": col},
+                 [[3, 2j, 1], [2j, 1, -4], [1, -4, 5j], [-4, 5j, 6]])):
+            M = parse_matrix(doc)
+            assert M.to_dense().tobytes() == np.array(want, dtype=complex).tobytes()
+            # an array passed in is copied, never written or aliased
+            fields = M.core if isinstance(M, tc.AsymHankel) else M
+            for vec in (fields.a, fields.alpha):
+                assert not vec.flags.writeable
+                assert not any(np.shares_memory(vec, given) for given in (row, col))
+            assert row.tobytes() == kept[0].tobytes() and col.tobytes() == kept[1].tobytes()
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(tc.MatrixFileError):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import statistics
 import time
 from dataclasses import replace
@@ -29,6 +31,7 @@ from helpers import (
     outer,
     product_example_dense,
     reference_comparison_vectors,
+    reference_product_structure,
     reference_rank_one_equal,
 )
 
@@ -409,6 +412,122 @@ class TestProductIsToeplitz:
             if cert.outcome.is_proportional:
                 assert np.array_equal(cert.x, cert.lam * cert.u)
                 assert np.array_equal(cert.v, np.conj(cert.lam) * cert.y)
+
+
+def accepted_cases():
+    """Parameters (label, left, right), with the label as id, of all four kind
+    pairs for a proportional pair in each regime and a both-zero pair of
+    each degenerate form."""
+    pairs = [(regime.name, tc.gen_pair(tc.FamilySpec(regime, n, m, l, lam=1 + 1j, seed=3)))
+             for regime, (n, m, l) in ((tc.Regime.R1, (4, 6, 5)), (tc.Regime.R2, (7, 3, 5)),
+                                       (tc.Regime.R3, (3, 5, 8)), (tc.Regime.R4, (8, 4, 3)))]
+    pairs += [(form, tc.gen_degenerate(form, n, m, l, seed=3))
+              for form, (n, m, l) in zip(tc.DEGENERATE_FORMS,
+                                         ((4, 6, 5), (6, 5, 4), (7, 5, 6), (3, 5, 8)))]
+    return [pytest.param(label, *factors_of(kinds, A, B), id=f"{label}-{kinds}")
+            for label, (A, B) in pairs for kinds in ("TT", "HH", "HT", "TH")]
+
+
+ACCEPTED_CASES = accepted_cases()
+
+
+class TestCertificateBuiltLazily:
+    """A decision builds only what it returns: a rejection cuts no view, and
+    a certificate cuts its four vectors from the matched buffer, all
+    together, when one is first read.  What a reader sees is unchanged."""
+
+    @pytest.fixture
+    def cuts(self, monkeypatch):
+        calls = []
+        views = product._views
+
+        def counting(*args):
+            calls.append(args)
+            return views(*args)
+
+        monkeypatch.setattr(product, "_views", counting)
+        return calls
+
+    @pytest.mark.parametrize("label, left, right", ACCEPTED_CASES)
+    def test_vectors_as_the_reference_in_every_read_order(self, label, left, right):
+        want = reference_product_structure(left, right)[1]
+        assert want is not None
+        cert = tc.product_is_toeplitz(left, right)
+        assert cert.outcome.is_both_zero is (label in tc.DEGENERATE_FORMS)
+        for order in itertools.permutations("xyuv"):
+            cert = tc.product_is_toeplitz(left, right)
+            got = {name: getattr(cert, name) for name in order}
+            buffer = got["x"].base
+            for name, vec in got.items():
+                mine, theirs = vec, getattr(want, name)
+                assert (mine.dtype, mine.shape, mine.tobytes()) == (
+                    theirs.dtype, theirs.shape, theirs.tobytes())
+                assert not mine.flags.writeable
+                assert vec.base is buffer and np.shares_memory(vec, buffer)
+                assert getattr(cert, name) is vec
+            assert product._recorded(cert) == product._recorded(want)
+
+    @pytest.mark.parametrize("label, left, right", ACCEPTED_CASES[::3])
+    def test_unread_certificate_copies_and_prints_as_read(self, label, left, right):
+        want = product._recorded(tc.product_is_toeplitz(left, right))
+        read = tc.product_is_toeplitz(left, right)
+        read.x
+        for make in (dataclasses.replace, copy.copy, copy.deepcopy,
+                     lambda c: pickle.loads(pickle.dumps(c))):
+            cert = tc.product_is_toeplitz(left, right)
+            other = make(cert)
+            assert product._recorded(other) == want == product._recorded(cert)
+        cert = tc.product_is_toeplitz(left, right)
+        assert repr(cert) == repr(read)
+        cert = tc.product_is_toeplitz(left, right)
+        assert cert == cert
+        cert = tc.product_is_toeplitz(left, right)
+        assert dataclasses.replace(cert) == cert
+        cert = tc.product_is_toeplitz(left, right)
+        assert copy.copy(cert) == cert
+
+    def test_no_other_attribute(self):
+        cert = tc.product_is_toeplitz(tc.AsymToeplitz.eye(3, 4), tc.AsymToeplitz.eye(4, 2))
+        assert not hasattr(cert, "no_such_field")
+        assert hasattr(cert, "x")
+        # an instance with no fields at all, as copy and pickle first make one
+        bare = object.__new__(tc.ProductCertificate)
+        assert not hasattr(bare, "x") and not hasattr(bare, "__setstate__")
+
+    def test_views_cut_once_and_only_when_read(self, cuts):
+        A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R4, 9, 4, 3, lam=2j, seed=1))
+        assert tc.product_is_toeplitz(*tc.perturb_to_break((A, B))) is None
+        assert cuts == []
+        cert = tc.product_is_toeplitz(A, B)
+        assert (cert.regime, cert.k, cert.k_prime, cert.lam) == (tc.Regime.R4, 2, 0, 2j)
+        assert cert.outcome.is_proportional
+        assert cuts == []
+        for first in "xyuv":
+            cert = tc.product_is_toeplitz(A, B)
+            del cuts[:]
+            getattr(cert, first)
+            assert len(cuts) == 1
+            for name in "xyuvxyuv":
+                getattr(cert, name)
+            product._recorded(cert)
+            repr(cert)
+            assert len(cuts) == 1
+        # comparison_vectors cuts its views once, read-only
+        del cuts[:]
+        x, y, u, v, regime = comparison_vectors(A, B)
+        assert len(cuts) == 1 and regime is tc.Regime.R4
+        assert not any(vec.flags.writeable for vec in (x, y, u, v))
+
+    def test_certificate_built_by_the_constructor_cuts_nothing(self, cuts):
+        A, B = tc.gen_pair(tc.FamilySpec(tc.Regime.R1, 3, 5, 4, lam=0.5, seed=2))
+        cert = tc.product_is_toeplitz(A, B)
+        built = tc.ProductCertificate(cert.regime, cert.x, cert.y, cert.u, cert.v,
+                                      cert.outcome, cert.k, cert.k_prime)
+        del cuts[:]
+        assert built.verify(A, B)
+        assert product._recorded(built) == product._recorded(cert)
+        # verify read the vectors of the certificate it decided, not of this one
+        assert len(cuts) == 1
 
 
 # (n, m, l) in each regime from three positive draws
