@@ -102,9 +102,34 @@ def _cvector(x, length: int | None, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
     if length is not None and len(v) != length:
         raise DimensionMismatch(f"{name} must have length {length}, got {len(v)}")
+    return _finite(v, name)
+
+
+def _finite(v: np.ndarray, name: str) -> np.ndarray:
+    """``v``, or ValueError naming it unless every entry is finite."""
     if not np.isfinite(v).all():
         raise ValueError(f"{name} contains non-finite entries")
     return v
+
+
+def _finite_corner(a0) -> complex:
+    """``a0`` as a complex, or ValueError unless both its parts are finite."""
+    a0 = complex(a0)
+    if not (math.isfinite(a0.real) and math.isfinite(a0.imag)):
+        raise ValueError("corner value must be finite")
+    return a0
+
+
+def _dimensions(*dims) -> tuple[int, ...]:
+    """``dims`` as Python ints, or ValueError unless each is a positive integer."""
+    try:
+        ints = tuple(operator.index(d) for d in dims)
+    except TypeError:
+        raise ValueError(
+            f"dimensions must be integers, got {'x'.join(map(repr, dims))}") from None
+    if min(ints) < 1:
+        raise ValueError(f"dimensions must be positive, got {'x'.join(map(str, ints))}")
+    return ints
 
 
 def as_dense(M, name: str = "matrix") -> np.ndarray:
@@ -144,18 +169,10 @@ class AsymToeplitz:
     alpha: np.ndarray
 
     def __post_init__(self):
-        try:
-            n, m = operator.index(self.n), operator.index(self.m)
-        except TypeError:
-            raise ValueError(
-                f"dimensions must be integers, got {self.n!r}x{self.m!r}") from None
-        if n < 1 or m < 1:
-            raise ValueError(f"dimensions must be positive, got {n}x{m}")
-        a0 = complex(self.a0)
-        if not (np.isfinite(a0.real) and np.isfinite(a0.imag)):
-            raise ValueError("corner value must be finite")
-        a = as_cvector(self.a, self.n, "a")
-        alpha = as_cvector(self.alpha, self.m, "alpha")
+        n, m = _dimensions(self.n, self.m)
+        a0 = _finite_corner(self.a0)
+        a = as_cvector(self.a, n, "a")
+        alpha = as_cvector(self.alpha, m, "alpha")
         if a[0] != 0 or alpha[0] != 0:
             raise ValueError("a[0] and alpha[0] are structural zeros and must be 0")
         object.__setattr__(self, "n", n)
@@ -262,7 +279,8 @@ class AsymToeplitz:
     @classmethod
     def _trusted(cls, n: int, m: int, a0: complex, a: np.ndarray,
                  alpha: np.ndarray) -> "AsymToeplitz":
-        """Wrap fields the package derived from validated data.
+        """Wrap fields the package derived from validated data, or built and
+        checked itself (:mod:`toepcert.families`).
 
         Skips the copies and checks of ``__post_init__``: ``n`` and ``m``
         must be positive ints, ``a0`` a finite complex, and ``a`` and

@@ -7,15 +7,30 @@ parameter of a certified pair so the identity provably fails, for negative
 testing.  Random fill uses Gaussian-integer values so the dense oracle
 comparisons stay exact in double precision.  ``gen_isometry`` builds
 Toeplitz matrices with orthonormal columns, whose entries are not.
+
+Each factor is built from the arrays its generator allocated, not through
+the public constructor: each vector is checked for finiteness once, with
+the constructor's messages, and made read-only in place, never copied.
+Dimensions are checked as the constructor checks them before anything is
+drawn.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CDTYPE, DEFAULT_TOL, AsymToeplitz, DimensionMismatch, Tolerance
+from .core import (
+    CDTYPE,
+    DEFAULT_TOL,
+    AsymToeplitz,
+    DimensionMismatch,
+    Tolerance,
+    _dimensions,
+    _finite,
+    _finite_corner,
+)
 from .product import Regime, classify_regime, product_is_toeplitz
 
 __all__ = [
@@ -35,18 +50,36 @@ class SpecificationError(ValueError):
 
 
 def _fill(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Gaussian-integer entries with parts in [-5, 5] (exact in doubles)."""
-    parts = rng.integers(-5, 6, size=(2, count))
-    return (parts[0] + 1j * parts[1]).astype(CDTYPE)
+    """Gaussian-integer entries with parts in [-5, 5] (exact in doubles),
+    from one draw whose first half holds the real parts."""
+    parts = rng.integers(-5, 6, size=2 * count)
+    out = np.empty(count, dtype=CDTYPE)
+    out.real, out.imag = parts[:count], parts[count:]
+    return out
+
+
+def _corner(rng: np.random.Generator) -> complex:
+    """One entry as :func:`_fill` draws it, as a Python complex."""
+    re, im = rng.integers(-5, 6, size=2).tolist()
+    return complex(re, im)
+
+
+def _built(n: int, m: int, a0, a: np.ndarray, alpha: np.ndarray) -> AsymToeplitz:
+    """``AsymToeplitz(n, m, a0, a, alpha)`` from int dimensions and arrays this
+    module allocated, zero at index 0: one finiteness pass per vector, with
+    the constructor's messages, and no copy."""
+    return AsymToeplitz._trusted(n, m, _finite_corner(a0), _finite(a, "a"),
+                                 _finite(alpha, "alpha"))
 
 
 def random_toeplitz(rng: np.random.Generator, n: int, m: int) -> AsymToeplitz:
     """Compact matrix with seeded Gaussian-integer parameters in [-5, 5]."""
+    n, m = _dimensions(n, m)
     a = np.zeros(n, dtype=CDTYPE)
     a[1:] = _fill(rng, n - 1)
     alpha = np.zeros(m, dtype=CDTYPE)
     alpha[1:] = _fill(rng, m - 1)
-    return AsymToeplitz(n, m, complex(_fill(rng, 1)[0]), a, alpha)
+    return _built(n, m, _corner(rng), a, alpha)
 
 
 def gen_isometry(rng: np.random.Generator, n: int, m: int) -> AsymToeplitz:
@@ -61,6 +94,7 @@ def gen_isometry(rng: np.random.Generator, n: int, m: int) -> AsymToeplitz:
     the inverse DFT of random unit phases, a flat spectrum, which holds for
     every m <= n.
     """
+    n, m = _dimensions(n, m)
     if not 1 <= m <= n:
         raise SpecificationError(f"an isometry needs n >= m >= 1, got {n}x{m}")
     turn = rng.random()
@@ -135,7 +169,7 @@ def _geometric_quotients(v: np.ndarray, m: int, c: complex) -> None:
     v[m:] = rows.ravel()[m:size]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FamilySpec:
     """Parameters for one guaranteed product-Toeplitz factor pair.
 
@@ -145,6 +179,10 @@ class FamilySpec:
     rank-one identity.  ``b_free`` is always the right factor's column
     tail b_1..b_{m-1}.  Parameters left as ``None`` are filled from
     ``seed`` with Gaussian-integer values.
+
+    Specs are equal when their scalars are equal and each free vector is
+    ``None`` in both or equal entry by entry (``np.array_equal``); the hash
+    reads the scalars only, so equal specs hash alike.
     """
 
     regime: Regime
@@ -157,6 +195,19 @@ class FamilySpec:
     a_free: np.ndarray | None = None
     b_free: np.ndarray | None = None
     seed: int = 0
+
+    def _scalars(self) -> tuple:
+        return (self.regime, self.n, self.m, self.l, self.lam, self.a0, self.b0, self.seed)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FamilySpec):
+            return NotImplemented
+        return self._scalars() == other._scalars() and all(
+            x is y or (x is not None and y is not None and np.array_equal(x, y))
+            for x, y in ((self.a_free, other.a_free), (self.b_free, other.b_free)))
+
+    def __hash__(self) -> int:
+        return hash(self._scalars())
 
 
 def gen_pair(spec: FamilySpec) -> tuple[AsymToeplitz, AsymToeplitz]:
@@ -185,36 +236,38 @@ def gen_pair(spec: FamilySpec) -> tuple[AsymToeplitz, AsymToeplitz]:
     if lam == 0:
         raise SpecificationError(
             "lam must be nonzero; degenerate families have dedicated constructors")
+    n, m, l = _dimensions(n, m, l)
     rng = np.random.default_rng(spec.seed)
-    a_free = (np.asarray(spec.a_free, dtype=CDTYPE) if spec.a_free is not None
-              else _fill(rng, m - 1))
-    b_free = (np.asarray(spec.b_free, dtype=CDTYPE) if spec.b_free is not None
-              else _fill(rng, m - 1))
-    if len(a_free) != m - 1 or len(b_free) != m - 1:
-        raise SpecificationError(f"free parameter vectors must have length {m - 1}")
-    a0 = complex(spec.a0) if spec.a0 is not None else complex(_fill(rng, 1)[0])
-    b0 = complex(spec.b0) if spec.b0 is not None else complex(_fill(rng, 1)[0])
+    a = np.zeros(n, dtype=CDTYPE)
+    alpha = np.zeros(m, dtype=CDTYPE)
+    b = np.zeros(m, dtype=CDTYPE)
+    beta = np.zeros(l, dtype=CDTYPE)
+    # the left factor's free parameters are its row parameters when n <= m,
+    # else its column tail; each given vector is copied in, each other drawn
+    for given, free in ((spec.a_free, alpha[1:] if n <= m else a[1:m]),
+                        (spec.b_free, b[1:])):
+        if given is None:
+            free[:] = _fill(rng, m - 1)
+        elif len(given := np.asarray(given, dtype=CDTYPE)) != m - 1:
+            raise SpecificationError(f"free parameter vectors must have length {m - 1}")
+        else:
+            free[:] = given
+    a0 = complex(spec.a0) if spec.a0 is not None else _corner(rng)
+    b0 = complex(spec.b0) if spec.b0 is not None else _corner(rng)
 
-    # a lam near the float range's edges overflows here; AsymToeplitz
-    # refuses the non-finite result with one error, so NumPy stays quiet
+    # a lam near the float range's edges overflows here; _built refuses
+    # the non-finite result with the constructor's error, so NumPy stays quiet
     with np.errstate(over="ignore", invalid="ignore"):
-        a = np.zeros(n, dtype=CDTYPE)
-        alpha = np.zeros(m, dtype=CDTYPE)
         if n <= m:
-            alpha[1:] = a_free
             _times(lam, np.conj(alpha[m - 1:m - n:-1]).view(np.float64),
                    a[1:].view(np.float64))
         else:
-            a[1:m] = a_free
             np.divide(np.conj(a[m - 1:0:-1]), lam.conjugate(), out=alpha[1:])
             # a[i] = lam a[i - m] from i = m on, with a0 standing in for a[0]
             a[0] = a0
             _geometric_products(a, m, lam)
             a[0] = 0
 
-        b = np.zeros(m, dtype=CDTYPE)
-        b[1:] = b_free
-        beta = np.zeros(l, dtype=CDTYPE)
         k = min(l, m)
         np.divide(np.conj(b[m - 1:m - k:-1]), lam.conjugate(), out=beta[1:k])
         if m < l:
@@ -222,7 +275,7 @@ def gen_pair(spec: FamilySpec) -> tuple[AsymToeplitz, AsymToeplitz]:
             _geometric_quotients(beta, m, lam.conjugate())
             beta[0] = 0
 
-    return AsymToeplitz(n, m, a0, a, alpha), AsymToeplitz(m, l, b0, b, beta)
+    return _built(n, m, a0, a, alpha), _built(m, l, b0, b, beta)
 
 
 DEGENERATE_FORMS = ("row_band_a", "col_band_b", "lambda_zero", "lambda_infinity")
@@ -251,32 +304,37 @@ def gen_degenerate(form: str, n: int, m: int, l: int, *,
         raise SpecificationError(f"unknown degenerate form {form!r}")
     if n < 1 or m < 1 or l < 1:
         raise SpecificationError(f"dimensions must be positive, got ({n}, {m}, {l})")
+    n, m, l = _dimensions(n, m, l)
     for name, corner, forced in (("b0", b0, form == "lambda_zero" and l > m),
                                  ("a0", a0, form == "lambda_infinity" and n > m)):
         if forced and corner is not None and complex(corner) != 0:
             raise SpecificationError(f"{form} with these dimensions needs {name} = 0")
     rng = np.random.default_rng(seed)
-    a0 = complex(a0) if a0 is not None else complex(_fill(rng, 1)[0])
-    b0 = complex(b0) if b0 is not None else complex(_fill(rng, 1)[0])
+    a0 = complex(a0) if a0 is not None else _corner(rng)
+    b0 = complex(b0) if b0 is not None else _corner(rng)
 
+    # a corner is checked when its factor is built, after the form's own
+    # checks, so a SpecificationError wins over a non-finite corner
     if form == "row_band_a":
         if n > m:
             raise SpecificationError("row_band_a requires n <= m")
         alpha = np.zeros(m, dtype=CDTYPE)
         alpha[1:m - n + 1] = _fill(rng, m - n)
-        A = AsymToeplitz(n, m, a0, np.zeros(n, dtype=CDTYPE), alpha)
-        B = replace(random_toeplitz(rng, m, l), a0=b0)
+        A = _built(n, m, a0, np.zeros(n, dtype=CDTYPE), alpha)
+        B = random_toeplitz(rng, m, l)
+        B = AsymToeplitz._trusted(m, l, _finite_corner(b0), B.a, B.alpha)
     elif form == "col_band_b":
         if l > m:
             raise SpecificationError("col_band_b requires l <= m")
         b = np.zeros(m, dtype=CDTYPE)
         b[1:m - l + 1] = _fill(rng, m - l)
-        B = AsymToeplitz(m, l, b0, b, np.zeros(l, dtype=CDTYPE))
-        A = replace(random_toeplitz(rng, n, m), a0=a0)
+        B = _built(m, l, b0, b, np.zeros(l, dtype=CDTYPE))
+        A = random_toeplitz(rng, n, m)
+        A = AsymToeplitz._trusted(n, m, _finite_corner(a0), A.a, A.alpha)
     elif form == "lambda_zero":
         alpha = np.zeros(m, dtype=CDTYPE)
         alpha[1:] = _fill(rng, m - 1)
-        A = AsymToeplitz(n, m, a0, np.zeros(n, dtype=CDTYPE), alpha)
+        A = _built(n, m, a0, np.zeros(n, dtype=CDTYPE), alpha)
         b = np.zeros(m, dtype=CDTYPE)
         beta = np.zeros(l, dtype=CDTYPE)
         if l <= m:
@@ -287,11 +345,11 @@ def gen_degenerate(form: str, n: int, m: int, l: int, *,
             # only the last m row parameters stay free
             b0 = 0.0
             beta[l - m:] = _fill(rng, m)
-        B = AsymToeplitz(m, l, b0, b, beta)
+        B = _built(m, l, b0, b, beta)
     else:  # lambda_infinity
         b = np.zeros(m, dtype=CDTYPE)
         b[1:] = _fill(rng, m - 1)
-        B = AsymToeplitz(m, l, b0, b, np.zeros(l, dtype=CDTYPE))
+        B = _built(m, l, b0, b, np.zeros(l, dtype=CDTYPE))
         a = np.zeros(n, dtype=CDTYPE)
         alpha = np.zeros(m, dtype=CDTYPE)
         if n <= m:
@@ -300,7 +358,7 @@ def gen_degenerate(form: str, n: int, m: int, l: int, *,
         else:
             a0 = 0.0
             a[n - m:] = _fill(rng, m)
-        A = AsymToeplitz(n, m, a0, a, alpha)
+        A = _built(n, m, a0, a, alpha)
     return A, B
 
 
@@ -325,14 +383,15 @@ def perturb_to_break(pair: tuple[AsymToeplitz, AsymToeplitz],
     # offsets p - 1 of the nonzero A.a[p], 1 <= p < min(n, m)
     candidates = np.flatnonzero(A.a[1:min(n, m)])
 
+    # the bumped copy shares A's read-only vectors but the one it changes
     def bumped(delta: float) -> AsymToeplitz:
         if candidates.size:
             alpha = A.alpha.copy()
             alpha[m - 1 - candidates[0]] += delta
-            return replace(A, alpha=alpha)
+            return AsymToeplitz._trusted(n, m, A.a0, A.a, _finite(alpha, "alpha"))
         # tail nonzero only through the geometric blocks: bump the corner,
         # which feeds the comparison vector at index m
-        return replace(A, a0=A.a0 + delta)
+        return AsymToeplitz._trusted(n, m, _finite_corner(A.a0 + delta), A.a, A.alpha)
 
     for delta in (1.0, 2.0, 3.0):
         broken = bumped(delta)

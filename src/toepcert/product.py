@@ -306,7 +306,7 @@ def comparison_vectors(A: AsymToeplitz | AsymHankel, B: AsymToeplitz | AsymHanke
 _VECTORS = ("x", "y", "u", "v")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductCertificate:
     """Witness that a product of compact factors keeps structure.
 
@@ -321,7 +321,9 @@ class ProductCertificate:
     buffer its decision matched, and x, y, u and v are read-only views of
     it, cut together when any of them is first read; a copy or a pickle
     cuts them first, so it carries the four fields as the constructor sets
-    them.
+    them.  Two certificates are equal, and hash alike, when they record the
+    same bits, as :meth:`verify` compares them: regime, block counts,
+    vanished names, lam and each vector's dtype, shape and bytes.
     """
 
     regime: Regime
@@ -346,6 +348,14 @@ class ProductCertificate:
     def __getstate__(self) -> dict:
         self.x  # cuts an uncut buffer's vectors
         return self.__dict__
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ProductCertificate):
+            return NotImplemented
+        return _recorded(self) == _recorded(other)
+
+    def __hash__(self) -> int:
+        return hash(_recorded(self))
 
     @property
     def lam(self) -> complex | None:

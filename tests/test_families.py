@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import toepcert as tc
+from toepcert import core, families
 from toepcert.cli import main
 from toepcert.families import SpecificationError, gen_isometry
 from helpers import EXACT, nonzero_fill, product_example_dense, reference_gen_pair
@@ -312,6 +315,161 @@ class TestRandomToeplitz:
         parts = np.concatenate([A.a.real, A.a.imag, A.alpha.real, A.alpha.imag])
         assert np.array_equal(parts, np.round(parts))
         assert np.max(np.abs(parts)) <= 5
+
+
+class TestGeneratedFactors:
+    """What the four generators return: factors built from the arrays the
+    generator allocated, each vector checked once with the constructor's
+    messages, read-only, int-sized and sharing nothing with the caller."""
+
+    FORM_DIMS = {"row_band_a": (3, 5, 4), "col_band_b": (6, 5, 2),
+                 "lambda_zero": (6, 4, 11), "lambda_infinity": (11, 4, 6)}
+
+    @staticmethod
+    def outputs(dim):
+        """(label, matrix) for every factor each generator returns, with
+        every dimension passed through ``dim``."""
+        spec = tc.FamilySpec(tc.Regime.R2, dim(9), dim(4), dim(7), lam=1 + 1j, seed=3)
+        pair = tc.gen_pair(spec)
+        yield from (("gen_pair", M) for M in pair)
+        yield from (("perturb_to_break", M) for M in tc.perturb_to_break(pair))
+        for form, dims in TestGeneratedFactors.FORM_DIMS.items():
+            yield from ((form, M) for M in tc.gen_degenerate(form, *map(dim, dims), seed=5))
+        yield "random_toeplitz", tc.random_toeplitz(np.random.default_rng(1), dim(3), dim(6))
+
+    @pytest.mark.parametrize("dim", [int, np.int64, np.uint8])
+    def test_read_only_with_int_dimensions(self, dim):
+        for label, M in self.outputs(dim):
+            assert type(M.n) is int and type(M.m) is int, label
+            assert type(M.a0) is complex, label
+            for vec, size in ((M.a, M.n), (M.alpha, M.m)):
+                assert vec.dtype == np.complex128 and vec.shape == (size,), label
+                assert not vec.flags.writeable, label
+                with pytest.raises(ValueError):
+                    vec[0] = 1
+            # the fields meet every check of the public constructor
+            assert tc.AsymToeplitz(M.n, M.m, M.a0, M.a, M.alpha) == M, label
+
+    def test_one_check_per_vector_and_no_constructor(self, monkeypatch):
+        checked = []
+        finite = families._finite
+
+        def counting(v, name):
+            checked.append(name)
+            return finite(v, name)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("went through the public constructor")
+
+        monkeypatch.setattr(families, "_finite", counting)
+        monkeypatch.setattr(core, "as_cvector", refuse)
+        pair = tc.gen_pair(tc.FamilySpec(tc.Regime.R1, 4, 6, 5, seed=2))
+        assert checked == ["a", "alpha", "a", "alpha"]
+        del checked[:]
+        tc.random_toeplitz(np.random.default_rng(0), 3, 4)
+        assert checked == ["a", "alpha"]
+        for form, dims in self.FORM_DIMS.items():
+            del checked[:]
+            tc.gen_degenerate(form, *dims, seed=5)
+            assert checked == ["a", "alpha", "a", "alpha"], form
+        del checked[:]
+        # only the bumped row parameters are new; the rest is the pair's own
+        tc.perturb_to_break(pair)
+        assert checked == ["alpha"]
+
+    @pytest.mark.parametrize("n, m, l", [(4, 6, 5), (9, 4, 7)])
+    def test_free_vectors_not_aliased(self, n, m, l):
+        a_free = np.arange(1, m, dtype=complex)
+        b_free = 1j * np.arange(1, m, dtype=complex)
+        spec = tc.FamilySpec(tc.classify_regime(n, m, l), n, m, l, lam=2.0,
+                             a_free=a_free, b_free=b_free, seed=1)
+        pair = tc.gen_pair(spec)
+        made = [_digest(M) for M in pair]
+        broken = tc.perturb_to_break(pair)
+        # perturbing left the pair it was given as it was
+        before = [_digest(M) for M in (*pair, *broken)]
+        assert before[:2] == made
+        a_free[:] = 99
+        b_free[:] = -99
+        assert [_digest(M) for M in (*pair, *broken)] == before
+        assert not any(np.shares_memory(vec, free) for M in (*pair, *broken)
+                       for vec in (M.a, M.alpha) for free in (a_free, b_free))
+
+    NAN, INF = float("nan"), float("inf")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"a0": NAN}, "corner value must be finite"),
+        ({"b0": complex(0, INF)}, "corner value must be finite"),
+        # the last free row parameter reaches the derived column tail a[1]
+        ({"a_free": [0, 0, 0, 0, NAN]}, "a contains non-finite entries"),
+        ({"a_free": [NAN, 0, 0, 0, 0]}, "alpha contains non-finite entries"),
+        # b_free is the right factor's column tail, its field a
+        ({"b_free": [0, 0, INF, 0, 0]}, "a contains non-finite entries"),
+        # the wide row tail, and then the tall column tail, overflow
+        ({"l": 40, "lam": 1e-300j}, "alpha contains non-finite entries"),
+        ({"n": 200, "m": 1, "l": 150, "lam": 1e300}, "a contains non-finite entries"),
+    ])
+    def test_gen_pair_refuses_non_finite_as_the_constructor(self, changes, message):
+        fields = {"n": 4, "m": 6, "l": 5, "lam": 2.0, "seed": 4, **changes}
+        spec = tc.FamilySpec(tc.classify_regime(fields["n"], fields["m"], fields["l"]),
+                             **fields)
+        assert _outcome(tc.gen_pair, spec) == (ValueError, message)
+        assert _outcome(reference_gen_pair, spec) == (ValueError, message)
+
+    @pytest.mark.parametrize("form, corners", [
+        ("row_band_a", {"a0": NAN}), ("row_band_a", {"b0": complex(INF, 0)}),
+        ("col_band_b", {"a0": complex(0, NAN)}), ("col_band_b", {"b0": -INF}),
+        ("lambda_zero", {"a0": INF}), ("lambda_infinity", {"b0": NAN})])
+    def test_gen_degenerate_refuses_non_finite_corner(self, form, corners):
+        with pytest.raises(ValueError) as info:
+            tc.gen_degenerate(form, *self.FORM_DIMS[form], **corners)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "corner value must be finite"
+
+    @pytest.mark.parametrize("dims", [(0, 3), (3, -1), (2.0, 3), (2, "3")])
+    def test_dimensions_checked_before_any_draw(self, dims):
+        with pytest.raises(ValueError) as want:
+            tc.AsymToeplitz(*dims, 0.0, [0.0], [0.0])
+        for make in (tc.random_toeplitz, gen_isometry):
+            rng = np.random.default_rng(6)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError) as got:
+                make(rng, *dims)
+            assert type(got.value) is ValueError
+            assert str(got.value) == str(want.value)
+            assert rng.bit_generator.state == state
+
+    def test_non_integer_dimensions_named(self):
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            tc.gen_pair(tc.FamilySpec(tc.Regime.R1, 2.0, 4, 3))
+        with pytest.raises(ValueError, match="dimensions must be integers"):
+            tc.gen_degenerate("lambda_zero", 2, 4.0, 3)
+
+
+class TestFamilySpecEquality:
+    def test_equal_by_value(self):
+        spec = tc.FamilySpec(tc.Regime.R1, 3, 4, 3, lam=1j, a_free=np.array([1, 2, 3j]),
+                             b_free=np.array([0, 1, 0j]), seed=5)
+        copies = [tc.FamilySpec(tc.Regime.R1, 3, 4, 3, lam=1j, a_free=np.array([1, 2, 3j]),
+                                b_free=np.array([0, 1, 0j]), seed=5),
+                  dataclasses.replace(spec), pickle.loads(pickle.dumps(spec))]
+        assert copies[0].a_free is not spec.a_free
+        for other in copies:
+            assert spec == other and not spec != other
+            assert hash(spec) == hash(other)
+        plain = tc.FamilySpec(tc.Regime.R1, 3, 4, 3)
+        assert plain == tc.FamilySpec(tc.Regime.R1, 3, 4, 3, lam=2.0)
+        assert hash(plain) == hash(tc.FamilySpec(tc.Regime.R1, 3, 4, 3, lam=2.0))
+        assert len({spec, *copies, plain}) == 2
+
+    def test_unequal(self):
+        spec = tc.FamilySpec(tc.Regime.R1, 3, 4, 3, a_free=np.array([1, 2, 3j]), seed=5)
+        for changes in ({"a_free": np.array([1, 2, 4j])}, {"a_free": None},
+                        {"a_free": np.array([1, 2])}, {"b_free": np.array([1, 2, 3j])},
+                        {"seed": 6}, {"lam": 2j}, {"a0": 1.0}):
+            other = dataclasses.replace(spec, **changes)
+            assert spec != other and other != spec and not spec == other
+        assert spec != "spec" and spec != None  # noqa: E711
 
 
 class TestGenIsometry:

@@ -530,6 +530,36 @@ class TestCertificateBuiltLazily:
         assert len(cuts) == 1
 
 
+class TestCertificateEquality:
+    """``==`` compares what ``verify`` compares, bit for bit, and never
+    raises; equal certificates hash alike."""
+
+    @pytest.mark.parametrize("label, left, right", ACCEPTED_CASES[::2])
+    def test_equal_but_distinct_arrays(self, label, left, right):
+        cert = tc.product_is_toeplitz(left, right)
+        built = tc.ProductCertificate(cert.regime, *(getattr(cert, name).copy()
+                                                     for name in "xyuv"),
+                                      cert.outcome, cert.k, cert.k_prime)
+        for other in (tc.product_is_toeplitz(left, right), built,
+                      pickle.loads(pickle.dumps(cert)),
+                      pickle.loads(pickle.dumps(tc.product_is_toeplitz(left, right)))):
+            assert other.x is not cert.x
+            assert cert == other and other == cert and not cert != other
+            assert hash(cert) == hash(other)
+        assert len({cert, built}) == 1
+
+    @pytest.mark.parametrize("label, left, right", ACCEPTED_CASES[1::6])
+    def test_unequal_on_any_recorded_bit(self, label, left, right):
+        cert = tc.product_is_toeplitz(left, right)
+        for other in mutations(cert):
+            assert cert != other and not other == cert
+        # a zero part's sign is a bit like any other
+        signed = cert.x.copy()
+        signed[0] = complex(-0.0, signed[0].imag)
+        assert cert != replace(cert, x=signed)
+        assert cert != "certificate" and cert != None  # noqa: E711
+
+
 # (n, m, l) in each regime from three positive draws
 REGIME_DIMS = {
     tc.Regime.R1: lambda a, b, c: (a, max(a, b) + c - 1, b),
