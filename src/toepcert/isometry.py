@@ -30,7 +30,8 @@ decision would have made, when ``match``, ``w`` or ``lam`` is first read.
 
 The residual's one matrix-vector product is A0* a, with A0 = A - a0 I_{n,m}
 the corner-free part; the corner's terms are added outside any FFT, so a
-scaled identity's residual is exact.  It has two routes:
+scaled identity's residual is exact, and only when a0 != 0, since a zero
+corner would add only signed zeros.  It has two routes:
 
 - convolution, for any A: one FFT convolution of A0*'s diagonal values
   with a, three complex FFTs of about n + m points, O((n + m) log(n + m));
@@ -46,8 +47,9 @@ autocorrelation when hi - lo < 4m, where it is the cheaper (measured on
 dense columns, where hi - lo = n - 1, so that is n <= 4m), and when A lies
 within rounding of the matrix whose row parameters are exactly lam w:
 c**(1/2) ||alpha - lam w|| <= 16 eps (c + 1), the drift's norm taken by the
-same dot as c.  A both-zero match has lam = 0, so its drift is alpha
-itself, with no product or difference formed.  A0* a is linear in alpha
+same dot as c.  A proportional match has left the drift in its buffer's
+spare room, where the defects go; a both-zero match has lam = 0, so its
+drift is alpha itself.  Neither forms it again.  A0* a is linear in alpha
 and ||a|| <= c**(1/2), so by Cauchy-Schwarz that bound keeps the two
 routes' residuals within rounding of each other.  Otherwise it
 convolves, as the public :func:`isometry_residual` always does.  FFT
@@ -122,10 +124,12 @@ def isometry_residual(A: AsymToeplitz, _matched: tuple | None = None) -> np.ndar
         lo, hi = _support(A.a)
         fits = _autocorrelation_fits(A, column_norm_sq, hi - lo, lam, w)
         r = _autocorrelation_term(A.a[lo:hi], lam, n, m) if fits else _convolution_term(A)
-    # conj(a0) a, cut or padded to m entries, is added before a0 alpha
-    k = min(n, m)
-    r[1:k] += np.conj(A.a0) * A.a[1:k]
-    r += A.a0 * A.alpha
+    if A.a0 != 0:
+        # conj(a0) a, cut or padded to m entries, is added before a0 alpha;
+        # a zero corner would add only signed zeros
+        k = min(n, m)
+        r[1:k] += np.conj(A.a0) * A.a[1:k]
+        r += A.a0 * A.alpha
     r[0] = (column_norm_sq - 1.0) / 2.0
     return r
 
@@ -153,11 +157,10 @@ def _autocorrelation_fits(A: AsymToeplitz, column_norm_sq: float, width: int,
     module's route rule for a support of length ``width`` = hi - lo (16 eps = 2**-48)."""
     if width >= 4 * A.m:
         return False
-    # a both-zero match passes lam = 0: its drift is alpha itself
-    drift = A.alpha
-    if lam != 0:
-        drift = lam * w
-        np.subtract(A.alpha, drift, out=drift)
+    # a both-zero match passes lam = 0: its drift is alpha itself; a
+    # proportional one wrote it to its buffer's spare room, behind w
+    m = A.m
+    drift = A.alpha if lam == 0 else w.base[2 * m:3 * m]
     drift_sq = float(np.vdot(drift, drift).real)
     return math.sqrt(column_norm_sq * drift_sq) <= 2.0 ** -48 * (column_norm_sq + 1.0)
 
@@ -210,10 +213,10 @@ def _support(a: np.ndarray) -> tuple[int, int]:
     lo = int(nonzero.argmax())
     if not nonzero[lo]:
         return 0, 0
-    return lo // 2, n - int(nonzero[::-1].argmax()) // 2
+    return lo // 2, n - int(nonzero[::-1].copy().argmax()) // 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsometryCertificate:
     """Outcome of the structured check A* A == I_m.
 
@@ -221,13 +224,16 @@ class IsometryCertificate:
     ``column_norm_sq`` is the squared norm of the first column.
     ``residual_norm`` is ``None`` when a test before the residual decided
     the verdict.  ``w`` is the comparison vector of the pair (A*, A), with
-    the conjugated corner at index n when the matrix is wide.  ``match`` is
+    the conjugated corner at index n when the matrix is wide, a read-only
+    view of the buffer the self-match reduced.  ``match`` is
     the rank-one self-match of the row parameters against ``w``, or
     ``None`` when it fails.  The decision makes both when it reaches the
     self-match; a certificate rejected before it, as wide or by its column
     norm, makes them on the first read of ``match``, ``w`` or ``lam``, from
     the matrix and tolerance it keeps, and keeps them.  For a Hankel matrix
-    H = C P_m it describes the stored core C.
+    H = C P_m it describes the stored core C.  Two certificates are equal,
+    and hash alike, when they record the same bits: verdict, ``wide``,
+    residual and column norms, lam, and the matrix's dimensions and fields.
     """
 
     accepted: bool
@@ -252,6 +258,21 @@ class IsometryCertificate:
     @property
     def lam(self) -> complex | None:
         return None if self.match is None else self.match.lam
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IsometryCertificate):
+            return NotImplemented
+        return _recorded(self) == _recorded(other)
+
+    def __hash__(self) -> int:
+        return hash(_recorded(self))
+
+
+def _recorded(c: IsometryCertificate) -> tuple:
+    # floats by repr, which tells apart any two but NaNs; no field is NaN
+    A = c._toeplitz
+    return (c.accepted, c.wide, repr(c.residual_norm), repr(c.column_norm_sq), repr(c.lam),
+            A.n, A.m, repr(A.a0), A.a.tobytes(), A.alpha.tobytes())
 
 
 def is_isometry(M: AsymToeplitz | AsymHankel,

@@ -7,11 +7,26 @@ parameters, and two size-regime comparison vectors.  All four are windows
 of the factors' diagonal-value sequences, written by one function, a
 factor's two at a time, straight into the one buffer that the rank-one
 match reduces; the isometry self-match, :func:`_self_match`, uses the
-same writer and match.  The decision runs in O(n + m + l) and returns a
-certificate that can be re-verified against its factors and cross-checked
-against the dense product.  It builds only what it returns: a rejection
-makes no outcome and cuts no view, and a certificate keeps the buffer and
-cuts its four vectors from it when one is first read.
+same writer and match.  The buffer ends in spare room of n + l entries,
+into which the match writes its defects, so no other array of their size
+is made.  The decision runs in O(n + m + l) and returns a certificate that
+can be re-verified against its factors and cross-checked against the
+dense product.  It builds only what it returns: a rejection makes no
+outcome and cuts no view, and a certificate keeps the buffer and cuts its
+four vectors from it when one is first read.
+
+The match has two routes, picked by the buffer's length, with the same
+outcomes bit for bit.  A short buffer takes the complex modulus of every
+entry.  A long one, with at least 3,072 vector entries (2(n + l) for a
+product, 2m for a self-match; a break-even measured per call), takes the
+moduli of the pivot vector only, which give lam, and brackets every other
+maximum by the largest magnitude b among its vector's real and imaginary
+parts: b <= max|v| <= sqrt(2) b.  NumPy's complex modulus is never below
+the larger part L of its argument (its SIMD form L sqrt(1 + (S/L)**2)
+takes a square root of at least 1, and a faithfully rounded hypot cannot
+round below L either), and exceeds sqrt(2) L by a few ulps at most, far
+inside the bracket's slack of 2**-40.  A test that its brackets cannot
+decide reads exact moduli.
 
 Hankel factors reduce to that identity by flips read off the factors'
 types.  A compact Hankel matrix is stored as H = C P, with C Toeplitz and
@@ -31,6 +46,7 @@ flip of a matrix is Hankel exactly when the matrix is Toeplitz:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +141,7 @@ def _toeplitz_form(M: AsymToeplitz | AsymHankel) -> tuple[AsymToeplitz, bool]:
 
 
 def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | AsymHankel):
-    """The buffer ``cat = (x, v, u, y)`` of a product identity and
+    """The buffer ``cat = (x, v, u, y, room)`` of a product identity and
     ``(n, m, l)``, as ``cat, n, m, l``.
 
     The identity is that of the Toeplitz pair (A, B) that the module
@@ -133,7 +149,8 @@ def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | As
     stored core, flipped where the two kinds require it.  x is A's column
     tail, y is B's row parameter vector, u and v the comparison vectors,
     all written by :func:`_write_factor`: (x, u) from A's fields and (y, v)
-    from those of B's adjoint.  The buffer is allocated unfilled and left
+    from those of B's adjoint.  ``room`` is n + l entries of spare room for
+    the match's defects.  The buffer is allocated unfilled and left
     writable; :func:`_views` cuts the four vectors from it.
     """
     A, hankel_left = _toeplitz_form(left)
@@ -142,7 +159,7 @@ def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | As
     if B.n != m:
         raise DimensionMismatch(
             f"inner dimensions differ: {A.shape} times {B.shape}")
-    cat = np.empty(2 * (n + l), dtype=CDTYPE)
+    cat = np.empty(3 * (n + l), dtype=CDTYPE)
     _write_factor(n, m, A.a0, A.a, A.alpha, cat, 0, n + l, hankel_left and not hankel_right)
     _write_factor(l, m, B.a0.conjugate(), B.alpha, B.a, cat, 2 * n + l, n,
                   hankel_left and hankel_right)
@@ -151,10 +168,10 @@ def _comparison_buffer(left: AsymToeplitz | AsymHankel, right: AsymToeplitz | As
 
 def _views(cat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     """The read-only views ``(x, y, u, v)`` of a product buffer
-    ``cat = (x, v, u, y)`` whose x has length n; the buffer is made read-only."""
+    ``cat = (x, v, u, y, room)`` whose x has length n; the buffer is made read-only."""
     cat.setflags(write=False)
-    l = len(cat) // 2 - n
-    return cat[:n], cat[2 * n + l:], cat[n + l:2 * n + l], cat[n:n + l]
+    l = len(cat) // 3 - n
+    return cat[:n], cat[2 * n + l:2 * (n + l)], cat[n + l:2 * n + l], cat[n:n + l]
 
 
 # ---------------------------------------------------------------------------
@@ -201,36 +218,45 @@ def rank_one_equal(x, y, xp, yp, tol: Tolerance = DEFAULT_TOL) -> RankOneOutcome
     # each vector behind one zero, as every comparison vector is, changes no
     # maximum, pivot or defect and leaves no segment empty; x and yp lead, so
     # that the defects subtract from one slice
-    return _match(np.concatenate((zero, x, zero, yp, zero, xp, zero, y)),
-                  len(x) + 1, len(y) + 1, tol)
+    p, q = len(x) + 1, len(y) + 1
+    return _match(np.concatenate((zero, x, zero, yp, zero, xp, zero, y,
+                                  np.empty(p + q, dtype=CDTYPE))), p, q, tol)
 
 
 def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | None:
-    """The rank-one match as one fused pass over ``cat = (x, yp, xp, y)``.
+    """The rank-one match as one fused pass over ``cat = (x, yp, xp, y, room)``.
 
-    x and xp have length p >= 1, y and yp length q >= 1.  One modulus and
-    one segmented maximum give the zero tests, the pivot and the operand
-    scales; a second pair, over half as many entries, gives the defects,
-    whose moduli overwrite the first half of the first.  A vector is zero
-    when no modulus exceeds ``tol.tau``; a defect passes within
-    ``tol.threshold`` of its equation's scale.  A scaled side's scale is
-    |lam| max|xp| (and |lam| max|y|), which differs from max|lam xp_i| only
-    by rounding, so the verdict can differ from that of separate reductions
-    only for a defect within a few ulps of its threshold.
+    x and xp have length p >= 1, y and yp length q >= 1, and ``room`` is
+    s = p + q entries of spare room, into which the defects
+    (x - lam xp, yp - conj(lam) y) are written.  A vector is zero when no
+    modulus exceeds ``tol.tau``; a defect passes within ``tol.threshold``
+    of its equation's scale.  A scaled side's scale is |lam| max|xp| (and
+    |lam| max|y|), which differs from max|lam xp_i| only by rounding, so
+    the verdict can differ from that of separate reductions only for a
+    defect within a few ulps of its threshold.
+
+    A buffer whose vectors hold ``_BRACKETED_MATCH_LENGTH`` entries or more
+    takes :func:`_bracketed_match`, which gives the same outcome.  A shorter
+    one takes one modulus and one segmented maximum for the zero tests, the
+    pivot and the operand scales, and a second pair over the defects,
+    whose moduli overwrite the first half of the first.
 
     A self pair (xp, y) = (yp, x), with p == q, may pass its first half
-    ``cat = (x, yp)`` alone: (xp, y) is then read as that half swapped,
-    which gives the outcome, lam and defects of the full buffer bit for bit.
-    lam = x_p / xp_p + 0j has +0 zero parts.
+    alone, ``cat = (x, yp, room)``: (xp, y) is then read as that half
+    swapped, which gives the outcome, lam and defects of the full buffer
+    bit for bit.  lam = x_p / xp_p + 0j has +0 zero parts.
     """
     s = p + q
-    mags = np.abs(cat)
-    if len(cat) == s:
-        xp, y, mags_xp = cat[p:], cat[:p], mags[p:]
+    end = len(cat) - s
+    if end >= _BRACKETED_MATCH_LENGTH:
+        return _bracketed_match(cat, p, q, tol, end)
+    mags = np.abs(cat[:end])
+    if end == s:
+        xp, y, mags_xp = cat[p:s], cat[:p], mags[p:]
         max_x, max_yp = np.maximum.reduceat(mags, (0, p)).tolist()
         max_xp, max_y = max_yp, max_x
     else:
-        xp, y, mags_xp = cat[s:s + p], cat[s + p:], mags[s:s + p]
+        xp, y, mags_xp = cat[s:s + p], cat[s + p:end], mags[s:s + p]
         max_x, max_yp, max_xp, max_y = np.maximum.reduceat(mags, (0, p, s, s + p)).tolist()
     tau = tol.tau
     zero = (max_x <= tau, max_y <= tau, max_xp <= tau, max_yp <= tau)
@@ -247,13 +273,13 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
         return None
     pivot = mags_xp.argmax()
     lam = complex(cat[pivot] / xp[pivot]) + 0j
-    # buf holds the scaled sides (lam xp, conj(lam) y), then the defects
-    # (x - lam xp, yp - conj(lam) y) in their place
-    buf = np.empty(s, dtype=CDTYPE)
-    np.multiply(lam, xp, buf[:p])
-    np.multiply(lam.conjugate(), y, buf[p:])
-    np.subtract(cat[:s], buf, buf)
-    defect_x, defect_y = np.maximum.reduceat(np.abs(buf, mags[:s]), (0, p)).tolist()
+    # the spare room holds the scaled sides (lam xp, conj(lam) y), then the
+    # defects (x - lam xp, yp - conj(lam) y) in their place
+    room = cat[end:]
+    np.multiply(lam, xp, room[:p])
+    np.multiply(lam.conjugate(), y, room[p:])
+    np.subtract(cat[:s], room, room)
+    defect_x, defect_y = np.maximum.reduceat(np.abs(room, mags[:s]), (0, p)).tolist()
     # Tolerance.threshold of max(max_x, |lam| max_xp) and of
     # max(max_yp, |lam| max_y), inline; max(a, b) is spelled b if b > a
     # else a, which picks the same operand without a call
@@ -267,13 +293,160 @@ def _match(cat: np.ndarray, p: int, q: int, tol: Tolerance) -> RankOneOutcome | 
     return None
 
 
+# The fewest vector entries, len(cat) - s, whose match takes
+# _bracketed_match: 2(n + l) for a product and 2m for a self-match.  In
+# interleaved per-call sweeps of both routes, product decisions broke even
+# at n + l between 1,280 and 1,536, and is_isometry at m between 1,024 and
+# 1,536; CHANGES.md has the figures.
+_BRACKETED_MATCH_LENGTH = 3072
+
+# max|v| <= sqrt(2) b for b the largest magnitude among v's real and
+# imaginary parts; the factor 1 + 2**-40 covers a modulus rounded up by
+# thousands of ulps, far more than NumPy's complex abs is off by
+_SQRT2_UP = math.sqrt(2.0) * (1.0 + 2.0 ** -40)
+_SMALLEST_NORMAL = 2.0 ** -1022
+
+
+def _max_modulus(cat: np.ndarray, segment: slice) -> float:
+    """max|cat[segment]|, from the same complex moduli the short route reduces."""
+    return float(np.maximum.reduce(np.abs(cat[segment])))
+
+
+def _modulus_bounds(parts: np.ndarray, cat: np.ndarray, segment: slice) -> tuple[float, float]:
+    """Bounds (lo, hi) on max|cat[segment]| from the largest and the smallest
+    of its parts in the float view ``parts``: (b, sqrt(2) b (1 + 2**-40)) for
+    b the largest magnitude among them, or the exact maximum twice when b is
+    NaN or subnormal or hi overflows."""
+    f = parts[2 * segment.start:2 * segment.stop]
+    high, low = float(f[f.argmax()]), float(f[f.argmin()])
+    b = high if high > -low else -low
+    hi = b * _SQRT2_UP
+    if (b >= _SMALLEST_NORMAL or b == 0.0) and hi < math.inf:
+        return b, hi
+    exact = _max_modulus(cat, segment)
+    return exact, exact
+
+
+def _exact(bounds: tuple[float, float], cat: np.ndarray, segment: slice) -> float:
+    """max|cat[segment]|, read off its bounds when they meet."""
+    lo, hi = bounds
+    return lo if lo == hi else _max_modulus(cat, segment)
+
+
+def _below(bounds: tuple[float, float], low: float, high: float) -> bool | None:
+    """Whether a maximum within ``bounds`` is at most a threshold known to
+    lie in [low, high]: True or False when the bounds fall on one side of
+    that interval, None when they straddle it.  A NaN ``high`` (a threshold
+    that may be NaN) decides nothing."""
+    lo, hi = bounds
+    if hi <= low <= high:
+        return True
+    if lo > high:
+        return False
+    return None
+
+
+def _is_zero(bounds: tuple[float, float], cat: np.ndarray, segment: slice, tau: float) -> bool:
+    """max|cat[segment]| <= tau, from its bounds or, when they straddle tau, exactly."""
+    below = _below(bounds, tau, tau)
+    return _max_modulus(cat, segment) <= tau if below is None else below
+
+
+def _threshold(tau: float, scaled: float, top: float) -> float:
+    """Tolerance.threshold of max(top, scaled), spelled as _match spells it."""
+    return tau + tau * (scaled if scaled > top else top)
+
+
+def _bracketed_match(cat: np.ndarray, p: int, q: int, tol: Tolerance,
+                     end: int) -> RankOneOutcome | None:
+    """:func:`_match` for long buffers, taking the complex moduli of xp only.
+
+    xp's moduli give the pivot and max|xp| exactly, so lam is the same
+    quotient.  Every other maximum is bracketed by b, the largest magnitude
+    among its vector's real and imaginary parts, which an argmax and an
+    argmin over the buffer's float view give, with no temporary array:
+    b <= max|v| <= sqrt(2) b (1 + 2**-40) wherever b is normal or zero and
+    the bound finite (:func:`_modulus_bounds`).  The thresholds are
+    non-decreasing in the maxima they read, so bounded maxima bound them.
+    A zero test or defect test that its bounds decide is decided; one that
+    they straddle takes the exact moduli of the segment it reads, so every
+    outcome is the short route's, lam bit for bit.  The zero tests come
+    first, so lam and the defects are formed only where the short route
+    forms them.
+    """
+    s = p + q
+    tau = tol.tau
+    x, yp = slice(0, p), slice(p, s)
+    y, xp = (x, cat[p:s]) if end == s else (slice(s + p, end), cat[s:s + p])
+    defect_x, defect_y = slice(end, end + p), slice(end + p, end + s)
+    mags_xp = np.abs(xp)
+    pivot = int(mags_xp.argmax())
+    max_xp = float(mags_xp[pivot])
+    parts = cat.view(np.float64)
+    bounds_x = bounds_y = _modulus_bounds(parts, cat, x)
+    bounds_yp = (max_xp, max_xp)
+    if end != s:
+        bounds_yp = _modulus_bounds(parts, cat, yp)
+        bounds_y = _modulus_bounds(parts, cat, y)
+    zero_x = _is_zero(bounds_x, cat, x, tau)
+    zero_xp = max_xp <= tau
+    if end == s:
+        zero = (zero_x, zero_x, zero_xp, zero_xp)
+    else:
+        zero = (zero_x, _is_zero(bounds_y, cat, y, tau),
+                zero_xp, _is_zero(bounds_yp, cat, yp, tau))
+    lhs_zero = zero[0] or zero[1]
+    rhs_zero = zero[2] or zero[3]
+    if lhs_zero and rhs_zero:
+        outcome = object.__new__(RankOneOutcome)
+        outcome.__dict__.update(
+            lam=None, vanished=tuple(name for name, z in zip(("x", "y", "xp", "yp"), zero) if z))
+        return outcome
+    if lhs_zero != rhs_zero:
+        return None
+    # lam and the defects as _match forms them
+    lam = complex(cat[pivot] / xp[pivot]) + 0j
+    room = cat[end:]
+    np.multiply(lam, xp, room[:p])
+    np.multiply(lam.conjugate(), cat[y], room[p:])
+    np.subtract(cat[:s], room, room)
+    scale = abs(lam)
+    scaled_xp = scale * max_xp
+    below = _below(_modulus_bounds(parts, cat, defect_x),
+                   _threshold(tau, scaled_xp, bounds_x[0]),
+                   _threshold(tau, scaled_xp, bounds_x[1]))
+    if below is None:
+        below = _max_modulus(cat, defect_x) <= _threshold(tau, scaled_xp,
+                                                          _exact(bounds_x, cat, x))
+    if not below:
+        return None
+    below = _below(_modulus_bounds(parts, cat, defect_y),
+                   _threshold(tau, scale * bounds_y[0], bounds_yp[0]),
+                   _threshold(tau, scale * bounds_y[1], bounds_yp[1]))
+    if below is None:
+        below = _max_modulus(cat, defect_y) <= _threshold(
+            tau, scale * _exact(bounds_y, cat, y), _exact(bounds_yp, cat, yp))
+    if not below:
+        return None
+    outcome = object.__new__(RankOneOutcome)
+    outcome.__dict__.update(lam=lam, vanished=())
+    return outcome
+
+
 def _self_match(A: AsymToeplitz, tol: Tolerance) -> tuple[RankOneOutcome | None, np.ndarray]:
     """The match of the pair (A*, A), made on the half (alpha, w) of its self
-    pair buffer (alpha, w, w, alpha), and an owned copy of w."""
+    pair buffer (alpha, w, w, alpha), and w.
+
+    The buffer is ``(alpha, w, room)`` of 4m entries, made read-only after
+    the match, and w is a view of it.  After a proportional match, its room
+    starts with the drift alpha - lam w, at ``w.base[2 * m:3 * m]``.
+    """
     n, m = A.n, A.m
-    cat = np.empty(2 * m, dtype=CDTYPE)
+    cat = np.empty(4 * m, dtype=CDTYPE)
     _write_factor(m, n, A.a0.conjugate(), A.alpha, A.a, cat, 0, m)
-    return _match(cat, m, m, tol), cat[m:].copy()
+    match = _match(cat, m, m, tol)
+    cat.setflags(write=False)
+    return match, cat[m:2 * m]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import example, given, strategies as st
 
 import toepcert as tc
-from toepcert import cli
+from toepcert import cli, product
 from toepcert.core import CDTYPE, as_dense
 from toepcert.families import SpecificationError, _fill
 from toepcert.io import MatrixFileError, parse_matrix
@@ -142,6 +142,16 @@ def with_shapes(test):
 def lam_bits(lam):
     """The bytes of a certificate scalar, ``None`` for a degenerate outcome."""
     return None if lam is None else np.complex128(lam).tobytes()
+
+
+def on_both_routes(call) -> list:
+    """``call()`` with every rank-one match on the short route, then on the
+    bracketed one (``product._bracketed_match``), whatever its length."""
+    outcomes = []
+    for length in (math.inf, 0):
+        with mock.patch.object(product, "_BRACKETED_MATCH_LENGTH", length):
+            outcomes.append(call())
+    return outcomes
 
 
 def is_zero(tol, values) -> bool:
@@ -277,15 +287,16 @@ def reference_isometry_residual(A: tc.AsymToeplitz) -> np.ndarray:
 
 
 def full_self_pair_buffer(A: tc.AsymToeplitz) -> np.ndarray:
-    """The product buffer ``(alpha, w, w, alpha)`` of the pair (A*, A).
+    """The product buffer ``(alpha, w, w, alpha, room)`` of the pair (A*, A).
 
     The four vectors ``(x, v, u, y)`` of :func:`reference_comparison_vectors`
-    in the layout ``product._match`` reads, which the isometry self-match
-    once matched whole; its first half ``(alpha, w)`` must give the same
-    outcome, ``lam`` bits and ``vanished`` names.
+    in the layout ``product._match`` reads, followed by its spare room for
+    the defects, which the isometry self-match once matched whole; its first
+    half ``(alpha, w)`` must give the same outcome, ``lam`` bits and
+    ``vanished`` names.
     """
     x, y, u, v, _ = reference_comparison_vectors(A.adjoint(), A)
-    return np.concatenate((x, v, u, y))
+    return np.concatenate((x, v, u, y, np.empty(len(x) + len(y), dtype=complex)))
 
 
 def isometry_rounding_bound(A: tc.AsymToeplitz) -> float:

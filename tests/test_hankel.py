@@ -19,7 +19,9 @@ from helpers import (
     gaussian_toeplitz,
     lam_bits,
     nonzero_fill,
+    on_both_routes,
     reference_product_structure,
+    reference_rank_one_equal,
 )
 
 
@@ -381,3 +383,141 @@ def test_large_decision_peak_memory():
         tracemalloc.stop()
     assert cert is not None
     assert peak <= 36 * 2 * (n + l), peak / (2 * (n + l))
+
+
+# the benchmark's Hankel sizes, two (n, m, l) per regime, n + l from 1,536 to 6,144
+LARGE_DIMS = {tc.Regime.R1: ((2048, 4096, 1024), (512, 1024, 1024)),
+              tc.Regime.R2: ((4096, 1024, 2048), (1536, 512, 1024)),
+              tc.Regime.R3: ((1024, 2048, 4096), (512, 512, 1536)),
+              tc.Regime.R4: ((4096, 2048, 1024), (1024, 512, 512))}
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the arguments of every call of ``product.<name>``."""
+    calls = []
+    original = getattr(product, name)
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(product, name, recording)
+    return calls
+
+
+def test_large_decisions_take_no_exact_moduli(monkeypatch):
+    """At the benchmark's Hankel sizes every match takes the bracketed
+    route, and its bounds decide every test: no segment's exact moduli are
+    taken, for yes pairs and broken ones, H.H and H.T alike."""
+    cases = []
+    for seed, (regime, shapes) in enumerate(LARGE_DIMS.items()):
+        for dims in shapes:
+            pair = tc.gen_pair(tc.FamilySpec(regime, *dims, lam=LAMS[seed], seed=seed))
+            cases += [(pair, True), (tc.perturb_to_break(pair), False)]
+    bracketed = count_calls(monkeypatch, "_bracketed_match")
+    exact = count_calls(monkeypatch, "_max_modulus")
+    for (A, B), yes in cases:
+        for kinds in ("HH", "HT"):
+            assert (tc.product_is_toeplitz(*factors_of(kinds, A, B)) is not None) == yes
+    assert len(bracketed) == 2 * len(cases) == 32
+    assert exact == []
+
+
+def test_straddling_tests_take_exact_moduli(monkeypatch):
+    """A zero test or defect test that the bracket straddles reads the exact
+    moduli of its segment, and decides as the reference does.
+
+    x = xp and yp = y, 2,000 real entries each, so that the bracket of
+    max|y| is [max|y|, sqrt(2) max|y|] and the threshold's runs from the
+    threshold itself up; one defect of 0.9 or 1.1 times the threshold,
+    real, lies within a factor sqrt(2) of it.  A y of entries 0.9 tau has
+    a zero test that straddles tau too.
+    """
+    exact = count_calls(monkeypatch, "_max_modulus")
+    rng = np.random.default_rng(5)
+    k = 2000
+    x, y = rng.standard_normal(k).astype(complex), rng.standard_normal(k).astype(complex)
+    tol = tc.DEFAULT_TOL
+    threshold = tol.threshold(float(np.max(np.abs(y))))
+    for factor, accepted in ((0.9, True), (1.1, False)):
+        yp = y.copy()
+        yp[7] += factor * threshold
+        del exact[:]
+        assert (rank_one_equal_reference_agrees(x, y, x, yp, tol) is not None) == accepted
+        # the defect's segment, then y's and yp's for the exact threshold
+        assert len(exact) == 3
+    tiny = np.full(k, 0.9 * tol.tau, dtype=complex)
+    del exact[:]
+    outcome = rank_one_equal_reference_agrees(x, tiny, x, tiny, tol)
+    assert outcome is not None and outcome.vanished == ("y", "yp")
+    assert len(exact) == 2
+
+
+def rank_one_equal_reference_agrees(x, y, xp, yp, tol):
+    outcome = product.rank_one_equal(x, y, xp, yp, tol)
+    reference = reference_rank_one_equal(x, y, xp, yp, tol)
+    assert (outcome is None) == (reference is None)
+    if outcome is not None:
+        assert lam_bits(outcome.lam) == lam_bits(reference.lam)
+        assert outcome.vanished == reference.vanished
+    return outcome
+
+
+def _regime_dims(regime, total: int, rng) -> tuple[int, int, int]:
+    """(n, m, l) in ``regime`` with n + l = total (at least 4)."""
+    n = int(rng.integers(2, total - 1))
+    low, high = sorted((n, total - n))
+    if regime is tc.Regime.R1:
+        return n, high + int(rng.integers(0, 64)), total - n
+    if regime is tc.Regime.R2:
+        return n, int(rng.integers(1, low)), total - n
+    if low == high:
+        low, high = low - 1, high + 1
+    m = int(rng.integers(low, high))
+    return (low, m, high) if regime is tc.Regime.R3 else (high, m, low)
+
+
+def _scaled(A: tc.AsymToeplitz, power: int) -> tc.AsymToeplitz:
+    """A times 2**power, parts rounded as np.ldexp rounds them."""
+    def scale(v):
+        v = np.asarray(v, dtype=complex)
+        return np.ldexp(v.real, power) + 1j * np.ldexp(v.imag, power)
+    return tc.AsymToeplitz(A.n, A.m, complex(scale(A.a0)), scale(A.a), scale(A.alpha))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(list(tc.Regime)), st.one_of(st.integers(4, 120), st.integers(1536, 2100)),
+       st.integers(0, 2**32 - 1), st.integers(-1074, 1023),
+       st.sampled_from(("pair", "broken", "random")))
+def test_both_routes_decide_products_as_reference(regime, total, seed, power, source):
+    """Product decisions on either match route equal the reference's
+    certificates bit for bit, for every kind pair, with n + l on both sides
+    of the route rule and the factors scaled by 2**power, from parts that
+    underflow to ones within a factor 2 of overflowing."""
+    rng = np.random.default_rng(seed)
+    n, m, l = _regime_dims(regime, total, rng)
+    A, B = tc.random_toeplitz(rng, n, m), tc.random_toeplitz(rng, m, l)
+    if source != "random":
+        # a generated pair, or a broken copy of it, where the generators can
+        # make one: a scalar's powers may overflow, and a pair whose rank-one
+        # identity is inactive cannot be broken
+        try:
+            pair = tc.gen_pair(tc.FamilySpec(regime, n, m, l, lam=LAMS[seed % len(LAMS)],
+                                             seed=seed))
+            A, B = tc.perturb_to_break(pair) if source == "broken" else pair
+        except ValueError:
+            pass
+    for M in (A, B):
+        top = max(np.max(np.abs(M.a.view(float))), np.max(np.abs(M.alpha.view(float))),
+                  abs(M.a0.real), abs(M.a0.imag))
+        power = min(power, 1022 - np.frexp(top)[1])
+    A, B = _scaled(A, power), _scaled(B, power)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for kinds in KINDS:
+            left, right = factors_of(kinds, A, B)
+            for tol in (EXACT, tc.DEFAULT_TOL):
+                want = reference_product_structure(left, right, tol)[1]
+                for got in on_both_routes(lambda: tc.product_is_toeplitz(left, right, tol)):
+                    assert (got is None) == (want is None)
+                    if want is not None:
+                        assert product._recorded(got) == product._recorded(want)

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import inspect
+import pickle
 import statistics
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import toepcert as tc
-from toepcert import isometry
+from toepcert import isometry, product
 from toepcert.families import gen_isometry
 from toepcert.isometry import _fft_length, isometry_residual
 from toepcert.product import _match
@@ -26,6 +27,7 @@ from helpers import (
     gaussian_toeplitz,
     isometry_rounding_bound,
     lam_bits,
+    on_both_routes,
     reference_is_isometry,
     unit_isometry_dense,
     with_shapes,
@@ -1013,3 +1015,69 @@ def test_is_isometry_scales_near_linearly():
             spent.append(time.perf_counter() - start)
     small, large = (statistics.median(spent) for spent in times)
     assert large / small < 24
+
+
+def certificate_cases() -> list:
+    """Matrices whose certificates are decided at every step: accepted
+    generated and shift isometries, a wide matrix and one whose column norm
+    rejects it (both with the self-match made on first read), a failed
+    self-match and a both-zero one with a scalar off the unit circle."""
+    rng = np.random.default_rng(11)
+    return [gen_isometry(rng, 9, 4), shift_toeplitz(12, 8, 3, 1j),
+            gaussian_toeplitz(3, 5, 1, 0), shift_toeplitz(7, 4, 1, 2.0),
+            gaussian_toeplitz(8, 6, 2, 0), shift_toeplitz(6, 4, 0, 1 + 1j)]
+
+
+class TestCertificateEquality:
+    """``==`` and ``hash`` read the bits a certificate records: verdict,
+    ``wide``, residual and column norms, lam, and the matrix's dimensions and
+    fields, bit for bit."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_equal_but_distinct(self, case):
+        A = certificate_cases()[case]
+        cert = tc.is_isometry(A)
+        copy = tc.AsymToeplitz(A.n, A.m, A.a0, A.a.copy(), A.alpha.copy())
+        for other in (tc.is_isometry(copy), pickle.loads(pickle.dumps(cert)),
+                      pickle.loads(pickle.dumps(tc.is_isometry(copy))),
+                      tc.is_isometry(tc.flip_cols(copy))):
+            assert other._toeplitz.a is not A.a
+            assert cert == other and other == cert and not cert != other
+            assert hash(cert) == hash(other)
+        assert len({cert, tc.is_isometry(copy)}) == 1
+
+    def test_unequal_on_a_signed_zero(self):
+        # the shift's a[1] = 0 turned to -0: every verdict and norm is the same
+        A = shift_toeplitz(12, 8, 3, 1j)
+        a = A.a.copy()
+        a[1] = complex(-0.0, 0.0)
+        signed = tc.AsymToeplitz(A.n, A.m, A.a0, a, A.alpha)
+        cert, other = tc.is_isometry(A), tc.is_isometry(signed)
+        assert (cert.accepted, cert.residual_norm, cert.lam) == (
+            other.accepted, other.residual_norm, other.lam)
+        assert cert != other and not cert == other
+        assert cert != "certificate" and cert != None  # noqa: E711
+
+    def test_unequal_on_verdict_and_tolerance_outcomes(self):
+        A = gen_isometry(np.random.default_rng(3), 9, 4)
+        cert = tc.is_isometry(A)
+        assert cert != dataclasses.replace(cert, accepted=not cert.accepted)
+        assert cert != dataclasses.replace(cert, residual_norm=None)
+        assert cert != dataclasses.replace(cert, column_norm_sq=np.nextafter(
+            cert.column_norm_sq, 2.0))
+        # an exact tolerance rejects the rounded isometry: another verdict
+        assert cert != tc.is_isometry(A, EXACT)
+
+
+@pytest.mark.parametrize("n, m", [(9, 4), (40, 40), (1700, 1600)])
+def test_drift_read_from_the_self_match_room(n, m):
+    """A proportional self-match leaves the drift alpha - lam w in its
+    buffer's spare room, bit for bit the drift formed anew, on either match
+    route; w is a read-only view of that buffer."""
+    A = matched_toeplitz(n, m, np.random.default_rng(n))
+    for match, w in on_both_routes(lambda: product._self_match(A, tc.DEFAULT_TOL)):
+        assert match is not None and match.is_proportional
+        assert not w.flags.writeable and w.base is not None
+        assert w.base[m:2 * m].tobytes() == w.tobytes()
+        drift = A.alpha - match.lam * w
+        assert w.base[2 * m:3 * m].tobytes() == drift.tobytes()

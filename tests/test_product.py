@@ -28,6 +28,7 @@ from helpers import (
     displacement_interior,
     factors_of,
     lam_bits,
+    on_both_routes,
     outer,
     product_example_dense,
     reference_comparison_vectors,
@@ -210,6 +211,90 @@ def test_fused_rank_one_matches_reference(p, q, seed, scale_exp, x_kind, y_kind,
             if reference is not None:
                 assert lam_bits(fused.lam) == lam_bits(reference.lam)
                 assert fused.vanished == reference.vanished
+
+
+def outcome_bits(out):
+    return None if out is None else (lam_bits(out.lam), out.vanished)
+
+
+# s = p + q on both sides of the route rule, 2(p + q) >= 3072 vector entries
+SPANS = st.one_of(st.integers(2, 160), st.integers(1536, 2100))
+PAIRINGS = ["free", "proportional", "near", "zero-near", "overflow"]
+
+
+@settings(deadline=None, max_examples=200)
+@given(SPANS, st.integers(0, 2**32 - 1), st.integers(-1074, 1023), st.integers(-1074, 1023),
+       st.sampled_from(PAIRINGS))
+def test_both_routes_match_reference(s, seed, exp_x, exp_y, pairing):
+    """Both match routes decide as the multi-reduction reference, bit for bit.
+
+    s = p + q is drawn on both sides of the route rule, and each pair is
+    matched on the short and on the bracketed route whatever its length.
+    Parts run from 2**-1074 to 2**1023.  Pairs are unrelated; proportional;
+    proportional with defects within a factor sqrt(2) of their thresholds
+    (but at least a factor 2**(2**-10) away), which the bracket cannot
+    decide; proportional with x or y within sqrt(2) of a zero; or near
+    2**1023 with one entry of xp negated, so that a defect overflows.
+    """
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, s))
+    q = s - p
+
+    def draw(k, e):
+        parts = np.ldexp(rng.uniform(-1, 1, (2, k)), rng.integers(e - 6, e + 1, (2, k)))
+        return parts[0] + 1j * parts[1]
+
+    def phase():
+        return np.exp(2j * np.pi * rng.random())
+
+    if pairing == "overflow":
+        exp_x = exp_y = 1023
+    x, y = draw(p - 1, exp_x), draw(q - 1, exp_y)
+    if pairing == "overflow":
+        lam = complex((1, -1, 1j, -1j)[int(rng.integers(4))])
+    else:
+        lam = complex(*np.ldexp(rng.standard_normal(2), rng.integers(-4, 5, 2)))
+    u = rng.uniform(2.0 ** -10, 0.5, 2) * rng.choice((-1, 1), 2)
+
+    def pair(tol):
+        if pairing == "free":
+            return x, y, draw(p - 1, exp_x), draw(q - 1, exp_y)
+        if pairing == "zero-near" and (x.size or y.size):
+            # x or y with its largest modulus tau 2**u
+            v = x if x.size and (not y.size or rng.random() < 0.5) else y
+            w = draw(v.size, 0)
+            v[:] = w * (tol.tau * 2.0 ** u[0] / np.max(np.abs(w)))
+        xp, yp = x / lam, np.conj(lam) * y
+        if pairing == "overflow" and p > 2:
+            xp[int(rng.integers(p - 1))] *= -1
+        if pairing == "near":
+            # each equation's scale: max|x| = |lam| max|xp| up to rounding
+            mx = np.max(np.abs(x), initial=0.0)
+            my, myp = np.max(np.abs(y), initial=0.0), np.max(np.abs(yp), initial=0.0)
+            xn, ypn = x.copy(), yp.copy()
+            if p > 1:
+                xn[int(rng.integers(p - 1))] += tol.threshold(mx) * 2.0 ** u[0] * phase()
+            if q > 1:
+                ypn[int(rng.integers(q - 1))] += (tol.threshold(max(myp, abs(lam) * my))
+                                                  * 2.0 ** u[1] * phase())
+            return xn, y, xp, ypn
+        return x, y, xp, yp
+
+    def match():
+        # both routes take abs(lam), which raises OverflowError for a lam
+        # with finite parts beyond the largest float (CHANGES.md, FOUND)
+        try:
+            return outcome_bits(rank_one_equal(x_, y_, xp, yp, tol))
+        except OverflowError as error:
+            return repr(error)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for tol in TOLS:
+            x_, y_, xp, yp = pair(tol)
+            short, bracketed = on_both_routes(match)
+            assert short == bracketed
+            if not isinstance(short, str):
+                assert short == outcome_bits(reference_rank_one_equal(x_, y_, xp, yp, tol))
 
 
 class TestOutcomesBuiltWithoutInit:
